@@ -457,7 +457,7 @@ def main(argv=None):
     except UndefinedStateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AccuracyError as exc:
+    except (AccuracyError, OverflowError) as exc:
         print(f"error: accuracy failure: {exc}", file=sys.stderr)
         return 3
 

@@ -1,23 +1,33 @@
-"""Kernel backend selection: compiled extension if available, else pure Python.
+"""Ladder accumulation kernel: the one hot loop behind every moment ladder."""
 
-Set the environment variable ``PHOTONSTAT_PURE_PYTHON=1`` before import to
-force the fallback (useful for benchmarking and debugging).
-"""
+import math
 
-import os
+import numpy as np
 
-if os.environ.get("PHOTONSTAT_PURE_PYTHON"):
-    from . import _pykernels as _impl
 
-    USING_COMPILED = False
-else:
-    try:
-        from . import _ckernels as _impl  # type: ignore[attr-defined]
+def ladder_sums(probs, order, rising):
+    """Weighted moment sums of a photon-number pmf, one value per order.
 
-        USING_COMPILED = True
-    except ImportError:
-        from . import _pykernels as _impl
+    falling (rising=False): out[k] = sum_n p_n * n*(n-1)*...*(n-k+1)
+    rising  (rising=True):  out[k] = sum_n p_n * (n+1)*(n+2)*...*(n+k)
 
-        USING_COMPILED = False
-
-ladder_sums = _impl.ladder_sums
+    Weights are built by left-to-right products from p_n, and each order is
+    summed with exact rounding (math.fsum).  Entries with p_n == 0 are
+    skipped, so zero-padded distributions never poison the sums with
+    inf*0.  Overflow, of a weight or of a sum, surfaces as non-finite
+    output; callers must check finiteness.
+    """
+    probs = np.asarray(probs, dtype=np.float64)
+    occ = np.flatnonzero(probs)
+    n = occ.astype(np.float64)
+    steps = np.arange(1, order + 1, dtype=np.float64)[:, None]
+    factors = n + steps if rising else np.maximum(n - steps + 1, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.cumprod(np.vstack((probs[occ], factors)), axis=0)
+    out = np.empty(order + 1, dtype=np.float64)
+    for k, row in enumerate(weights.tolist()):
+        try:
+            out[k] = math.fsum(row)
+        except OverflowError:  # finite weights whose sum exceeds DBL_MAX
+            out[k] = math.inf
+    return out

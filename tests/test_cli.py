@@ -70,6 +70,17 @@ def test_criteria_accuracy_failure_exits_3(capsys):
     assert "accuracy" in err
 
 
+def test_ladder_overflow_exits_3_without_traceback():
+    # N_200 of Fock(4000) is about 4000**200, beyond float64
+    cmd = [sys.executable, "-m", "photonstat", "criteria", "--family",
+           "fock", "--param", "4000", "--ell-max", "100"]
+    result = subprocess.run(cmd, capture_output=True, text=True)
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+    assert result.stderr.startswith("error: accuracy failure: ")
+    assert "exceeds the float64 range" in result.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ("criteria",),                                          # missing family
     ("criteria", "--family", "cat", "--param", "1"),        # unknown family
