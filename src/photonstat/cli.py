@@ -11,10 +11,10 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from . import __version__
-from .criteria import DegenerateA3, evaluate_all
+from .criteria import DegenerateA3, evaluate_all, moment_order
 from .exceptions import AccuracyError, UndefinedStateError
 from .moments import ModKind, StateModification
 from .oracle import DEFAULT_SUITE_STATES, equivalence_suite
@@ -40,9 +40,8 @@ class SweepSpec:
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems must exit 1, not argparse's default 2
+    # usage problems exit 1 (not argparse's default 2) with one line
     def error(self, message):
-        self.print_usage(sys.stderr)
         print(f"{self.prog}: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
@@ -266,6 +265,8 @@ def _parse_param_range(text, parser):
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         parser.error("--param-range values must be numeric")
+    if not all(math.isfinite(v) for v in (start, stop, step)):
+        parser.error("--param-range values must be finite")
     if step <= 0 or stop < start:
         parser.error("--param-range needs step > 0 and stop >= start")
     count = int(math.floor((stop - start) / step + 1e-6)) + 1
@@ -305,17 +306,32 @@ def _resolved(args, config, key, fallback):
     return fallback
 
 
-def _policy_from(args, config):
+def _policy_from(args, config, parser, ladder_order):
+    """The cutoff policy, its check order raised (never lowered) to the
+    ladder order the report will read."""
     try:
-        return CutoffPolicy(
+        policy = CutoffPolicy(
             eps_tail=float(_resolved(args, config, "eps_tail", 1e-12)),
             rel_tol=float(_resolved(args, config, "rel_tol", 1e-10)),
             max_cutoff=int(_resolved(args, config, "max_cutoff", 4096)),
             max_moment_order=int(
                 _resolved(args, config, "max_moment_order", 12)),
         )
-    except ValueError as exc:
-        raise SystemExit(1) from exc
+    except (TypeError, ValueError) as exc:
+        parser.error(str(exc))
+    if ladder_order > policy.max_moment_order:
+        policy = replace(policy, max_moment_order=ladder_order)
+    return policy
+
+
+def _ell_max_from(args, config, parser):
+    try:
+        ell_max = int(_resolved(args, config, "ell_max", 3))
+    except (TypeError, ValueError):
+        parser.error("--ell-max must be an integer")
+    if ell_max < 1:
+        parser.error("--ell-max must be at least 1")
+    return ell_max
 
 
 def _modification_from(args, parser):
@@ -330,6 +346,8 @@ def _modification_from(args, parser):
 
 def _check_params(family, params, parser):
     for param in params:
+        if not math.isfinite(param):
+            parser.error(f"{family} parameter must be finite")
         if param < 0:
             parser.error(f"{family} parameter must be nonnegative")
         if family == "fock" and int(param) != param:
@@ -409,10 +427,11 @@ def main(argv=None):
     try:
         config = _load_config(getattr(args, "config", None), parser)
         if args.command == "criteria":
-            policy = _policy_from(args, config)
             mod = _modification_from(args, parser)
+            ell_max = _ell_max_from(args, config, parser)
+            policy = _policy_from(args, config, parser,
+                                  mod.count + moment_order(ell_max))
             params = _check_params(args.family, (args.param,), parser)
-            ell_max = int(_resolved(args, config, "ell_max", 3))
             selection = _parse_criteria(
                 _resolved(args, config, "criteria", ",".join(CRITERIA_TOKENS)),
                 parser)
@@ -420,15 +439,16 @@ def main(argv=None):
             return cmd_criteria(args.family, params[0], mod, ell_max,
                                 selection, fmt, policy, args.out)
         if args.command == "sweep":
-            policy = _policy_from(args, config)
             mod = _modification_from(args, parser)
+            ell_max = _ell_max_from(args, config, parser)
+            policy = _policy_from(args, config, parser,
+                                  mod.count + moment_order(ell_max))
             grid = tuple(args.param or ())
             if args.param_range:
                 grid += _parse_param_range(args.param_range, parser)
             if not grid:
                 parser.error("sweep needs --param or --param-range")
             grid = _check_params(args.family, grid, parser)
-            ell_max = int(_resolved(args, config, "ell_max", 3))
             selection = _parse_criteria(
                 _resolved(args, config, "criteria", ",".join(CRITERIA_TOKENS)),
                 parser)

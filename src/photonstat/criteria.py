@@ -289,10 +289,17 @@ def _undefined_report(flags):
                           flags=tuple(sorted(set(flags))))
 
 
+def moment_order(ell_max):
+    """Highest factorial-moment order of the modified state that
+    evaluate_all reads; its ladder has order count + moment_order(ell_max).
+    """
+    return max(2 * ell_max, ell_max + 1, 4)
+
+
 def evaluate_all(dist, mod=None, ell_max=3):
     """Evaluate every criterion for dist under the given modification.
 
-    One moment ladder of order count + max(2*ell_max, 4) serves all
+    One moment ladder of order count + moment_order(ell_max) serves all
     criteria.  Degenerate or undefined entries populate flags instead of
     raising, so parameter sweeps always get a report back.
     """
@@ -300,7 +307,7 @@ def evaluate_all(dist, mod=None, ell_max=3):
         raise ValueError("ell_max must be at least 1")
     if mod is None:
         mod = StateModification.identity()
-    x_max = max(2 * ell_max, ell_max + 1, 4)
+    x_max = moment_order(ell_max)
     flags = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", CancellationWarning)

@@ -24,6 +24,7 @@ from .criteria import (
     evaluate_all,
     lee_dh,
     mandel_q,
+    moment_order,
     q_ell_central,
     q_ell_normal,
 )
@@ -249,7 +250,7 @@ def equivalence_suite(states=DEFAULT_SUITE_STATES, n_max=3, m_max=4, x_max=4,
     path (subtraction vs addition).
     """
     cells = []
-    crit_x = max(2 * ell_max, ell_max + 1, 4)
+    crit_x = moment_order(ell_max)
     mods = [StateModification.subtract(n) for n in range(n_max + 1)]
     mods += [StateModification.add(m) for m in range(1, m_max + 1)]
     for family, param in states:

@@ -10,6 +10,7 @@ highest requested factorial moment must be converged under cutoff doubling.
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -29,8 +30,10 @@ class CutoffPolicy:
     eps_tail: required upper bound on the omitted probability mass.
     rel_tol: relative convergence tolerance for the moment-doubling check.
     max_cutoff: hard cap on the cutoff (exceeding it raises AccuracyError).
-    max_moment_order: factorial-moment order used in the convergence check;
-        set it at least as high as the largest ladder order you will request.
+    max_moment_order: factorial-moment order used in the convergence check.
+        It is a floor: set it at least as high as the largest ladder order
+        you will request.  The CLI raises it to the ladder order of each
+        request (count + criteria.moment_order(ell_max)), never lowers it.
     """
 
     eps_tail: float = 1e-12
@@ -39,9 +42,9 @@ class CutoffPolicy:
     max_moment_order: int = 12
 
     def __post_init__(self):
-        if self.eps_tail <= 0:
+        if not self.eps_tail > 0:  # also rejects NaN
             raise ValueError("eps_tail must be positive")
-        if self.rel_tol <= 0:
+        if not self.rel_tol > 0:
             raise ValueError("rel_tol must be positive")
         if self.max_cutoff < 1:
             raise ValueError("max_cutoff must be at least 1")
@@ -175,20 +178,117 @@ def _raw_factorial_moment(probs, order):
     return float(kernels.ladder_sums(probs, order, False)[order])
 
 
-def _moment_converged(family, param, cutoff, policy):
+def _moment_converged(probs, cutoff, policy):
+    """Exactly rounded convergence test of cutoff on a long enough pmf.
+
+    probs must reach index max(2*cutoff, max_moment_order + 1); its prefix
+    of length cutoff + 1 is pmf(param, cutoff), because the builders run
+    one forward recursion.
+    """
     order = policy.max_moment_order
-    pmf, _ = _BUILDERS[family]
-    m_here = _raw_factorial_moment(pmf(param, cutoff), order)
-    m_twice = _raw_factorial_moment(pmf(param, 2 * cutoff), order)
+    m_here = _raw_factorial_moment(probs[:cutoff + 1], order)
+    m_twice = _raw_factorial_moment(probs[:2 * cutoff + 1], order)
     if m_twice == 0.0:
-        return m_here == 0.0
+        # both moments vanish trivially while 2*cutoff < order; only a pmf
+        # that is exactly zero from `order` on (underflow) has converged
+        return not probs[order:].any()
     return abs(m_twice - m_here) <= policy.rel_tol * abs(m_twice)
+
+
+def _falling_weights(probs, order):
+    """p_n * n(n-1)...(n-order+1) for every n, multiplied left to right as
+    in kernels.ladder_sums; entries n < order are 0."""
+    weights = np.zeros_like(probs)
+    row = probs[order:].copy()
+    n = np.arange(order, probs.size, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        for k in range(order):
+            row *= n - k
+    weights[order:] = row
+    return weights
+
+
+def _tail_cutoff(family, param, policy):
+    """Smallest cutoff in 1..max_cutoff whose tail bound meets eps_tail.
+
+    Bisects on the closed-form bound alone, which is nonincreasing in the
+    cutoff.
+    """
+    _, tail = _BUILDERS[family]
+    lo, hi = 0, policy.max_cutoff
+    if tail(param, hi) > policy.eps_tail:
+        raise _cap_error(family, param, policy)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if tail(param, mid) <= policy.eps_tail:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def _cap_error(family, param, policy):
+    _, tail = _BUILDERS[family]
+    best = tail(param, policy.max_cutoff)
+    return AccuracyError(
+        f"{family}({param}) needs cutoff > {policy.max_cutoff}: "
+        f"tail bound {best:.3e} vs eps_tail {policy.eps_tail:.3e}, "
+        f"or moment order {policy.max_moment_order} not converged "
+        f"to rel_tol {policy.rel_tol:.1e}")
+
+
+@lru_cache(maxsize=1)
+def _search(family, param, policy):
+    """(cutoff, pmf) with pmf at least cutoff + 1 entries long.
+
+    Every candidate cutoff D from the tail cutoff up to `top` is screened
+    at once on prefix sums S of the order-K falling weights (S[D] against
+    S[2D]); candidates that pass are confirmed in increasing order by the
+    exactly rounded _moment_converged, so the screen never decides.  `top`
+    doubles, up to max_cutoff, only when no candidate passes.  The cache
+    lets _build reuse the pmf that choose_cutoff's search built; the pmf
+    is read-only because every caller shares it.
+    """
+    pmf, _ = _BUILDERS[family]
+    if param == 0.0:
+        return 0, pmf(param, 0)
+    order = policy.max_moment_order
+    first = _tail_cutoff(family, param, policy)
+    top = min(2 * first + order, policy.max_cutoff)
+    while True:
+        probs = pmf(param, max(2 * top, order + 1))
+        probs.setflags(write=False)
+        sums = np.cumsum(_falling_weights(probs, order))
+        cand = np.arange(first, top + 1)
+        here, twice = sums[cand], sums[2 * cand]
+        # widen rel_tol by the rounding bound of the running sums, so no
+        # candidate the exact test accepts is screened out
+        slack = 16 * (cand + 1) * np.finfo(np.float64).eps
+        with np.errstate(invalid="ignore"):
+            keep = (np.abs(twice - here)
+                    <= (policy.rel_tol + slack) * (1 + slack) * twice)
+        if probs[order:].any():
+            keep &= twice != 0.0
+        for cutoff in cand[keep].tolist():
+            if _moment_converged(probs, cutoff, policy):
+                return cutoff, probs
+        if top == policy.max_cutoff:
+            raise _cap_error(family, param, policy)
+        first, top = top + 1, min(2 * top, policy.max_cutoff)
 
 
 def choose_cutoff(family, param, policy=DEFAULT_POLICY):
     """Smallest cutoff satisfying the tail and moment-convergence criteria.
 
-    Raises AccuracyError when no cutoff up to policy.max_cutoff works.
+    A cutoff D is accepted when the tail bound is at most eps_tail and the
+    order-K factorial moment (K = policy.max_moment_order) of the pmf cut
+    at D agrees with the one cut at 2D to within rel_tol.  When the
+    order-K moment at 2D is zero, D is accepted only if the pmf is exactly
+    zero in float64 from n = K on.  The search runs over 1..max_cutoff;
+    parameter 0 (the vacuum) gives 0.
+
+    Raises AccuracyError when no cutoff up to policy.max_cutoff works, and
+    ValueError for a negative or non-finite parameter.
     """
     if family == "fock":
         n = _as_fock_index(param)
@@ -198,39 +298,16 @@ def choose_cutoff(family, param, policy=DEFAULT_POLICY):
         return n
     if family not in _BUILDERS:
         raise ValueError(f"unknown state family {family!r}")
+    if not math.isfinite(param):
+        raise ValueError(f"{family} parameter must be finite")
     if param < 0:
         raise ValueError(f"{family} parameter must be nonnegative")
-    if param == 0.0:
-        return 0
-
-    _, tail = _BUILDERS[family]
-
-    def acceptable(cutoff):
-        return (tail(param, cutoff) <= policy.eps_tail
-                and _moment_converged(family, param, cutoff, policy))
-
-    # grow to a passing cutoff, then binary-search the smallest one
-    lo, hi = 0, 8
-    while not acceptable(min(hi, policy.max_cutoff)):
-        lo = hi
-        if hi >= policy.max_cutoff:
-            best = tail(param, policy.max_cutoff)
-            raise AccuracyError(
-                f"{family}({param}) needs cutoff > {policy.max_cutoff}: "
-                f"tail bound {best:.3e} vs eps_tail {policy.eps_tail:.3e}, "
-                f"or moment order {policy.max_moment_order} not converged "
-                f"to rel_tol {policy.rel_tol:.1e}")
-        hi = min(hi * 2, policy.max_cutoff)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if acceptable(mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _search(family, param, policy)[0]
 
 
 def _as_fock_index(param):
+    if not math.isfinite(param):
+        raise ValueError("fock parameter must be finite")
     n = int(param)
     if n != param or n < 0:
         raise ValueError("fock parameter must be a nonnegative integer")
@@ -239,8 +316,8 @@ def _as_fock_index(param):
 
 def _build(family, param, policy, renormalize):
     cutoff = choose_cutoff(family, param, policy)
-    pmf, tail = _BUILDERS[family]
-    probs = pmf(param, cutoff)
+    _, tail = _BUILDERS[family]
+    probs = _search(family, param, policy)[1][:cutoff + 1]
     dist = NumberDistribution(probs, tail(param, cutoff))
     return dist.renormalized() if renormalize else dist
 

@@ -99,6 +99,25 @@ def test_usage_errors_exit_1(capsys, argv):
     assert code == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ("criteria", "--family", "thermal", "--param", "nan"),
+    ("criteria", "--family", "coherent", "--param", "inf"),
+    ("sweep", "--family", "squeezed", "--param-range", "0:inf:0.5"),
+    ("criteria", "--family", "thermal", "--param", "1", "--max-cutoff", "0"),
+    ("criteria", "--family", "thermal", "--param", "1", "--eps-tail", "-1"),
+    ("sweep", "--family", "thermal", "--param", "1", "--ell-max", "0"),
+])
+def test_usage_errors_print_one_line_without_traceback(argv):
+    cmd = [sys.executable, "-m", "photonstat", *argv]
+    result = subprocess.run(cmd, capture_output=True, text=True)
+    assert result.returncode == 1
+    assert result.stdout == ""
+    assert "Traceback" not in result.stderr
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("photonstat: error: ")
+
+
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
 

@@ -1,3 +1,5 @@
+import itertools
+import json
 import math
 
 import numpy as np
@@ -16,7 +18,10 @@ from photonstat import (
     build_state,
     build_thermal,
     choose_cutoff,
+    antinormal_ladder,
+    normal_ladder,
 )
+from photonstat.cli import main
 from photonstat.states import _BUILDERS, _raw_factorial_moment
 
 
@@ -157,6 +162,86 @@ def test_choose_cutoff_convergence_oracle():
             or abs(m_small2 - m_small) > policy.rel_tol * m_small2)
 
 
+def _accepts(family, param, cutoff, policy=DEFAULT_POLICY):
+    """The cutoff predicate, replayed from scratch at one cutoff."""
+    pmf, tail = _BUILDERS[family]
+    order = policy.max_moment_order
+    if tail(param, cutoff) > policy.eps_tail:
+        return False
+    m_here = _raw_factorial_moment(pmf(param, cutoff), order)
+    m_twice = _raw_factorial_moment(pmf(param, 2 * cutoff), order)
+    if m_twice == 0.0:
+        # a zero moment at 2D certifies only a pmf that underflows to 0
+        return not pmf(param, order + 1)[order:].any()
+    return abs(m_twice - m_here) <= policy.rel_tol * m_twice
+
+
+@pytest.mark.parametrize("family,param", [
+    (family, param)
+    for family, top in (("coherent", 8.0), ("thermal", 3.0),
+                        ("squeezed", 1.2))
+    for param in (1e-300, 1e-30, 1e-8, 0.01, 0.05, 0.5, 2.0, top)
+])
+def test_choose_cutoff_is_smallest_by_linear_scan(family, param):
+    # nonzero parameters search 1..max_cutoff; the scan walks it in order
+    smallest = next(d for d in itertools.count(1)
+                    if _accepts(family, param, d))
+    assert choose_cutoff(family, param) == smallest
+
+
+@pytest.mark.parametrize("family,cutoff", [
+    ("coherent", 16), ("thermal", 19), ("squeezed", 18),
+])
+def test_small_param_cutoffs_pinned(family, cutoff):
+    # at 0.01 the order-12 moments vanish for 2D < 12; those cutoffs must
+    # not pass vacuously
+    assert choose_cutoff(family, 0.01) == cutoff
+
+
+@pytest.mark.parametrize("nbar", [0.3, 1.0, 2.5])
+def test_thermal_ladders_match_closed_form(nbar):
+    dist = build_thermal(nbar)
+    normal = normal_ladder(dist, 12)
+    anti = antinormal_ladder(dist, 12)
+    for k in range(13):
+        assert math.isclose(normal[k], math.factorial(k) * nbar ** k,
+                            rel_tol=DEFAULT_POLICY.rel_tol)
+        assert math.isclose(anti[k], math.factorial(k) * (1 + nbar) ** k,
+                            rel_tol=DEFAULT_POLICY.rel_tol)
+
+
+def test_check_order_follows_the_request(capsys):
+    # --add 6 --ell-max 6 reads the anti-normal ladder up to order 18
+    code = main(["criteria", "--family", "thermal", "--param", "1",
+                 "--add", "6", "--ell-max", "6"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert doc["policy"]["max_moment_order"] == 18
+    policy = CutoffPolicy(max_moment_order=18)
+    assert _accepts("thermal", 1.0, doc["cutoff"], policy)
+    assert not _accepts("thermal", 1.0, doc["cutoff"] - 1, policy)
+
+
+def test_check_order_is_never_lowered(tmp_path, capsys):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"max_moment_order": 30}))
+    code = main(["criteria", "--family", "thermal", "--param", "1",
+                 "--config", str(config)])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["policy"][
+        "max_moment_order"] == 30
+
+
+@pytest.mark.parametrize("family", ["coherent", "thermal", "squeezed",
+                                    "fock"])
+@pytest.mark.parametrize("param", [math.nan, math.inf])
+def test_non_finite_params_rejected(family, param):
+    with pytest.raises(ValueError):
+        choose_cutoff(family, param)
+    with pytest.raises(ValueError):
+        build_state(family, param)
+
+
 def test_cutoff_cap_raises_accuracy_error():
     policy = CutoffPolicy(max_cutoff=16)
     with pytest.raises(AccuracyError):
@@ -174,6 +259,10 @@ def test_invalid_inputs():
         build_state("cat", 1.0)
     with pytest.raises(ValueError):
         CutoffPolicy(eps_tail=0.0)
+    with pytest.raises(ValueError):
+        CutoffPolicy(eps_tail=math.nan)
+    with pytest.raises(ValueError):
+        CutoffPolicy(rel_tol=math.nan)
 
 
 def test_distribution_is_immutable():
