@@ -11,32 +11,23 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 from . import __version__
-from .criteria import DegenerateA3, evaluate_all, moment_order
+from .criteria import (
+    CRITERIA_TOKENS,
+    CriteriaReport,
+    DegenerateA3,
+    evaluate_all,
+    moment_order,
+)
 from .exceptions import AccuracyError, UndefinedStateError
-from .moments import ModKind, StateModification
+from .moments import StateModification
 from .oracle import DEFAULT_SUITE_STATES, equivalence_suite
-from .states import FAMILIES, CutoffPolicy, build_state, choose_cutoff
-
-CRITERIA_TOKENS = ("Q", "Q_ell_normal", "Q_ell_central", "d_h", "A3")
+from .states import FAMILIES, CutoffPolicy, build_state
 
 UNDEF = "UNDEF"
 DEGENERATE = "DEGENERATE"
-
-
-@dataclass(frozen=True)
-class SweepSpec:
-    """One parameter sweep: a family, a grid, a modification, a selection."""
-
-    family: str
-    param_grid: tuple
-    modification: StateModification
-    ell_max: int
-    criteria_selection: tuple
-    output_format: str
-    policy: CutoffPolicy
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,51 +37,11 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _criteria_columns(selection, ell_max):
-    cols = []
-    if "Q" in selection:
-        cols.append("Q")
-    if "Q_ell_normal" in selection:
-        cols.extend(f"Q{ell}_normal" for ell in range(1, ell_max + 1))
-    if "Q_ell_central" in selection:
-        cols.extend(f"Q{ell}_central" for ell in range(1, ell_max + 1))
-    if "d_h" in selection:
-        cols.extend(f"dh{h}" for h in range(1, ell_max + 1))
-    if "A3" in selection:
-        cols.append("A3")
-    return cols
-
-
-def _report_cells(report, selection, ell_max):
-    cells = {}
-    if "Q" in selection:
-        cells["Q"] = report.mandel_q
-    if "Q_ell_normal" in selection:
-        for ell in range(1, ell_max + 1):
-            cells[f"Q{ell}_normal"] = report.q_ell_normal.get(ell, math.nan)
-    if "Q_ell_central" in selection:
-        for ell in range(1, ell_max + 1):
-            cells[f"Q{ell}_central"] = report.q_ell_central.get(ell, math.nan)
-    if "d_h" in selection:
-        for h in range(1, ell_max + 1):
-            cells[f"dh{h}"] = report.lee_dh.get(h, math.nan)
-    if "A3" in selection:
-        cells["A3"] = report.a3
-    return cells
-
-
-def _render(value):
-    """Full round-trip decimal rendering; tokens for undefined/degenerate."""
-    if isinstance(value, DegenerateA3):
-        return DEGENERATE
-    if isinstance(value, str):
-        return value
-    if isinstance(value, int):
-        return repr(value)
-    value = float(value)
-    if math.isnan(value):
-        return UNDEF
-    return repr(value)
+def _row(param, report, selection, ell_max):
+    """One output row: param, mean, the selected criteria, flags."""
+    return {"param": param, "mean": report.mean,
+            **report.cells(ell_max, selection),
+            "flags": ";".join(report.flags)}
 
 
 def _json_cell(value):
@@ -104,6 +55,14 @@ def _json_cell(value):
     return value
 
 
+def _render(value):
+    """Full round-trip decimal rendering; tokens for undefined/degenerate."""
+    if isinstance(value, str):
+        return value
+    cell = _json_cell(value)
+    return cell if isinstance(cell, str) else repr(cell)
+
+
 def _policy_dict(policy):
     return {"eps_tail": policy.eps_tail, "rel_tol": policy.rel_tol,
             "max_cutoff": policy.max_cutoff,
@@ -114,12 +73,12 @@ def _mod_dict(mod):
     return {"kind": mod.kind.value, "count": mod.count}
 
 
-def _csv_table(columns, rows):
+def _csv_table(rows):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(columns)
+    writer.writerow(rows[0])
     for row in rows:
-        writer.writerow([_render(row[c]) for c in columns])
+        writer.writerow([_render(value) for value in row.values()])
     return buf.getvalue()
 
 
@@ -141,13 +100,8 @@ def cmd_criteria(family, param, mod, ell_max, selection, fmt, policy,
         raise UndefinedStateError(
             f"state annihilated: {family}({param!r}) does not survive "
             f"{mod.kind.value} {mod.count}")
-    cells = _report_cells(report, selection, ell_max)
     if fmt == "csv":
-        columns = ["param", "mean"] + _criteria_columns(selection, ell_max) \
-            + ["flags"]
-        row = {"param": param, "mean": report.mean, **cells,
-               "flags": ";".join(report.flags)}
-        _emit(_csv_table(columns, [row]), out_path)
+        _emit(_csv_table([_row(param, report, selection, ell_max)]), out_path)
         return 0
     doc = {
         "tool": "photonstat",
@@ -162,7 +116,7 @@ def cmd_criteria(family, param, mod, ell_max, selection, fmt, policy,
         "tail_bound": dist.tail_bound,
         "mean": _json_cell(report.mean),
     }
-    for key, value in cells.items():
+    for key, value in report.cells(ell_max, selection).items():
         doc[key] = _json_cell(value)
     if isinstance(report.a3, DegenerateA3):
         doc["A3_detail"] = {"det_m": report.a3.det_m,
@@ -174,53 +128,42 @@ def cmd_criteria(family, param, mod, ell_max, selection, fmt, policy,
 
 # ------------------------------------------------------------------- sweep
 
-def _sweep_rows(spec):
-    columns = ["param", "mean"] \
-        + _criteria_columns(spec.criteria_selection, spec.ell_max) + ["flags"]
-    rows = []
-    failed = []
-    for param in spec.param_grid:
+def cmd_sweep(family, grid, mod, ell_max, selection, fmt, policy,
+              out_path=None):
+    reports = []
+    for param in grid:
         try:
-            dist = build_state(spec.family, param, spec.policy)
+            dist = build_state(family, param, policy)
         except AccuracyError:
-            row = {c: math.nan for c in columns}
-            row.update(param=param, flags="accuracy_failure")
-            rows.append(row)
-            failed.append("accuracy")
-            continue
-        report = evaluate_all(dist, spec.modification, spec.ell_max)
-        row = {"param": param, "mean": report.mean,
-               **_report_cells(report, spec.criteria_selection, spec.ell_max),
-               "flags": ";".join(report.flags)}
-        rows.append(row)
-        failed.append("undefined" if report.undefined else None)
-    return columns, rows, failed
-
-
-def cmd_sweep(spec, out_path=None):
-    columns, rows, failed = _sweep_rows(spec)
-    if spec.output_format == "json":
+            reports.append(CriteriaReport(math.nan, math.nan,
+                                          flags=("accuracy_failure",)))
+        else:
+            reports.append(evaluate_all(dist, mod, ell_max))
+    rows = [_row(param, report, selection, ell_max)
+            for param, report in zip(grid, reports)]
+    if fmt == "json":
         doc = {
             "tool": "photonstat",
             "version": __version__,
             "command": "sweep",
             "sweep": {
-                "family": spec.family,
-                "params": list(spec.param_grid),
-                "modification": _mod_dict(spec.modification),
-                "ell_max": spec.ell_max,
-                "criteria": list(spec.criteria_selection),
-                "format": spec.output_format,
-                "policy": _policy_dict(spec.policy),
+                "family": family,
+                "params": list(grid),
+                "modification": _mod_dict(mod),
+                "ell_max": ell_max,
+                "criteria": list(selection),
+                "format": fmt,
+                "policy": _policy_dict(policy),
             },
-            "rows": [{c: _json_cell(r[c]) if c != "flags" else r[c]
-                      for c in columns} for r in rows],
+            "rows": [{k: v if k == "flags" else _json_cell(v)
+                      for k, v in row.items()} for row in rows],
         }
         _emit(json.dumps(doc, indent=2) + "\n", out_path)
     else:
-        _emit(_csv_table(columns, rows), out_path)
-    if rows and all(failed):
-        return 3 if "accuracy" in failed else 2
+        _emit(_csv_table(rows), out_path)
+    inaccurate = ["accuracy_failure" in r.flags for r in reports]
+    if all(r.undefined or bad for r, bad in zip(reports, inaccurate)):
+        return 3 if any(inaccurate) else 2
     return 0
 
 
@@ -426,25 +369,14 @@ def main(argv=None):
 
     try:
         config = _load_config(getattr(args, "config", None), parser)
-        if args.command == "criteria":
+        if args.command in ("criteria", "sweep"):
             mod = _modification_from(args, parser)
             ell_max = _ell_max_from(args, config, parser)
             policy = _policy_from(args, config, parser,
                                   mod.count + moment_order(ell_max))
-            params = _check_params(args.family, (args.param,), parser)
-            selection = _parse_criteria(
-                _resolved(args, config, "criteria", ",".join(CRITERIA_TOKENS)),
-                parser)
-            fmt = _resolved(args, config, "format", "json")
-            return cmd_criteria(args.family, params[0], mod, ell_max,
-                                selection, fmt, policy, args.out)
-        if args.command == "sweep":
-            mod = _modification_from(args, parser)
-            ell_max = _ell_max_from(args, config, parser)
-            policy = _policy_from(args, config, parser,
-                                  mod.count + moment_order(ell_max))
-            grid = tuple(args.param or ())
-            if args.param_range:
+            sweep = args.command == "sweep"
+            grid = tuple(args.param or ()) if sweep else (args.param,)
+            if sweep and args.param_range:
                 grid += _parse_param_range(args.param_range, parser)
             if not grid:
                 parser.error("sweep needs --param or --param-range")
@@ -452,12 +384,12 @@ def main(argv=None):
             selection = _parse_criteria(
                 _resolved(args, config, "criteria", ",".join(CRITERIA_TOKENS)),
                 parser)
-            fmt = _resolved(args, config, "format", "csv")
-            spec = SweepSpec(family=args.family, param_grid=grid,
-                             modification=mod, ell_max=ell_max,
-                             criteria_selection=selection,
-                             output_format=fmt, policy=policy)
-            return cmd_sweep(spec, args.out)
+            fmt = _resolved(args, config, "format", "csv" if sweep else "json")
+            if sweep:
+                return cmd_sweep(args.family, grid, mod, ell_max, selection,
+                                 fmt, policy, args.out)
+            return cmd_criteria(args.family, grid[0], mod, ell_max,
+                                selection, fmt, policy, args.out)
         # selfcheck
         tol = _resolved(args, config, "tol", None)
         tol_subtract = tol if tol is not None else 1e-9

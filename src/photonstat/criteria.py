@@ -64,26 +64,6 @@ def mu_from_m(m, z_max=None):
     return mu
 
 
-@dataclass(frozen=True)
-class MomentPair:
-    """Factorial moments m and raw moments mu of one state, same length."""
-
-    m: np.ndarray
-    mu: np.ndarray
-
-    def __post_init__(self):
-        m = np.asarray(self.m, dtype=np.float64)
-        mu = np.asarray(self.mu, dtype=np.float64)
-        if m.shape != mu.shape:
-            raise ValueError("m and mu must have equal length")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "mu", mu)
-
-    @classmethod
-    def from_factorial(cls, m):
-        return cls(np.asarray(m, dtype=np.float64), mu_from_m(m))
-
-
 def mandel_q(m1, m2):
     """Mandel Q = (m_2 - m_1^2)/m_1; NaN when the mean vanishes.
 
@@ -261,6 +241,10 @@ def agarwal_tara(m, mu=None, tol_det=DET_DEGENERACY_TOL):
     return det_m / denom
 
 
+# --criteria tokens, in the order their columns appear
+CRITERIA_TOKENS = ("Q", "Q_ell_normal", "Q_ell_central", "d_h", "A3")
+
+
 @dataclass(frozen=True)
 class CriteriaReport:
     """Every criterion for one (state, modification) pair.
@@ -283,10 +267,25 @@ class CriteriaReport:
     def undefined(self):
         return "undefined_state" in self.flags
 
+    def cells(self, ell_max, selection=CRITERIA_TOKENS):
+        """The selected criteria as {column name: value} for orders up to
+        ell_max, in column order: Q, Q<l>_normal, Q<l>_central, dh<h>, A3.
 
-def _undefined_report(flags):
-    return CriteriaReport(mean=math.nan, mandel_q=math.nan, a3=math.nan,
-                          flags=tuple(sorted(set(flags))))
+        Entries the report lacks (an undefined state) are NaN.
+        """
+        ells = range(1, ell_max + 1)
+        columns = {
+            "Q": {"Q": self.mandel_q},
+            "Q_ell_normal": {f"Q{ell}_normal": self.q_ell_normal.get(
+                ell, math.nan) for ell in ells},
+            "Q_ell_central": {f"Q{ell}_central": self.q_ell_central.get(
+                ell, math.nan) for ell in ells},
+            "d_h": {f"dh{h}": self.lee_dh.get(h, math.nan) for h in ells},
+            "A3": {"A3": self.a3},
+        }
+        return {name: value
+                for token in CRITERIA_TOKENS if token in selection
+                for name, value in columns[token].items()}
 
 
 def moment_order(ell_max):
@@ -296,47 +295,52 @@ def moment_order(ell_max):
     return max(2 * ell_max, ell_max + 1, 4)
 
 
+def criteria_from_moments(m, mu, ell_max, flags=()):
+    """Every criterion up to order ell_max from one state's moments.
+
+    m are its factorial moments and mu its raw moments, both up to order
+    moment_order(ell_max).  flags are diagnostic tokens to carry into the
+    report; undefined_mean and a3_degenerate are added here when they hold.
+    """
+    flags = set(flags)
+    mean = float(m[1])
+    if mean == 0.0:
+        flags.add("undefined_mean")
+    ells = range(1, ell_max + 1)
+    a3 = agarwal_tara(m, mu)
+    if isinstance(a3, DegenerateA3):
+        flags.add("a3_degenerate")
+    return CriteriaReport(
+        mean=mean,
+        mandel_q=mandel_q(mean, float(m[2])),
+        q_ell_normal={ell: q_ell_normal(m, ell) for ell in ells},
+        q_ell_central={ell: q_ell_central(mu, ell) for ell in ells},
+        lee_dh={ell - 1: lee_dh(m, ell) for ell in range(2, ell_max + 2)},
+        a3=a3,
+        flags=tuple(sorted(flags)),
+    )
+
+
 def evaluate_all(dist, mod=None, ell_max=3):
     """Evaluate every criterion for dist under the given modification.
 
-    One moment ladder of order count + moment_order(ell_max) serves all
-    criteria.  Degenerate or undefined entries populate flags instead of
-    raising, so parameter sweeps always get a report back.
+    One moment ladder of order count + moment_order(ell_max) and one
+    Stirling conversion serve all criteria.  Degenerate or undefined
+    entries populate flags instead of raising, so parameter sweeps always
+    get a report back.
     """
     if ell_max < 1:
         raise ValueError("ell_max must be at least 1")
     if mod is None:
         mod = StateModification.identity()
-    x_max = moment_order(ell_max)
-    flags = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", CancellationWarning)
         try:
-            m = modified_moment_sequence(dist, mod, x_max)
+            m = modified_moment_sequence(dist, mod, moment_order(ell_max))
         except UndefinedStateError:
-            return _undefined_report(["undefined_state"])
+            return CriteriaReport(math.nan, math.nan,
+                                  flags=("undefined_state",))
+    flags = ()
     if any(issubclass(w.category, CancellationWarning) for w in caught):
-        flags.append("cancellation")
-
-    mu = mu_from_m(m)
-    mean = float(m[1])
-    q = mandel_q(mean, float(m[2]))
-    if mean == 0.0:
-        flags.append("undefined_mean")
-
-    qn = {ell: q_ell_normal(m, ell) for ell in range(1, ell_max + 1)}
-    qc = {ell: q_ell_central(mu, ell) for ell in range(1, ell_max + 1)}
-    dh = {ell - 1: lee_dh(m, ell) for ell in range(2, ell_max + 2)}
-    a3 = agarwal_tara(m, mu=None)
-    if isinstance(a3, DegenerateA3):
-        flags.append("a3_degenerate")
-
-    return CriteriaReport(
-        mean=mean,
-        mandel_q=q,
-        q_ell_normal=qn,
-        q_ell_central=qc,
-        lee_dh=dh,
-        a3=a3,
-        flags=tuple(sorted(set(flags))),
-    )
+        flags = ("cancellation",)
+    return criteria_from_moments(m, mu_from_m(m), ell_max, flags)

@@ -20,13 +20,9 @@ import numpy as np
 
 from .criteria import (
     DegenerateA3,
-    agarwal_tara,
+    criteria_from_moments,
     evaluate_all,
-    lee_dh,
-    mandel_q,
     moment_order,
-    q_ell_central,
-    q_ell_normal,
 )
 from .exceptions import CancellationWarning, UndefinedStateError
 from .moments import ModKind, StateModification, modified_moment_sequence
@@ -214,30 +210,6 @@ def _as_float(value):
     return float(value)
 
 
-def _oracle_criteria(oracle_dist, ell_max, x_max):
-    m = direct_moments(oracle_dist, x_max)
-    mu = direct_power_moments(oracle_dist, x_max)
-    out = {"Q": mandel_q(float(m[1]), float(m[2]))}
-    for ell in range(1, ell_max + 1):
-        out[f"Q{ell}_normal"] = q_ell_normal(m, ell)
-        out[f"Q{ell}_central"] = q_ell_central(mu, ell)
-    for ell in range(2, ell_max + 2):
-        out[f"dh{ell - 1}"] = lee_dh(m, ell)
-    out["A3"] = agarwal_tara(m, mu=mu)
-    return out
-
-
-def _shortcut_criteria(report, ell_max):
-    out = {"Q": report.mandel_q}
-    for ell in range(1, ell_max + 1):
-        out[f"Q{ell}_normal"] = report.q_ell_normal[ell]
-        out[f"Q{ell}_central"] = report.q_ell_central[ell]
-    for h in range(1, ell_max + 1):
-        out[f"dh{h}"] = report.lee_dh[h]
-    out["A3"] = report.a3
-    return out
-
-
 def equivalence_suite(states=DEFAULT_SUITE_STATES, n_max=3, m_max=4, x_max=4,
                       tol_subtract=DEFAULT_TOL_SUBTRACT,
                       tol_add=DEFAULT_TOL_ADD,
@@ -280,11 +252,12 @@ def equivalence_suite(states=DEFAULT_SUITE_STATES, n_max=3, m_max=4, x_max=4,
                 a, b = float(shortcut_m[x]), float(ref.moments[x])
                 cells.append(EquivalenceCell(
                     family, param, tag, f"m{x}", a, b, _moment_dev(a, b), tol))
-            report = evaluate_all(dist, mod, ell_max)
-            ours = _shortcut_criteria(report, ell_max)
-            theirs = _oracle_criteria(ref.dist, ell_max, crit_x)
-            for key in ours:
-                a, b = ours[key], theirs[key]
+            ours = evaluate_all(dist, mod, ell_max).cells(ell_max)
+            theirs = criteria_from_moments(
+                ref.moments, direct_power_moments(ref.dist, crit_x),
+                ell_max).cells(ell_max)
+            for key, a in ours.items():
+                b = theirs[key]
                 cells.append(EquivalenceCell(
                     family, param, tag, key, _as_float(a), _as_float(b),
                     _criterion_dev(a, b), tol))

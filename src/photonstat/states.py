@@ -157,6 +157,10 @@ def _squeezed_tail(r, cutoff):
     if t == 0.0:
         # tanh^2 underflowed: the true tail is below r^2 < ulp(0)
         return math.ulp(0.0)
+    if t == 1.0:
+        # tanh^2 rounded to 1 (r above about 19): no bound below 1 is
+        # computable, and cosh(r) overflows above about 710
+        return 1.0
     k = cutoff // 2  # index of the last even entry <= cutoff
     # consecutive even terms decay by at least a factor t
     log_p2k = (math.lgamma(2 * k + 1) - 2 * k * math.log(2.0)
@@ -257,6 +261,9 @@ def _search(family, param, policy):
     top = min(2 * first + order, policy.max_cutoff)
     while True:
         probs = pmf(param, max(2 * top, order + 1))
+        if not probs.any():
+            raise AccuracyError(
+                f"{family}({param}) has no nonzero probability in float64")
         probs.setflags(write=False)
         sums = np.cumsum(_falling_weights(probs, order))
         cand = np.arange(first, top + 1)

@@ -1,9 +1,11 @@
 import csv
+import importlib
 import io
 import json
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,8 +79,29 @@ def test_ladder_overflow_exits_3_without_traceback():
     result = subprocess.run(cmd, capture_output=True, text=True)
     assert result.returncode == 3
     assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("error: accuracy failure: ")
     assert "exceeds the float64 range" in result.stderr
+
+
+@pytest.mark.parametrize("argv,message", [
+    # tanh(r)**2 rounds to 1.0 above r of about 19; cosh(r) overflows
+    # above about 710
+    (("squeezed", "25"), "squeezed(25.0) needs cutoff > 4096"),
+    (("squeezed", "800"), "squeezed(800.0) needs cutoff > 4096"),
+    # exp(-800) underflows, so every probability is 0.0
+    (("coherent", "800"), "coherent(800.0) has no nonzero probability"),
+], ids=["squeezed-25", "squeezed-800", "coherent-800"])
+def test_unrepresentable_state_exits_3_with_one_line(argv, message):
+    family, param, *rest = argv
+    cmd = [sys.executable, "-m", "photonstat", "criteria", "--family",
+           family, "--param", param, *rest]
+    result = subprocess.run(cmd, capture_output=True, text=True)
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.splitlines()) == 1
+    assert result.stderr.startswith("error: accuracy failure: ")
+    assert message in result.stderr
 
 
 @pytest.mark.parametrize("argv", [
@@ -120,6 +143,21 @@ def test_usage_errors_print_one_line_without_traceback(argv):
 
 def test_help_exits_0(capsys):
     assert run_cli(capsys, "--help")[0] == 0
+
+
+def test_console_script_target_runs(monkeypatch, capsys):
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    target = tomllib.loads(pyproject.read_text(encoding="utf-8"))[
+        "project"]["scripts"]["photonstat"]
+    module, _, name = target.partition(":")
+    entry = getattr(importlib.import_module(module), name)
+    monkeypatch.setattr(sys, "argv",
+                        ["photonstat", "selfcheck", "--families", "fock"])
+    with pytest.raises(SystemExit) as exc:
+        entry()
+    assert exc.value.code == 0
+    assert "selfcheck PASS" in capsys.readouterr().out
 
 
 # ------------------------------------------------------------------- sweep
@@ -197,6 +235,42 @@ def test_sweep_json_mirrors_csv(capsys):
         assert set(json_row) == set(csv_rows[0])
         assert math.isclose(json_row["Q"], float(csv_row["Q"]),
                             rel_tol=1e-15)
+
+
+CRITERIA_AT_ELL_MAX_2 = ["Q", "Q1_normal", "Q2_normal", "Q1_central",
+                         "Q2_central", "dh1", "dh2", "A3"]
+
+
+def test_one_column_order_everywhere(capsys):
+    state = ("--family", "thermal", "--param", "1", "--ell-max", "2")
+    header = ["param", "mean", *CRITERIA_AT_ELL_MAX_2, "flags"]
+    _, out, _ = run_cli(capsys, "sweep", *state)
+    assert next(csv.reader(io.StringIO(out))) == header
+    _, out, _ = run_cli(capsys, "criteria", *state, "--format", "csv")
+    assert next(csv.reader(io.StringIO(out))) == header
+    _, out, _ = run_cli(capsys, "criteria", *state)
+    keys = list(json.loads(out))
+    assert keys[keys.index("mean") + 1:keys.index("flags")] \
+        == CRITERIA_AT_ELL_MAX_2
+
+
+def test_failed_rows_keep_the_columns(capsys):
+    # coherent 1 is ok, 0 (vacuum) does not survive a subtraction, and 500
+    # needs far more than 64 photons
+    args = ("sweep", "--family", "coherent", "--param", "1", "--param", "0",
+            "--param", "500", "--subtract", "1", "--max-cutoff", "64",
+            "--ell-max", "2")
+    header = ["param", "mean", *CRITERIA_AT_ELL_MAX_2, "flags"]
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[0] == header
+    assert [len(row) for row in rows[1:]] == [len(header)] * 3
+    assert [row[-1] for row in rows[1:]] == [
+        "", "undefined_state", "accuracy_failure"]
+    code, out, _ = run_cli(capsys, *args, "--format", "json")
+    assert code == 0
+    assert [list(row) for row in json.loads(out)["rows"]] == [header] * 3
 
 
 def test_sweep_deterministic_output(capsys):

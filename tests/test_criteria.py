@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from photonstat import (
     DegenerateA3,
-    MomentPair,
     StateModification,
     agarwal_tara,
     antinormal_ladder,
@@ -96,9 +95,11 @@ def test_mu_from_m_thermal_brute_force():
 
 
 def test_moment_pair_invariants():
-    pair = MomentPair.from_factorial([1.0, 1.0, 2.0, 6.0, 24.0])
-    assert pair.mu[1] == pair.m[1]
-    assert pair.mu[2] == pair.m[2] + pair.m[1]
+    # the (m, mu) pair that criteria_from_moments reads
+    m = [1.0, 1.0, 2.0, 6.0, 24.0]
+    mu = mu_from_m(m)
+    assert mu[1] == m[1]
+    assert mu[2] == m[2] + m[1]
 
 
 # --------------------------------------------------------------- mandel q

@@ -248,6 +248,22 @@ def test_cutoff_cap_raises_accuracy_error():
         build_thermal(5.0, policy)
 
 
+@pytest.mark.parametrize("family,param", [
+    ("squeezed", 19.5), ("squeezed", 25.0), ("squeezed", 800.0),
+    ("coherent", 746.0), ("coherent", 800.0),
+])
+def test_float64_limits_raise_accuracy_error(family, param):
+    # squeezed: tanh(r)**2 rounds to 1.0 (and cosh(r) overflows past 710);
+    # coherent: exp(-|alpha|^2) underflows, so the whole pmf is 0.0
+    with pytest.raises(AccuracyError, match=rf"{family}\({param}\)"):
+        choose_cutoff(family, param)
+
+
+def test_coherent_745_still_has_a_cutoff():
+    # exp(-745) is the smallest subnormal, so the pmf is still nonzero
+    assert choose_cutoff("coherent", 745.0) > 745
+
+
 def test_invalid_inputs():
     with pytest.raises(ValueError):
         build_fock(-1)
