@@ -132,13 +132,13 @@ def cmd_sweep(family, grid, mod, ell_max, selection, fmt, policy,
               out_path=None):
     reports = []
     for param in grid:
+        # a state or a moment beyond reach flags its row, not the sweep
         try:
             dist = build_state(family, param, policy)
-        except AccuracyError:
+            reports.append(evaluate_all(dist, mod, ell_max))
+        except (AccuracyError, OverflowError):
             reports.append(CriteriaReport(math.nan, math.nan,
                                           flags=("accuracy_failure",)))
-        else:
-            reports.append(evaluate_all(dist, mod, ell_max))
     rows = [_row(param, report, selection, ell_max)
             for param, report in zip(grid, reports)]
     if fmt == "json":

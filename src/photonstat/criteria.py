@@ -18,9 +18,11 @@ reported as NaN plus a flag, never raised, so sweeps survive them.
 """
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -36,16 +38,45 @@ from .moments import (
 DET_DEGENERACY_TOL = 1e-10
 
 
+# Exact rows S(z, 0..z), grown on demand and shared by stirling2, mu_from_m
+# and the Touchard sums; one row per order, whatever the number of states.
+# Rows are only appended, under the lock, so a row once read never changes.
+_STIRLING_ROWS = [[1]]
+_STIRLING_LOCK = threading.Lock()
+
+
+def _stirling_row(z):
+    rows = _STIRLING_ROWS
+    if len(rows) <= z:
+        with _STIRLING_LOCK:
+            while len(rows) <= z:
+                prev = rows[-1]
+                rows.append([0] + [k * prev[k] + prev[k - 1]
+                                   for k in range(1, len(prev))] + [1])
+    return rows[z]
+
+
 @lru_cache(maxsize=None)
+def _binomial_row(n):
+    """C(n, j) for j = 0..n, exact."""
+    return tuple(math.comb(n, j) for j in range(n + 1))
+
+
+def _fsum(terms, quantity, *args):
+    """math.fsum; a sum (or a term) beyond the float64 range raises an
+    OverflowError naming quantity.format(*args)."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        raise OverflowError(
+            quantity.format(*args) + " exceeds the float64 range") from None
+
+
 def stirling2(z, k):
     """Stirling number of the second kind S(z, k), exact integer."""
     if k < 0 or z < 0 or k > z:
         raise ValueError("need 0 <= k <= z")
-    if z == k:
-        return 1
-    if k == 0:
-        return 0
-    return k * stirling2(z - 1, k) + stirling2(z - 1, k - 1)
+    return _stirling_row(z)[k]
 
 
 def mu_from_m(m, z_max=None):
@@ -57,10 +88,12 @@ def mu_from_m(m, z_max=None):
         z_max = len(m) - 1
     if len(m) <= z_max:
         raise ValueError(f"need factorial moments up to order {z_max}")
+    m = [float(v) for v in m[:z_max + 1]]
     mu = np.empty(z_max + 1)
     mu[0] = 1.0
     for z in range(1, z_max + 1):
-        mu[z] = math.fsum(stirling2(z, k) * float(m[k]) for k in range(1, z + 1))
+        mu[z] = _fsum(map(mul, _stirling_row(z)[1:], m[1:z + 1]),
+                      "raw moment <n^{}>", z)
     return mu
 
 
@@ -118,6 +151,67 @@ def lee_dh(m, ell):
     return float(m[ell] - float(m[1]) ** ell)
 
 
+class _PoissonMoments:
+    """Moments of a Poisson distribution with mean lam, each computed once.
+
+    raw[z] = E[n^z] = sum_k S(z,k) lam^k (Touchard polynomial) and the
+    powers (-lam)^e grow on demand to the highest order asked for, so the
+    normal and central Q^(l) forms share them for every l.
+    """
+
+    def __init__(self, lam):
+        # repr tells -0.0 from 0.0, and the type an int mean (exact
+        # Touchard terms) from a float one
+        self.key = (type(lam), repr(lam))
+        self.lam = lam
+        self.powers = []         # lam ** k
+        self.neg_powers = []     # (-lam) ** e
+        self.raw = [1.0]
+        self.central = {}        # order -> O_order(lam)
+        self._lock = threading.Lock()   # the lists are only appended to
+
+    def extend(self, order):
+        if order < len(self.neg_powers):    # filled last
+            return self
+        lam = self.lam
+        with self._lock:
+            try:
+                for k in range(len(self.powers), order + 1):
+                    self.powers.append(lam ** k)
+                for z in range(len(self.raw), order + 1):
+                    self.raw.append(math.fsum(
+                        map(mul, _stirling_row(z)[1:], self.powers[1:z + 1])))
+                for e in range(len(self.neg_powers), order + 1):
+                    self.neg_powers.append((-lam) ** e)
+            except (OverflowError, ValueError):
+                raise OverflowError(
+                    f"Poisson raw moments up to order {order} at mean "
+                    f"{lam!r} exceed the float64 range") from None
+        return self
+
+    def central_moment(self, order):
+        if order not in self.central:
+            self.extend(order)
+            self.central[order] = _fsum(
+                map(mul, map(mul, _binomial_row(order), self.raw),
+                    reversed(self.neg_powers[:order + 1])),
+                "Poisson reference moment O_{}({!r})", order, self.lam)
+        return self.central[order]
+
+
+# the table of the last mean asked for: one report reads one mean, so a
+# sweep replaces it row by row instead of accumulating tables
+_poisson_last = _PoissonMoments(0.0)
+
+
+def _poisson(lam):
+    global _poisson_last
+    table = _poisson_last
+    if table.key != (type(lam), repr(lam)):
+        table = _poisson_last = _PoissonMoments(lam)
+    return table
+
+
 def poisson_central_moment(lam, order):
     """Central moment <(n - lam)^order> of a Poisson distribution, even order.
 
@@ -128,14 +222,15 @@ def poisson_central_moment(lam, order):
         raise ValueError("order must be an even integer >= 2")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    raw = [1.0] + [
-        math.fsum(stirling2(z, k) * lam ** k for k in range(1, z + 1))
-        for z in range(1, order + 1)
-    ]
-    return math.fsum(
-        math.comb(order, j) * raw[j] * (-lam) ** (order - j)
-        for j in range(order + 1)
-    )
+    return _poisson(lam).central_moment(order)
+
+
+def _binomial_sum(mean, seq, order, quantity):
+    # sum_j C(order,j) (-mean)^(order-j) seq_j, the central-moment expansion
+    neg = _poisson(mean).extend(order).neg_powers
+    return _fsum(map(mul, map(mul, _binomial_row(order),
+                              reversed(neg[:order + 1])), map(float, seq)),
+                 quantity, order)
 
 
 def q_ell_normal(m, ell):
@@ -152,10 +247,8 @@ def q_ell_normal(m, ell):
     m1 = float(m[1])
     if m1 == 0.0:
         return math.nan
-    num = math.fsum(
-        math.comb(2 * ell, j) * (-m1) ** (2 * ell - j) * float(m[j])
-        for j in range(2 * ell + 1)
-    )
+    num = _binomial_sum(m1, m, 2 * ell,
+                        "normally ordered central moment of order {}")
     return num / poisson_central_moment(m1, 2 * ell)
 
 
@@ -173,10 +266,7 @@ def q_ell_central(mu, ell):
     mu1 = float(mu[1])
     if mu1 == 0.0:
         return math.nan
-    central = math.fsum(
-        math.comb(2 * ell, j) * (-mu1) ** (2 * ell - j) * float(mu[j])
-        for j in range(2 * ell + 1)
-    )
+    central = _binomial_sum(mu1, mu, 2 * ell, "central moment of order {}")
     o2l = poisson_central_moment(mu1, 2 * ell)
     return (central - o2l) / o2l
 
@@ -303,7 +393,9 @@ def criteria_from_moments(m, mu, ell_max, flags=()):
     report; undefined_mean and a3_degenerate are added here when they hold.
     """
     flags = set(flags)
-    mean = float(m[1])
+    m = [float(v) for v in m]
+    mu = [float(v) for v in mu]
+    mean = m[1]
     if mean == 0.0:
         flags.add("undefined_mean")
     ells = range(1, ell_max + 1)
@@ -312,7 +404,7 @@ def criteria_from_moments(m, mu, ell_max, flags=()):
         flags.add("a3_degenerate")
     return CriteriaReport(
         mean=mean,
-        mandel_q=mandel_q(mean, float(m[2])),
+        mandel_q=mandel_q(mean, m[2]),
         q_ell_normal={ell: q_ell_normal(m, ell) for ell in ells},
         q_ell_central={ell: q_ell_central(mu, ell) for ell in ells},
         lee_dh={ell - 1: lee_dh(m, ell) for ell in range(2, ell_max + 2)},

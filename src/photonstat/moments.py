@@ -19,6 +19,8 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -154,6 +156,12 @@ def subtracted_factorial_moment(ladder, n, x):
     return float(ladder.values[n + x] / norm)
 
 
+@lru_cache(maxsize=None)
+def _reorder_row(x):
+    return tuple((-1) ** k * math.factorial(k) * math.comb(x, k) ** 2
+                 for k in range(x + 1))
+
+
 def reorder_coefficients(x):
     """Integer coefficients of a^{x-k} a^+(x-k) in the expansion of a^+x a^x.
 
@@ -161,8 +169,7 @@ def reorder_coefficients(x):
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
-    return [(-1) ** k * math.factorial(k) * math.comb(x, k) ** 2
-            for k in range(x + 1)]
+    return list(_reorder_row(x))
 
 
 def added_factorial_moment(ladder, m, x):
@@ -178,10 +185,15 @@ def added_factorial_moment(ladder, m, x):
     norm = ladder.values[m]
     if norm <= 0.0:
         raise UndefinedStateError(f"anti-normal ladder entry N_{m} vanished")
-    coeffs = reorder_coefficients(x)
-    terms = [c * ladder.values[m + x - k] for k, c in enumerate(coeffs)]
-    total = math.fsum(terms)
-    scale = max(abs(t) for t in terms)
+    # N_{m+x-k} for k = 0..x
+    values = ladder.values[m:m + x + 1].tolist()[::-1]
+    terms = list(map(mul, _reorder_row(x), values))
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):
+        raise OverflowError(f"reordering sum for m={m}, x={x} exceeds the "
+                            "float64 range") from None
+    scale = max(map(abs, terms))
     if total < -CANCELLATION_RTOL * scale:
         raise CancellationError(
             f"alternating sum for m={m}, x={x} is negative "

@@ -91,7 +91,22 @@ def test_ladder_overflow_exits_3_without_traceback():
     (("squeezed", "800"), "squeezed(800.0) needs cutoff > 4096"),
     # exp(-800) underflows, so every probability is 0.0
     (("coherent", "800"), "coherent(800.0) has no nonzero probability"),
-], ids=["squeezed-25", "squeezed-800", "coherent-800"])
+    # the Touchard moments of the Poisson reference reach inf at order ~200
+    (("fock", "4", "--ell-max", "100"),
+     "Poisson reference moment O_198(4.0) exceeds the float64 range"),
+    (("fock", "5", "--ell-max", "100"),
+     "Poisson reference moment O_194(5.0) exceeds the float64 range"),
+    (("fock", "7", "--ell-max", "100"),
+     "Poisson reference moment O_188(7.0) exceeds the float64 range"),
+    # the Stirling sum for <n^148> overflows, its terms do not
+    (("thermal", "5", "--ell-max", "80"),
+     "raw moment <n^148> exceeds the float64 range"),
+    # x! C(x,k)^2 N_{m+x-k} overflows in the reordering sum
+    (("fock", "200", "--add", "2", "--ell-max", "60"),
+     "reordering sum for m=2, x=120 exceeds the float64 range"),
+], ids=["squeezed-25", "squeezed-800", "coherent-800", "fock-4-ell100",
+        "fock-5-ell100", "fock-7-ell100", "thermal-5-ell80",
+        "fock-200-add2-ell60"])
 def test_unrepresentable_state_exits_3_with_one_line(argv, message):
     family, param, *rest = argv
     cmd = [sys.executable, "-m", "photonstat", "criteria", "--family",
@@ -102,6 +117,23 @@ def test_unrepresentable_state_exits_3_with_one_line(argv, message):
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("error: accuracy failure: ")
     assert message in result.stderr
+
+
+def test_sweep_flags_an_overflowing_row():
+    # Fock(4000) overflows its order-200 ladder; the sweep keeps the fock 1
+    # row exactly as a one-point sweep prints it
+    cmd = [sys.executable, "-m", "photonstat", "sweep", "--family", "fock",
+           "--param", "1", "--ell-max", "100"]
+    both = subprocess.run(cmd + ["--param", "4000"], capture_output=True,
+                          text=True)
+    alone = subprocess.run(cmd, capture_output=True, text=True)
+    assert both.returncode == 0 and alone.returncode == 0
+    assert both.stderr == ""
+    header, fock1, fock4000 = both.stdout.splitlines()
+    assert alone.stdout.splitlines() == [header, fock1]
+    cells = fock4000.split(",")
+    assert cells[0] == "4000" and cells[-1] == "accuracy_failure"
+    assert set(cells[1:-1]) == {"UNDEF"}
 
 
 @pytest.mark.parametrize("argv", [

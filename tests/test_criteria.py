@@ -1,4 +1,8 @@
 import math
+import random
+import sys
+import threading
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -7,8 +11,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonstat import (
+    CancellationError,
     DegenerateA3,
     StateModification,
+    added_factorial_moment,
     agarwal_tara,
     antinormal_ladder,
     build_coherent,
@@ -25,9 +31,11 @@ from photonstat import (
     poisson_central_moment,
     q_ell_central,
     q_ell_normal,
+    reorder_coefficients,
     stirling2,
 )
 from photonstat.criteria import _det3, _hankel3
+from photonstat.moments import CANCELLATION_RTOL
 
 
 def count_set_partitions(z, k):
@@ -392,3 +400,198 @@ def test_order_one_coincidence_random_distributions(weights):
     q = mandel_q(m[1], m[2])
     assert math.isclose(q_ell_normal(m, 1), q, rel_tol=1e-12, abs_tol=1e-13)
     assert math.isclose(q_ell_central(mu, 1), q, rel_tol=1e-12, abs_tol=1e-13)
+
+
+# ------------------------------------- shared tables against uncached forms
+#
+# The criteria stage reuses Stirling, binomial and reordering rows and one
+# table of Poisson moments per mean.  These uncached copies recompute every
+# term from scratch with the same operations, so every result must agree
+# to the bit.  A reference that overflows must map to OverflowError.
+
+@lru_cache(maxsize=None)
+def _stirling_ref(z, k):
+    if z == k:
+        return 1
+    if k == 0:
+        return 0
+    return k * _stirling_ref(z - 1, k) + _stirling_ref(z - 1, k - 1)
+
+
+def _mu_ref(m, z_max):
+    mu = np.empty(z_max + 1)
+    mu[0] = 1.0
+    for z in range(1, z_max + 1):
+        mu[z] = math.fsum(_stirling_ref(z, k) * float(m[k])
+                          for k in range(1, z + 1))
+    return mu
+
+
+def _poisson_ref(lam, order):
+    raw = [1.0] + [
+        math.fsum(_stirling_ref(z, k) * lam ** k for k in range(1, z + 1))
+        for z in range(1, order + 1)
+    ]
+    return math.fsum(math.comb(order, j) * raw[j] * (-lam) ** (order - j)
+                     for j in range(order + 1))
+
+
+def _q_normal_ref(m, ell):
+    m1 = float(m[1])
+    if m1 == 0.0:
+        return math.nan
+    num = math.fsum(math.comb(2 * ell, j) * (-m1) ** (2 * ell - j)
+                    * float(m[j]) for j in range(2 * ell + 1))
+    return num / _poisson_ref(m1, 2 * ell)
+
+
+def _q_central_ref(mu, ell):
+    mu1 = float(mu[1])
+    if mu1 == 0.0:
+        return math.nan
+    central = math.fsum(math.comb(2 * ell, j) * (-mu1) ** (2 * ell - j)
+                        * float(mu[j]) for j in range(2 * ell + 1))
+    o2l = _poisson_ref(mu1, 2 * ell)
+    return (central - o2l) / o2l
+
+
+def _reorder_ref(x):
+    return [(-1) ** k * math.factorial(k) * math.comb(x, k) ** 2
+            for k in range(x + 1)]
+
+
+def _added_ref(ladder, m, x):
+    terms = [c * ladder.values[m + x - k]
+             for k, c in enumerate(_reorder_ref(x))]
+    total = math.fsum(terms)
+    if total < -CANCELLATION_RTOL * max(abs(t) for t in terms):
+        raise CancellationError
+    return max(total, 0.0) / ladder.values[m]
+
+
+def _outcome(fn, *args):
+    """Exact bits of fn(*args), or the exception type it raised."""
+    try:
+        value = fn(*args)
+    except (ArithmeticError, ValueError, CancellationError) as exc:
+        return type(exc)
+    return [float(v).hex() for v in np.atleast_1d(value)]
+
+
+def _agree(new, ref):
+    # float64 overflow may end in ValueError ("-inf + inf") or
+    # OverflowError in the uncached forms; the shared tables raise
+    # OverflowError either way
+    if ref in (ValueError, OverflowError):
+        return new is OverflowError
+    return new == ref
+
+
+MAX_ORDER = 200
+# at mean 4.0 the Touchard sums reach inf from order 198 on; the order
+# lists keep the O(l^3) references cheap
+MEANS = (0.37, 2.0, 0.37, 4.0, 2.0)
+POISSON_ORDERS = (*range(2, 41, 2), 100, 150, 188, 196, 198, 200)
+ELLS = (*range(1, 21), 50, 75, 94, 98, 99, 100)
+
+
+def _moments(mean):
+    # a coherent-like factorial-moment sequence m_k = mean^k with a
+    # Fock-like cutoff, so both Q^(l) forms move away from zero
+    return [mean ** k if k < 150 else 0.0 for k in range(MAX_ORDER + 1)]
+
+
+def test_stirling_rows_match_recursion():
+    for z in range(MAX_ORDER + 1):
+        assert [stirling2(z, k) for k in range(z + 1)] == [
+            _stirling_ref(z, k) for k in range(z + 1)]
+
+
+def test_poisson_central_moment_bit_exact_interleaved():
+    # an int mean keeps exact Touchard terms, so 3 and 3.0 differ from
+    # order 30 on and must not share a table
+    for i, lam in enumerate((*MEANS, 3, 3.0, 3)):
+        # alternate the direction so a table filled up to a high order is
+        # also read at low orders
+        orders = POISSON_ORDERS if i % 2 == 0 else POISSON_ORDERS[::-1]
+        for order in orders:
+            assert _agree(_outcome(poisson_central_moment, lam, order),
+                          _outcome(_poisson_ref, lam, order)), (lam, order)
+
+
+def test_mu_and_q_ell_bit_exact_interleaved():
+    for mean in MEANS:
+        m = _moments(mean)
+        assert _agree(_outcome(mu_from_m, m),
+                      _outcome(_mu_ref, m, MAX_ORDER)), mean
+        # <n^199> overflows at mean 4.0; order 198 serves every l <= 99
+        assert _outcome(mu_from_m, m, MAX_ORDER - 2) == _outcome(
+            _mu_ref, m, MAX_ORDER - 2)
+        mu = mu_from_m(m, MAX_ORDER - 2)
+        for ell in ELLS:
+            assert _agree(_outcome(q_ell_normal, m, ell),
+                          _outcome(_q_normal_ref, m, ell)), (mean, ell)
+            if 2 * ell < len(mu):
+                assert _agree(_outcome(q_ell_central, mu, ell),
+                              _outcome(_q_central_ref, mu, ell)), (mean, ell)
+
+
+def test_reorder_coefficients_bit_exact():
+    for x in range(MAX_ORDER + 1):
+        coeffs = reorder_coefficients(x)
+        assert type(coeffs) is list and coeffs == _reorder_ref(x)
+    # the returned list is a copy; the shared row stays intact
+    reorder_coefficients(3).append(0)
+    assert reorder_coefficients(3) == _reorder_ref(3)
+
+
+@pytest.mark.filterwarnings("ignore::photonstat.CancellationWarning")
+# the numpy-scalar products of the reference warn where they overflow
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("dist,order", [
+    (build_thermal(0.7), 40), (build_coherent(2.0), 40), (build_fock(5), 40),
+    # x! C(x,k)^2 N_{m+x-k} passes 1e308 for x above about 110
+    (build_fock(200), 122),
+], ids=["thermal", "coherent", "fock5", "fock200-overflow"])
+def test_added_factorial_moment_bit_exact(dist, order):
+    ladder = antinormal_ladder(dist, order)
+    for m in (0, 1, 3, 6):
+        for x in range(ladder.order - m + 1):
+            new = _outcome(added_factorial_moment, ladder, m, x)
+            assert _agree(new, _outcome(_added_ref, ladder, m, x)), (m, x)
+
+
+def test_shared_tables_survive_threads():
+    # eight threads grow one Poisson table and the Stirling rows at once,
+    # with a tiny switch interval; an append lost or doubled between a
+    # length check and the append would shift every later entry
+    lam = 0.731
+    orders = list(range(2, 61, 2))
+    want = {order: _poisson_ref(lam, order) for order in orders}
+    rows = range(200, 321, 8)
+    want_rows = {z: _stirling_ref(z, z // 2) for z in rows}
+    results = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        mine = rng.sample(orders, len(orders))
+        got = {order: poisson_central_moment(lam, order) for order in mine}
+        got_rows = {z: stirling2(z, z // 2) for z in rng.sample(rows, 16)}
+        results.append((got, got_rows))
+
+    poisson_central_moment(lam, 2)    # a fresh table for lam, still short
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 8
+    for got, got_rows in results:
+        assert got == want and got_rows == want_rows

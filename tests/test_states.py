@@ -198,16 +198,41 @@ def test_small_param_cutoffs_pinned(family, cutoff):
     assert choose_cutoff(family, 0.01) == cutoff
 
 
-@pytest.mark.parametrize("nbar", [0.3, 1.0, 2.5])
-def test_thermal_ladders_match_closed_form(nbar):
-    dist = build_thermal(nbar)
-    normal = normal_ladder(dist, 12)
-    anti = antinormal_ladder(dist, 12)
-    for k in range(13):
-        assert math.isclose(normal[k], math.factorial(k) * nbar ** k,
-                            rel_tol=DEFAULT_POLICY.rel_tol)
-        assert math.isclose(anti[k], math.factorial(k) * (1 + nbar) ** k,
-                            rel_tol=DEFAULT_POLICY.rel_tol)
+def _closed_form_ladders(family, param, k):
+    """(normal, anti-normal) N_k in closed form, exact integers for Fock."""
+    if family == "thermal":
+        return (math.factorial(k) * param ** k,
+                math.factorial(k) * (1 + param) ** k)
+    if family == "coherent":
+        # |alpha|^(2k) and k! L_k(-|alpha|^2), Agarwal & Tara, PRA 43, 492
+        laguerre = math.fsum(math.comb(k, j) * math.perm(k, k - j)
+                             * param ** j for j in range(k + 1))
+        return param ** k, laguerre
+    return math.perm(param, k), math.perm(param + k, k)
+
+
+@pytest.mark.parametrize("family,param,order", [
+    *(pytest.param("thermal", nbar, 12, id=repr(nbar))
+      for nbar in (0.3, 1.0, 2.5)),
+    *(pytest.param("coherent", alpha_sq, 12, id=f"coherent-{alpha_sq}")
+      for alpha_sq in (0.3, 1.0, 2.5, 8.0)),
+    *(pytest.param("fock", n, 18, id=f"fock-{n}")
+      for n in (0, 1, 2, 7, 19, 60, 200)),
+])
+def test_thermal_ladders_match_closed_form(family, param, order):
+    dist = build_state(family, param)
+    normal = normal_ladder(dist, order)
+    anti = antinormal_ladder(dist, order)
+    for k in range(order + 1):
+        for got, want in zip((normal[k], anti[k]),
+                             _closed_form_ladders(family, param, k)):
+            if family != "fock":
+                assert math.isclose(got, want, rel_tol=DEFAULT_POLICY.rel_tol)
+            elif want < 2 ** 53:
+                # a single occupied n: the weights are exact products
+                assert got == want
+            else:
+                assert math.isclose(got, want, rel_tol=1e-15)
 
 
 def test_check_order_follows_the_request(capsys):
