@@ -24,8 +24,6 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import mul
 
-import numpy as np
-
 from .exceptions import CancellationWarning, UndefinedStateError
 from .moments import (
     Ordering,
@@ -82,19 +80,17 @@ def stirling2(z, k):
 def mu_from_m(m, z_max=None):
     """Raw moments mu_z = <n^z> from factorial moments via Stirling weights.
 
-    mu_z = sum_{k=1..z} S(z,k) m_k; weights are exact integers.
+    mu_z = sum_{k=1..z} S(z,k) m_k; weights are exact integers.  Returns
+    a list of floats.
     """
     if z_max is None:
         z_max = len(m) - 1
     if len(m) <= z_max:
         raise ValueError(f"need factorial moments up to order {z_max}")
     m = [float(v) for v in m[:z_max + 1]]
-    mu = np.empty(z_max + 1)
-    mu[0] = 1.0
-    for z in range(1, z_max + 1):
-        mu[z] = _fsum(map(mul, _stirling_row(z)[1:], m[1:z + 1]),
-                      "raw moment <n^{}>", z)
-    return mu
+    return [1.0] + [_fsum(map(mul, _stirling_row(z)[1:], m[1:z + 1]),
+                          "raw moment <n^{}>", z)
+                    for z in range(1, z_max + 1)]
 
 
 def mandel_q(m1, m2):

@@ -1,8 +1,15 @@
 """Ladder accumulation kernel: the one hot loop behind every moment ladder."""
 
 import math
+from itertools import compress, repeat
+from operator import add, mul
 
-import numpy as np
+
+def _row_sum(row):
+    try:
+        return math.fsum(row)
+    except OverflowError:  # finite weights whose sum exceeds DBL_MAX
+        return math.inf
 
 
 def ladder_sums(probs, order, rising):
@@ -11,23 +18,27 @@ def ladder_sums(probs, order, rising):
     falling (rising=False): out[k] = sum_n p_n * n*(n-1)*...*(n-k+1)
     rising  (rising=True):  out[k] = sum_n p_n * (n+1)*(n+2)*...*(n+k)
 
-    Weights are built by left-to-right products from p_n, and each order is
-    summed with exact rounding (math.fsum).  Entries with p_n == 0 are
-    skipped, so zero-padded distributions never poison the sums with
-    inf*0.  Overflow, of a weight or of a sum, surfaces as non-finite
-    output; callers must check finiteness.
+    Weights are built by left-to-right products from p_n, one row of
+    weights per order, and each order is summed with exact rounding
+    (math.fsum).  Entries with p_n == 0 are skipped, so zero-padded
+    distributions never poison the sums with inf*0, and a falling weight
+    is dropped once its factor n - k + 1 has made it exactly zero.
+    Overflow, of a weight or of a sum, surfaces as non-finite output;
+    callers must check finiteness.  Returns a list of order + 1 floats.
     """
-    probs = np.asarray(probs, dtype=np.float64)
-    occ = np.flatnonzero(probs)
-    n = occ.astype(np.float64)
-    steps = np.arange(1, order + 1, dtype=np.float64)[:, None]
-    factors = n + steps if rising else np.maximum(n - steps + 1, 0.0)
-    with np.errstate(over="ignore", invalid="ignore"):
-        weights = np.cumprod(np.vstack((probs[occ], factors)), axis=0)
-    out = np.empty(order + 1, dtype=np.float64)
-    for k, row in enumerate(weights.tolist()):
-        try:
-            out[k] = math.fsum(row)
-        except OverflowError:  # finite weights whose sum exceeds DBL_MAX
-            out[k] = math.inf
+    ns = list(map(float, compress(range(len(probs)), probs)))
+    row = list(map(float, compress(probs, probs)))
+    out = [_row_sum(row)]
+    for k in range(1, order + 1):
+        if not row:  # every falling weight has vanished: the rest are 0
+            out += [0.0] * (order + 1 - k)
+            break
+        # factor n + k (rising) or n - k + 1 (falling), exact in float64
+        shift = float(k if rising else 1 - k)
+        row = list(map(mul, row, map(add, ns, repeat(shift))))
+        # only the weight of n = k - 1 can have become zero, and it leads
+        # the row unless an earlier weight overflowed to inf (then NaN)
+        if not row[0]:
+            del row[0], ns[0]
+        out.append(_row_sum(row))
     return out

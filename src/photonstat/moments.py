@@ -16,13 +16,12 @@ a^+x a^x = sum_k (-1)^k k! C(x,k)^2 a^{x-k} a^+(x-k) taken in expectation.
 
 import enum
 import math
+import sys
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
-
-import numpy as np
 
 from . import kernels
 from .exceptions import CancellationError, CancellationWarning, UndefinedStateError
@@ -31,6 +30,9 @@ from .states import NumberDistribution
 # alternating sums smaller than this fraction of their largest term are
 # flagged as cancellation-dominated
 CANCELLATION_RTOL = 1e-8
+
+# log(DBL_MAX) plus a margin far beyond the rounding of lgamma and log
+_LOG_FLOAT64_LIMIT = math.log(sys.float_info.max) + 1.0
 
 
 class Ordering(enum.Enum):
@@ -69,23 +71,24 @@ class StateModification:
 
 @dataclass(frozen=True)
 class MomentLadder:
-    """Ladder of norm constants N_0..N_K with its ordering convention."""
+    """Ladder of norm constants N_0..N_K with its ordering convention.
 
-    values: np.ndarray
+    values is kept as a tuple of floats.
+    """
+
+    values: tuple
     ordering: Ordering
     base: NumberDistribution
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.values, dtype=np.float64)
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", tuple(map(float, self.values)))
 
     @property
     def order(self):
-        return self.values.size - 1
+        return len(self.values) - 1
 
     def __getitem__(self, k):
-        return float(self.values[k])
+        return self.values[k]
 
 
 def ladder_sums_exact(probs, order, rising=False):
@@ -108,21 +111,30 @@ def ladder_sums_exact(probs, order, rising=False):
     return sums
 
 
+def _overflow(order, rising):
+    kind = "anti-normal" if rising else "normal"
+    return OverflowError(
+        f"{kind} ladder entry up to order {order} exceeds the float64 range")
+
+
 def _ladder(dist, order, rising):
     if order < 0:
         raise ValueError("ladder order must be nonnegative")
+    if rising:
+        # N_order >= order! * N_0, since (n+1)...(n+order) >= order!
+        total = dist.total()
+        if total > 0.0 and (math.lgamma(order + 1) + math.log(total)
+                            > _LOG_FLOAT64_LIMIT):
+            raise _overflow(order, rising)
     values = kernels.ladder_sums(dist.probs, order, rising)
-    if not np.all(np.isfinite(values)):
-        # falling-factorial weights overflowed float64 for some occupied n;
-        # redo exactly and convert at the end
+    if not all(map(math.isfinite, values)):
+        # weights overflowed float64 for some occupied n; redo exactly and
+        # convert at the end
         exact = ladder_sums_exact(dist.probs, order, rising)
         try:
-            values = np.array([float(v) for v in exact])
+            values = [float(v) for v in exact]
         except OverflowError:
-            kind = "anti-normal" if rising else "normal"
-            raise OverflowError(
-                f"{kind} ladder entry up to order {order} exceeds the "
-                "float64 range") from None
+            raise _overflow(order, rising) from None
     return values
 
 
@@ -153,7 +165,7 @@ def subtracted_factorial_moment(ladder, n, x):
     if norm <= 0.0:
         raise UndefinedStateError(
             f"subtracting {n} photons annihilates the state (N_{n} = 0)")
-    return float(ladder.values[n + x] / norm)
+    return ladder.values[n + x] / norm
 
 
 @lru_cache(maxsize=None)
@@ -186,8 +198,8 @@ def added_factorial_moment(ladder, m, x):
     if norm <= 0.0:
         raise UndefinedStateError(f"anti-normal ladder entry N_{m} vanished")
     # N_{m+x-k} for k = 0..x
-    values = ladder.values[m:m + x + 1].tolist()[::-1]
-    terms = list(map(mul, _reorder_row(x), values))
+    terms = list(map(mul, _reorder_row(x),
+                     reversed(ladder.values[m:m + x + 1])))
     try:
         total = math.fsum(terms)
     except (OverflowError, ValueError):
@@ -221,13 +233,14 @@ def modified_moment_sequence(dist, mod, x_max):
     """Factorial moments m_0..m_{x_max} of the modified state.
 
     Builds one ladder of sufficient length and reads every order from it.
+    Returns a list of floats.
     """
     if x_max < 0:
         raise ValueError("x_max must be nonnegative")
     if mod.count == 0 or mod.kind is ModKind.SUBTRACT:
         ladder = normal_ladder(dist, mod.count + x_max)
-        return np.array([subtracted_factorial_moment(ladder, mod.count, x)
-                         for x in range(x_max + 1)])
+        return [subtracted_factorial_moment(ladder, mod.count, x)
+                for x in range(x_max + 1)]
     ladder = antinormal_ladder(dist, mod.count + x_max)
-    return np.array([added_factorial_moment(ladder, mod.count, x)
-                     for x in range(x_max + 1)])
+    return [added_factorial_moment(ladder, mod.count, x)
+            for x in range(x_max + 1)]

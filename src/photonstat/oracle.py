@@ -16,8 +16,6 @@ import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .criteria import (
     DegenerateA3,
     criteria_from_moments,
@@ -42,10 +40,11 @@ DEFAULT_TOL_ADD = 1e-8
 
 @dataclass(frozen=True)
 class OracleResult:
-    """Modified distribution, its direct moments, and the raw norm weight."""
+    """Modified distribution, its direct moments (a list of floats), and
+    the raw norm weight."""
 
     dist: NumberDistribution
-    moments: np.ndarray
+    moments: list
     norm_constant: float
 
 
@@ -60,30 +59,31 @@ def direct_moments(dist, x_max):
     """Factorial moments m_0..m_{x_max} by direct summation over the pmf.
 
     Integer falling-factorial weights, fsum accumulation; falls back to
-    exact rational arithmetic if a term overflows float64.
+    exact rational arithmetic if a term overflows float64.  Returns a list
+    of floats.
     """
     probs = dist.probs
-    out = np.empty(x_max + 1)
+    out = []
     for x in range(x_max + 1):
         try:
-            out[x] = math.fsum(
+            out.append(math.fsum(
                 float(_falling(n, x)) * probs[n]
-                for n in range(x, probs.size) if probs[n] != 0.0)
+                for n in range(x, len(probs)) if probs[n] != 0.0))
         except OverflowError:
-            exact = sum(_falling(n, x) * Fraction(float(probs[n]))
-                        for n in range(x, probs.size) if probs[n] != 0.0)
-            out[x] = float(exact)  # may legitimately overflow: let it raise
+            exact = sum(_falling(n, x) * Fraction(probs[n])
+                        for n in range(x, len(probs)) if probs[n] != 0.0)
+            out.append(float(exact))  # may legitimately overflow: let it raise
     return out
 
 
 def direct_power_moments(dist, z_max):
-    """Raw moments mu_z = sum_n n^z p_n by direct summation."""
+    """Raw moments mu_z = sum_n n^z p_n by direct summation, as a list."""
     probs = dist.probs
-    return np.array([
+    return [
         math.fsum(float(n ** z) * probs[n]
-                  for n in range(probs.size) if probs[n] != 0.0)
+                  for n in range(len(probs)) if probs[n] != 0.0)
         for z in range(z_max + 1)
-    ])
+    ]
 
 
 def oracle_subtract(dist, n, x_max=4):
@@ -99,13 +99,13 @@ def oracle_subtract(dist, n, x_max=4):
         raise UndefinedStateError(
             f"subtracting {n} photons annihilates the state (support ends "
             f"at {dist.cutoff})")
-    raw = np.array([float(_falling(j + n, n)) * probs[j + n]
-                    for j in range(probs.size - n)])
+    raw = [float(_falling(j + n, n)) * probs[j + n]
+           for j in range(len(probs) - n)]
     norm = math.fsum(raw)
     if norm <= 0.0:
         raise UndefinedStateError(
             f"subtracting {n} photons annihilates the state (N_{n} = 0)")
-    out = NumberDistribution(raw / norm, 0.0)
+    out = NumberDistribution([w / norm for w in raw], 0.0)
     return OracleResult(out, direct_moments(out, x_max), norm)
 
 
@@ -118,12 +118,10 @@ def oracle_add(dist, m, x_max=4):
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    probs = dist.probs
-    raw = np.zeros(probs.size + m)
-    for j in range(m, probs.size + m):
-        raw[j] = float(_falling(j, m)) * probs[j - m]
+    raw = [0.0] * m + [float(_falling(j + m, m)) * p
+                       for j, p in enumerate(dist.probs)]
     norm = math.fsum(raw)
-    out = NumberDistribution(raw / norm, 0.0)
+    out = NumberDistribution([w / norm for w in raw], 0.0)
     return OracleResult(out, direct_moments(out, x_max), norm)
 
 

@@ -9,10 +9,11 @@ highest requested factorial moment must be converged under cutoff doubling.
 """
 
 import math
+from array import array
 from dataclasses import dataclass
 from functools import lru_cache
-
-import numpy as np
+from itertools import accumulate, compress, repeat
+from operator import mul, sub
 
 from . import kernels
 from .exceptions import AccuracyError
@@ -21,6 +22,14 @@ FAMILIES = ("coherent", "thermal", "fock", "squeezed")
 
 # Exponent guard for log-space tail bounds (exp of anything below is 0.0).
 _LOG_TINY = -745.0
+
+_EPS = math.ulp(1.0)  # float64 machine epsilon
+
+
+def _frozen(values):
+    """A read-only float64 copy of values: a memoryview that supports len,
+    indexing, slicing (as views), iteration and tobytes()."""
+    return memoryview(array("d", values).tobytes()).cast("d")
 
 
 @dataclass(frozen=True)
@@ -62,26 +71,29 @@ class NumberDistribution:
     probs[n] is the probability of n photons, n = 0..cutoff.  tail_bound is
     an upper bound on the probability mass omitted by the truncation
     (relative to the untruncated state the builder targeted; 0 for states
-    with finite support).
+    with finite support).  probs is given as any sequence of numbers and
+    kept as a read-only float64 memoryview.
     """
 
-    probs: np.ndarray
+    probs: memoryview
     tail_bound: float = 0.0
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(self.probs, dtype=np.float64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise ValueError("probs must be a nonempty 1-d array")
-        if np.any(arr < 0) or not np.all(np.isfinite(arr)):
+        try:
+            probs = _frozen(self.probs)
+        except TypeError:
+            raise ValueError("probs must be a 1-d sequence of numbers") from None
+        if not probs:
+            raise ValueError("probs must be nonempty")
+        if min(probs) < 0.0 or not all(map(math.isfinite, probs)):
             raise ValueError("probabilities must be finite and nonnegative")
         if not (0.0 <= self.tail_bound < 1.0):
             raise ValueError("tail_bound must lie in [0, 1)")
-        arr.setflags(write=False)
-        object.__setattr__(self, "probs", arr)
+        object.__setattr__(self, "probs", probs)
 
     @property
     def cutoff(self):
-        return self.probs.size - 1
+        return len(self.probs) - 1
 
     def total(self):
         return math.fsum(self.probs)
@@ -94,12 +106,12 @@ class NumberDistribution:
         s = self.total()
         if s <= 0.0:
             raise ValueError("cannot renormalize a zero distribution")
-        return NumberDistribution(self.probs / s, self.tail_bound)
+        return NumberDistribution([p / s for p in self.probs], self.tail_bound)
 
 
 def _coherent_probs(alpha_sq, cutoff):
     # Poisson pmf by forward recursion: p_{n+1} = p_n * lam / (n+1)
-    p = np.zeros(cutoff + 1)
+    p = [0.0] * (cutoff + 1)
     p[0] = math.exp(-alpha_sq)
     for n in range(cutoff):
         p[n + 1] = p[n] * alpha_sq / (n + 1)
@@ -121,7 +133,7 @@ def _coherent_tail(alpha_sq, cutoff):
 
 
 def _thermal_probs(nbar, cutoff):
-    p = np.zeros(cutoff + 1)
+    p = [0.0] * (cutoff + 1)
     q = nbar / (1.0 + nbar)
     p[0] = 1.0 / (1.0 + nbar)
     for n in range(cutoff):
@@ -140,7 +152,7 @@ def _thermal_tail(nbar, cutoff):
 def _squeezed_probs(r, cutoff):
     # p_{2k} = (2k)! tanh^{2k} r / (4^k (k!)^2 cosh r); odd entries vanish.
     # Even-index recursion: p_{2(k+1)} = p_{2k} * tanh^2 r * (2k+1)/(2k+2).
-    p = np.zeros(cutoff + 1)
+    p = [0.0] * (cutoff + 1)
     t = math.tanh(r) ** 2
     p[0] = 1.0 / math.cosh(r)
     k = 0
@@ -195,20 +207,23 @@ def _moment_converged(probs, cutoff, policy):
     if m_twice == 0.0:
         # both moments vanish trivially while 2*cutoff < order; only a pmf
         # that is exactly zero from `order` on (underflow) has converged
-        return not probs[order:].any()
+        return not any(probs[order:])
     return abs(m_twice - m_here) <= policy.rel_tol * abs(m_twice)
 
 
 def _falling_weights(probs, order):
     """p_n * n(n-1)...(n-order+1) for every n, multiplied left to right as
-    in kernels.ladder_sums; entries n < order are 0."""
-    weights = np.zeros_like(probs)
-    row = probs[order:].copy()
-    n = np.arange(order, probs.size, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        for k in range(order):
-            row *= n - k
-    weights[order:] = row
+    in kernels.ladder_sums; entries n < order, and entries with p_n == 0,
+    are 0."""
+    weights = [0.0] * len(probs)
+    ns = list(compress(range(order, len(probs)), probs[order:]))
+    if not ns:
+        return weights
+    row = [probs[n] for n in ns]
+    for k in range(order):
+        row = list(map(mul, row, map(sub, ns, repeat(k))))
+    for n, w in zip(ns, row):
+        weights[n] = w
     return weights
 
 
@@ -245,9 +260,9 @@ def _cap_error(family, param, policy):
 def _search(family, param, policy):
     """(cutoff, pmf) with pmf at least cutoff + 1 entries long.
 
-    Every candidate cutoff D from the tail cutoff up to `top` is screened
-    at once on prefix sums S of the order-K falling weights (S[D] against
-    S[2D]); candidates that pass are confirmed in increasing order by the
+    Every candidate cutoff D from the tail cutoff up to `top` is screened,
+    in increasing order, on prefix sums S of the order-K falling weights
+    (S[D] against S[2D]); a candidate that passes is confirmed by the
     exactly rounded _moment_converged, so the screen never decides.  `top`
     doubles, up to max_cutoff, only when no candidate passes.  The cache
     lets _build reuse the pmf that choose_cutoff's search built; the pmf
@@ -255,29 +270,25 @@ def _search(family, param, policy):
     """
     pmf, _ = _BUILDERS[family]
     if param == 0.0:
-        return 0, pmf(param, 0)
+        return 0, _frozen(pmf(param, 0))
     order = policy.max_moment_order
     first = _tail_cutoff(family, param, policy)
     top = min(2 * first + order, policy.max_cutoff)
     while True:
-        probs = pmf(param, max(2 * top, order + 1))
-        if not probs.any():
+        probs = _frozen(pmf(param, max(2 * top, order + 1)))
+        if not any(probs):
             raise AccuracyError(
                 f"{family}({param}) has no nonzero probability in float64")
-        probs.setflags(write=False)
-        sums = np.cumsum(_falling_weights(probs, order))
-        cand = np.arange(first, top + 1)
-        here, twice = sums[cand], sums[2 * cand]
-        # widen rel_tol by the rounding bound of the running sums, so no
-        # candidate the exact test accepts is screened out
-        slack = 16 * (cand + 1) * np.finfo(np.float64).eps
-        with np.errstate(invalid="ignore"):
-            keep = (np.abs(twice - here)
-                    <= (policy.rel_tol + slack) * (1 + slack) * twice)
-        if probs[order:].any():
-            keep &= twice != 0.0
-        for cutoff in cand[keep].tolist():
-            if _moment_converged(probs, cutoff, policy):
+        sums = list(accumulate(_falling_weights(probs, order)))
+        occupied_tail = any(probs[order:])
+        for cutoff in range(first, top + 1):
+            here, twice = sums[cutoff], sums[2 * cutoff]
+            # widen rel_tol by the rounding bound of the running sums, so
+            # no candidate the exact test accepts is screened out
+            slack = 16 * (cutoff + 1) * _EPS
+            if (abs(twice - here) <= (policy.rel_tol + slack) * (1 + slack)
+                    * twice and (twice != 0.0 or not occupied_tail)
+                    and _moment_converged(probs, cutoff, policy)):
                 return cutoff, probs
         if top == policy.max_cutoff:
             raise _cap_error(family, param, policy)
@@ -342,7 +353,7 @@ def build_thermal(nbar, policy=DEFAULT_POLICY, renormalize=True):
 def build_fock(n):
     """Number state |n>: p_n = 1, finite support, zero tail."""
     n = _as_fock_index(n)
-    probs = np.zeros(n + 1)
+    probs = [0.0] * (n + 1)
     probs[n] = 1.0
     return NumberDistribution(probs, 0.0)
 

@@ -119,6 +119,51 @@ def test_unrepresentable_state_exits_3_with_one_line(argv, message):
     assert message in result.stderr
 
 
+def test_provable_antinormal_overflow_fails_fast():
+    # N_k >= k! * N_0 proves the order-100006 anti-normal ladder overflows,
+    # so the CLI must say so before building it (exactly, that would take
+    # hours)
+    cmd = [sys.executable, "-m", "photonstat", "criteria", "--family",
+           "coherent", "--param", "1", "--add", "100000"]
+    result = subprocess.run(cmd, capture_output=True, text=True, timeout=30)
+    assert result.returncode == 3
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines() == [
+        "error: accuracy failure: anti-normal ladder entry up to order "
+        "100006 exceeds the float64 range"]
+
+
+# runs `python -m photonstat <argv>` with every import of numpy failing
+_WITHOUT_NUMPY = (
+    "import runpy, sys\n"
+    "sys.modules['numpy'] = None\n"
+    "sys.argv = ['photonstat', *sys.argv[1:]]\n"
+    "runpy.run_module('photonstat', run_name='__main__', alter_sys=True)\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("selfcheck",),
+    ("sweep", "--family", "thermal", "--param-range", "0.1:2.0:0.3",
+     "--add", "2", "--ell-max", "4"),
+], ids=["selfcheck", "sweep"])
+def test_runtime_needs_no_numpy(argv):
+    blocked = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY, *argv],
+                             capture_output=True, text=True, timeout=120)
+    normal = subprocess.run([sys.executable, "-m", "photonstat", *argv],
+                            capture_output=True, text=True, timeout=120)
+    assert blocked.returncode == 0, blocked.stderr
+    assert normal.returncode == 0
+    assert blocked.stdout == normal.stdout
+    assert blocked.stderr == normal.stderr == ""
+
+
+def test_cli_import_leaves_numpy_unloaded():
+    code = "import sys, photonstat.cli; print('numpy' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, check=True, timeout=60)
+    assert result.stdout == "False\n"
+
+
 def test_sweep_flags_an_overflowing_row():
     # Fock(4000) overflows its order-200 ladder; the sweep keeps the fock 1
     # row exactly as a one-point sweep prints it

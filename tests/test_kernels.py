@@ -1,4 +1,5 @@
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -7,7 +8,12 @@ from hypothesis import strategies as st
 
 from photonstat import kernels
 from photonstat.moments import ladder_sums_exact, normal_ladder
-from photonstat.states import NumberDistribution
+from photonstat.states import (
+    _BUILDERS,
+    NumberDistribution,
+    _falling_weights,
+    build_state,
+)
 
 
 def thermal_like(size, q=0.6):
@@ -46,7 +52,7 @@ def test_falling_weights_stop_at_occupation():
 def test_order_zero_is_total_mass():
     probs = thermal_like(100)
     got = kernels.ladder_sums(probs, 0, True)
-    assert got.shape == (1,)
+    assert len(got) == 1
     assert math.isclose(got[0], math.fsum(probs), rel_tol=1e-15)
 
 
@@ -90,3 +96,92 @@ def test_rising_ladder_never_decreases(size, order):
     probs = thermal_like(size)
     got = kernels.ladder_sums(probs, order, True)
     assert np.all(np.diff(got) >= 0)
+
+
+# --------------------------------------------- numpy reference, bit for bit
+# Test-local copies of the numpy kernel and cutoff-search weights the
+# stdlib versions replaced; the new code must reproduce them exactly.
+
+def numpy_ladder_sums(probs, order, rising):
+    probs = np.asarray(probs, dtype=np.float64)
+    occ = np.flatnonzero(probs)
+    n = occ.astype(np.float64)
+    steps = np.arange(1, order + 1, dtype=np.float64)[:, None]
+    factors = n + steps if rising else np.maximum(n - steps + 1, 0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        weights = np.cumprod(np.vstack((probs[occ], factors)), axis=0)
+    out = np.empty(order + 1, dtype=np.float64)
+    for k, row in enumerate(weights.tolist()):
+        try:
+            out[k] = math.fsum(row)
+        except OverflowError:
+            out[k] = math.inf
+    return out
+
+
+def numpy_falling_weights(probs, order):
+    probs = np.asarray(probs, dtype=np.float64)
+    weights = np.zeros_like(probs)
+    row = probs[order:].copy()
+    n = np.arange(order, probs.size, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        for k in range(order):
+            row *= n - k
+    weights[order:] = row
+    return weights
+
+
+def hexes(values):
+    return [float(v).hex() for v in values]
+
+
+def spike(size, *occupied):
+    probs = np.zeros(size)
+    probs[list(occupied)] = 1.0 / len(occupied)
+    return probs
+
+
+def pmf_cases():
+    # the built states and the longer pmfs the cutoff search screens
+    for family, param in (("coherent", 8.0), ("thermal", 3.0),
+                          ("squeezed", 1.2)):
+        dist = build_state(family, param)
+        yield f"{family}-{param}", np.array(dist.probs)
+        pmf, _ = _BUILDERS[family]
+        yield f"{family}-{param}-search", np.array(pmf(param, 4 * dist.cutoff))
+
+
+PIN_CASES = (
+    [(f"thermal-{size}", thermal_like(size, q=0.7), order)
+     for size, order in [(1, 0), (5, 3), (64, 8), (200, 10), (700, 14)]]
+    + [(name, probs, order) for name, probs in pmf_cases()
+       for order in (8, 12, 18)]
+    # the inputs of test_overflow_surfaces_as_nonfinite, and a weight that
+    # overflows before its falling factor reaches 0 (inf * 0 = NaN)
+    + [("spike-400", spike(401, 400), 400),
+       ("spike-244-245", spike(246, 244, 245), 138),
+       ("spike-200-past-zero", spike(201, 3, 200), 205)]
+)
+
+
+@pytest.mark.parametrize("rising", [False, True])
+@pytest.mark.parametrize("name,probs,order", PIN_CASES,
+                         ids=[c[0] + f"-K{c[2]}" for c in PIN_CASES])
+def test_ladder_sums_match_numpy_kernel_bit_for_bit(name, probs, order,
+                                                     rising):
+    want = hexes(numpy_ladder_sums(probs, order, rising))
+    assert hexes(kernels.ladder_sums(probs, order, rising)) == want
+    # the library passes its read-only float64 view, not an array
+    probs = NumberDistribution(probs).probs
+    assert hexes(kernels.ladder_sums(probs, order, rising)) == want
+
+
+@pytest.mark.parametrize("name,probs,order", PIN_CASES,
+                         ids=[c[0] + f"-K{c[2]}" for c in PIN_CASES])
+def test_falling_weights_match_numpy_bit_for_bit(name, probs, order):
+    want = numpy_falling_weights(probs, order)
+    got = _falling_weights(NumberDistribution(probs).probs, order)
+    assert hexes(got) == hexes(want)
+    # the cutoff screen's running sums, cumsum against accumulate
+    with np.errstate(over="ignore"):
+        assert hexes(accumulate(got)) == hexes(np.cumsum(want))

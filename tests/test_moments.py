@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from photonstat import moments
 from photonstat import (
     CancellationError,
     CancellationWarning,
@@ -99,6 +100,34 @@ def test_ladder_overflow_raises():
     dist = NumberDistribution(probs)
     with pytest.raises(OverflowError):
         normal_ladder(dist, 400)
+
+
+def test_provable_antinormal_overflow_raises_before_any_sum(monkeypatch):
+    # N_k >= k! * N_0, so log(200000!) alone proves N_200000 overflows:
+    # neither the kernel nor the exact fallback may run
+    dist = build_coherent(1.0)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a ladder was summed although it must overflow")
+
+    monkeypatch.setattr(moments.kernels, "ladder_sums", forbidden)
+    monkeypatch.setattr(moments, "ladder_sums_exact", forbidden)
+    with pytest.raises(OverflowError, match="^anti-normal ladder entry up to "
+                       "order 200000 exceeds the float64 range$"):
+        antinormal_ladder(dist, 200000)
+
+
+def test_antinormal_overflow_bound_is_not_premature():
+    # the vacuum has N_k = k!: 170! fits in float64, 171! does not
+    values = antinormal_ladder(build_fock(0), 170).values
+    assert all(math.isclose(v, math.factorial(k), rel_tol=1e-12)
+               for k, v in enumerate(values))
+    with pytest.raises(OverflowError, match="anti-normal"):
+        antinormal_ladder(build_fock(0), 171)
+    # Fock(1) has N_k = (k+1)!: the bound 170! does not prove N_170 = 171!
+    # overflows, so the exact fallback must find it
+    with pytest.raises(OverflowError, match="anti-normal"):
+        antinormal_ladder(build_fock(1), 170)
 
 
 # ----------------------------------------------------- subtracted moments

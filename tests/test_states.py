@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -76,7 +77,7 @@ def test_squeezed_vacuum_limit():
 
 def test_squeezed_odd_entries_vanish():
     dist = build_squeezed_vacuum(0.7)
-    assert np.all(dist.probs[1::2] == 0.0)
+    assert all(p == 0.0 for p in dist.probs[1::2])
 
 
 def test_squeezed_mean_matches_brute_force():
@@ -172,7 +173,7 @@ def _accepts(family, param, cutoff, policy=DEFAULT_POLICY):
     m_twice = _raw_factorial_moment(pmf(param, 2 * cutoff), order)
     if m_twice == 0.0:
         # a zero moment at 2D certifies only a pmf that underflows to 0
-        return not pmf(param, order + 1)[order:].any()
+        return not any(pmf(param, order + 1)[order:])
     return abs(m_twice - m_here) <= policy.rel_tol * m_twice
 
 
@@ -308,8 +309,11 @@ def test_invalid_inputs():
 
 def test_distribution_is_immutable():
     dist = build_coherent(1.0)
-    with pytest.raises(ValueError):
+    before = dist.probs[0]
+    # probs is a read-only memoryview, which refuses writes with TypeError
+    with pytest.raises(TypeError):
         dist.probs[0] = 0.5
+    assert dist.probs[0] == before
 
 
 def test_distribution_validation():
@@ -319,6 +323,22 @@ def test_distribution_validation():
         NumberDistribution(np.array([]))
     with pytest.raises(ValueError):
         NumberDistribution(np.array([1.0]), tail_bound=-1e-3)
+    # a NaN anywhere, an infinity, or a second dimension is refused
+    for bad in ([math.nan, 0.5], [0.5, math.nan], [0.5, math.inf],
+                [[0.5, 0.5]], np.ones((2, 2)) / 4, "ab"):
+        with pytest.raises(ValueError):
+            NumberDistribution(bad)
+
+
+def test_probs_is_a_read_only_float64_sequence():
+    probs = NumberDistribution([0.25, 0.5, 0.25]).probs
+    assert len(probs) == 3 and probs[1] == 0.5
+    assert list(probs) == [0.25, 0.5, 0.25]
+    assert list(probs[1:]) == [0.5, 0.25]
+    assert probs.tobytes() == struct.pack("3d", 0.25, 0.5, 0.25)
+    # any sequence of numbers is accepted and stored as float64
+    for given_probs in ((0, 1), [0.0, 1.0], np.array([0.0, 1.0])):
+        assert NumberDistribution(given_probs).probs.tolist() == [0.0, 1.0]
 
 
 @settings(max_examples=40, deadline=None)
