@@ -91,6 +91,10 @@ class NumberDistribution:
             raise ValueError("tail_bound must lie in [0, 1)")
         object.__setattr__(self, "probs", probs)
 
+    def __reduce__(self):
+        # a memoryview cannot be pickled or copied; its values can
+        return NumberDistribution, (self.probs.tolist(), self.tail_bound)
+
     @property
     def cutoff(self):
         return len(self.probs) - 1

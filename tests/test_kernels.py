@@ -156,11 +156,13 @@ PIN_CASES = (
      for size, order in [(1, 0), (5, 3), (64, 8), (200, 10), (700, 14)]]
     + [(name, probs, order) for name, probs in pmf_cases()
        for order in (8, 12, 18)]
-    # the inputs of test_overflow_surfaces_as_nonfinite, and a weight that
-    # overflows before its falling factor reaches 0 (inf * 0 = NaN)
+    # the inputs of test_overflow_surfaces_as_nonfinite, a weight that
+    # overflows before its falling factor reaches 0 (inf * 0 = NaN), and
+    # orders past the support, where every falling weight vanishes
     + [("spike-400", spike(401, 400), 400),
        ("spike-244-245", spike(246, 244, 245), 138),
-       ("spike-200-past-zero", spike(201, 3, 200), 205)]
+       ("spike-200-past-zero", spike(201, 3, 200), 205),
+       ("spike-1-3-past-support", spike(4, 1, 3), 8)]
 )
 
 

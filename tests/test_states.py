@@ -1,6 +1,8 @@
+import copy
 import itertools
 import json
 import math
+import pickle
 import struct
 
 import numpy as np
@@ -314,6 +316,15 @@ def test_distribution_is_immutable():
     with pytest.raises(TypeError):
         dist.probs[0] = 0.5
     assert dist.probs[0] == before
+
+
+def test_distribution_pickles_and_copies():
+    dist = build_squeezed_vacuum(0.8)
+    ladder = antinormal_ladder(dist, 4)
+    for twin in (pickle.loads(pickle.dumps(dist)), copy.deepcopy(dist)):
+        assert twin == dist and twin.probs.readonly
+        assert twin.probs.tobytes() == dist.probs.tobytes()
+    assert pickle.loads(pickle.dumps(ladder)) == ladder
 
 
 def test_distribution_validation():
