@@ -20,9 +20,9 @@ def ladder_sums(probs, order, rising):
 
     Weights are built by left-to-right products from p_n, one row of
     weights per order, and each order is summed with exact rounding
-    (math.fsum).  Entries with p_n == 0 are skipped, so zero-padded
-    distributions never poison the sums with inf*0, and a falling weight
-    is dropped once its factor n - k + 1 has made it exactly zero.
+    (math.fsum).  Entries with p_n == 0 are skipped, so zero padding costs
+    nothing, and a falling weight is dropped once its factor n - k + 1 has
+    made it exactly zero.
     Overflow, of a weight or of a sum, surfaces as non-finite output;
     callers must check finiteness.  Returns a list of order + 1 floats.
     """

@@ -121,8 +121,8 @@ def test_unrepresentable_state_exits_3_with_one_line(argv, message):
 
 def test_provable_antinormal_overflow_fails_fast():
     # N_k >= k! * N_0 proves the order-100006 anti-normal ladder overflows,
-    # so the CLI must say so before building it (exactly, that would take
-    # hours)
+    # so the CLI must say so before building it (the exact fallback ran for
+    # more than a minute)
     cmd = [sys.executable, "-m", "photonstat", "criteria", "--family",
            "coherent", "--param", "1", "--add", "100000"]
     result = subprocess.run(cmd, capture_output=True, text=True, timeout=30)
