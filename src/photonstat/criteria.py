@@ -22,6 +22,7 @@ import threading
 import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import repeat
 from operator import mul
 
 from .exceptions import CancellationWarning, UndefinedStateError
@@ -36,8 +37,8 @@ from .moments import (
 DET_DEGENERACY_TOL = 1e-10
 
 
-# Exact rows S(z, 0..z), grown on demand and shared by stirling2, mu_from_m
-# and the Touchard sums; one row per order, whatever the number of states.
+# Exact rows S(z, 0..z), grown on demand and shared by stirling2 and
+# mu_from_m; one row per order, whatever the number of states.
 # Rows are only appended, under the lock, so a row once read never changes.
 _STIRLING_ROWS = [[1]]
 _STIRLING_LOCK = threading.Lock()
@@ -147,85 +148,56 @@ def lee_dh(m, ell):
     return float(m[ell] - float(m[1]) ** ell)
 
 
-class _PoissonMoments:
-    """Moments of a Poisson distribution with mean lam, each computed once.
-
-    raw[z] = E[n^z] = sum_k S(z,k) lam^k (Touchard polynomial) and the
-    powers (-lam)^e grow on demand to the highest order asked for, so the
-    normal and central Q^(l) forms share them for every l.
-    """
-
-    def __init__(self, lam):
-        # repr tells -0.0 from 0.0, and the type an int mean (exact
-        # Touchard terms) from a float one
-        self.key = (type(lam), repr(lam))
-        self.lam = lam
-        self.powers = []         # lam ** k
-        self.neg_powers = []     # (-lam) ** e
-        self.raw = [1.0]
-        self.central = {}        # order -> O_order(lam)
-        self._lock = threading.Lock()   # the lists are only appended to
-
-    def extend(self, order):
-        if order < len(self.neg_powers):    # filled last
-            return self
-        lam = self.lam
-        with self._lock:
-            try:
-                for k in range(len(self.powers), order + 1):
-                    self.powers.append(lam ** k)
-                for z in range(len(self.raw), order + 1):
-                    self.raw.append(math.fsum(
-                        map(mul, _stirling_row(z)[1:], self.powers[1:z + 1])))
-                for e in range(len(self.neg_powers), order + 1):
-                    self.neg_powers.append((-lam) ** e)
-            except (OverflowError, ValueError):
-                raise OverflowError(
-                    f"Poisson raw moments up to order {order} at mean "
-                    f"{lam!r} exceed the float64 range") from None
-        return self
-
-    def central_moment(self, order):
-        if order not in self.central:
-            self.extend(order)
-            self.central[order] = _fsum(
-                map(mul, map(mul, _binomial_row(order), self.raw),
-                    reversed(self.neg_powers[:order + 1])),
-                "Poisson reference moment O_{}({!r})", order, self.lam)
-        return self.central[order]
+# O_0..O_r(lam) of the last mean asked for: one report reads one mean, so
+# a sweep replaces the row instead of accumulating rows.  The row is an
+# immutable tuple swapped in by one assignment, so concurrent readers see
+# either the old row or the new one, never a row being grown.
+_poisson_last = (0.0, (1.0, 0.0))
 
 
-# the table of the last mean asked for: one report reads one mean, so a
-# sweep replaces it row by row instead of accumulating tables
-_poisson_last = _PoissonMoments(0.0)
-
-
-def _poisson(lam):
+def _poisson_row(lam, order):
     global _poisson_last
-    table = _poisson_last
-    if table.key != (type(lam), repr(lam)):
-        table = _poisson_last = _PoissonMoments(lam)
-    return table
+    lam = float(lam) + 0.0      # 3, 3.0, -0.0 and 0.0 share one row
+    last, row = _poisson_last
+    if last != lam:
+        row = (1.0, 0.0)
+    if len(row) <= order:
+        row = list(row)
+        for r in range(len(row) - 1, order):
+            # every term is positive, so nothing cancels
+            value = lam * _fsum(map(mul, _binomial_row(r), row[:r]),
+                                "Poisson reference moment O_{}({!r})",
+                                r + 1, lam)
+            if math.isinf(value):
+                raise OverflowError(
+                    f"Poisson reference moment O_{r + 1}({lam!r}) exceeds "
+                    "the float64 range")
+            row.append(value)
+        row = tuple(row)
+        _poisson_last = (lam, row)
+    return row
 
 
 def poisson_central_moment(lam, order):
-    """Central moment <(n - lam)^order> of a Poisson distribution, even order.
+    """Central moment O_order(lam) = <(n - lam)^order> of a Poisson
+    distribution, even order.
 
-    Raw moments come from the Stirling expansion E[n^z] = sum_k S(z,k) lam^k
-    (Touchard polynomial), then the binomial central-moment conversion.
+    Grown by Riordan's all-positive recurrence O_{r+1} = lam sum_{k<r}
+    C(r,k) O_k from O_0 = 1, O_1 = 0 (Ann. Math. Statist. 8, 103 (1937)),
+    so no digit is lost to cancellation at any mean.
     """
     if order < 2 or order % 2 != 0:
         raise ValueError("order must be an even integer >= 2")
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    return _poisson(lam).central_moment(order)
+    return _poisson_row(lam, order)[order]
 
 
 def _binomial_sum(mean, seq, order, quantity):
     # sum_j C(order,j) (-mean)^(order-j) seq_j, the central-moment expansion
-    neg = _poisson(mean).extend(order).neg_powers
     return _fsum(map(mul, map(mul, _binomial_row(order),
-                              reversed(neg[:order + 1])), map(float, seq)),
+                              map(pow, repeat(-mean), range(order, -1, -1))),
+                     map(float, seq)),
                  quantity, order)
 
 

@@ -5,10 +5,12 @@ import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from photonstat import stirling2
 from photonstat.cli import main
 
 
@@ -91,22 +93,20 @@ def test_ladder_overflow_exits_3_without_traceback():
     (("squeezed", "800"), "squeezed(800.0) needs cutoff > 4096"),
     # exp(-800) underflows, so every probability is 0.0
     (("coherent", "800"), "coherent(800.0) has no nonzero probability"),
-    # the Touchard moments of the Poisson reference reach inf at order ~200
-    (("fock", "4", "--ell-max", "100"),
-     "Poisson reference moment O_198(4.0) exceeds the float64 range"),
+    # the first orders whose exact Poisson reference moment exceeds
+    # DBL_MAX: O_198(5.0) and O_193(7.0) still fit
     (("fock", "5", "--ell-max", "100"),
-     "Poisson reference moment O_194(5.0) exceeds the float64 range"),
+     "Poisson reference moment O_199(5.0) exceeds the float64 range"),
     (("fock", "7", "--ell-max", "100"),
-     "Poisson reference moment O_188(7.0) exceeds the float64 range"),
+     "Poisson reference moment O_194(7.0) exceeds the float64 range"),
     # the Stirling sum for <n^148> overflows, its terms do not
     (("thermal", "5", "--ell-max", "80"),
      "raw moment <n^148> exceeds the float64 range"),
     # x! C(x,k)^2 N_{m+x-k} overflows in the reordering sum
     (("fock", "200", "--add", "2", "--ell-max", "60"),
      "reordering sum for m=2, x=120 exceeds the float64 range"),
-], ids=["squeezed-25", "squeezed-800", "coherent-800", "fock-4-ell100",
-        "fock-5-ell100", "fock-7-ell100", "thermal-5-ell80",
-        "fock-200-add2-ell60"])
+], ids=["squeezed-25", "squeezed-800", "coherent-800", "fock-5-ell100",
+        "fock-7-ell100", "thermal-5-ell80", "fock-200-add2-ell60"])
 def test_unrepresentable_state_exits_3_with_one_line(argv, message):
     family, param, *rest = argv
     cmd = [sys.executable, "-m", "photonstat", "criteria", "--family",
@@ -117,6 +117,30 @@ def test_unrepresentable_state_exits_3_with_one_line(argv, message):
     assert len(result.stderr.splitlines()) == 1
     assert result.stderr.startswith("error: accuracy failure: ")
     assert message in result.stderr
+
+
+def test_fock_4_at_ell_max_100_prints_exact_values(capsys):
+    # O_2l(4.0) stays below DBL_MAX up to O_200(4.0) = 2.3e305
+    code, out, err = run_cli(capsys, "criteria", "--family", "fock",
+                             "--param", "4", "--ell-max", "100")
+    assert code == 0 and err == ""
+    doc = json.loads(out)
+    n, orders = 4, 200
+    # exact Touchard raw moments sum_k S(z,k) n^k, then the exact binomial
+    # central-moment sums; the factorial moments of Fock(n) are n!/(n-k)!
+    raw = [sum(stirling2(z, k) * n ** k for k in range(z + 1))
+           for z in range(orders + 1)]
+    for ell in range(1, 101):
+        r = 2 * ell
+        o2l = sum(math.comb(r, j) * raw[j] * (-n) ** (r - j)
+                  for j in range(r + 1))
+        num = sum(math.comb(r, j) * (-n) ** (r - j) * math.perm(n, j)
+                  for j in range(min(n, r) + 1))
+        exact = Fraction(num, o2l)
+        got = doc[f"Q{ell}_normal"]
+        assert abs(Fraction(got) - exact) <= Fraction(1e-15) * abs(exact), ell
+        # a Fock state has no number fluctuation at all
+        assert doc[f"Q{ell}_central"] == -1.0, ell
 
 
 def test_provable_antinormal_overflow_fails_fast():

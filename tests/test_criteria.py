@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
 
@@ -214,7 +215,12 @@ def test_poisson_central_moment_quartic_form():
 
 
 def test_poisson_central_moment_degenerate():
-    assert poisson_central_moment(0.0, 6) == 0.0
+    # -0.0 and 0.0 share one row whichever comes first; no moment is -0.0
+    for pair in ((0.0, -0.0), (-0.0, 0.0)):
+        poisson_central_moment(1.0, 2)    # each pair starts a fresh row
+        for lam in pair:
+            got = poisson_central_moment(lam, 6)
+            assert got == 0.0 and math.copysign(1.0, got) == 1.0
 
 
 def test_poisson_central_moment_validation():
@@ -405,9 +411,10 @@ def test_order_one_coincidence_random_distributions(weights):
 # ------------------------------------- shared tables against uncached forms
 #
 # The criteria stage reuses Stirling, binomial and reordering rows and one
-# table of Poisson moments per mean.  These uncached copies recompute every
+# row of Poisson moments per mean.  These uncached copies recompute every
 # term from scratch with the same operations, so every result must agree
-# to the bit.  A reference that overflows must map to OverflowError.
+# to the bit.  A reference that overflows must map to OverflowError.  The
+# Poisson reference O_2l is checked against exact rationals instead.
 
 @lru_cache(maxsize=None)
 def _stirling_ref(z, k):
@@ -427,22 +434,39 @@ def _mu_ref(m, z_max):
     return mu
 
 
-def _poisson_ref(lam, order):
-    raw = [1.0] + [
-        math.fsum(_stirling_ref(z, k) * lam ** k for k in range(1, z + 1))
-        for z in range(1, order + 1)
-    ]
-    return math.fsum(math.comb(order, j) * raw[j] * (-lam) ** (order - j)
-                     for j in range(order + 1))
+@lru_cache(maxsize=None)
+def _touchard_scaled(p, q, z):
+    # q^z E[n^z] for a Poisson mean p/q: the Touchard sum
+    # sum_k S(z,k) p^k q^(z-k), an exact integer
+    return sum(_stirling_ref(z, k) * p ** k * q ** (z - k)
+               for k in range(z + 1))
 
 
+@lru_cache(maxsize=None)
+def _poisson_exact(lam, order):
+    """O_order(lam) as a Fraction, by a route independent of the
+    recurrence: exact Touchard raw moments, then the exact binomial
+    central-moment sum."""
+    p, q = Fraction(lam).as_integer_ratio()
+    return Fraction(sum(math.comb(order, j) * _touchard_scaled(p, q, j)
+                        * (-p) ** (order - j) for j in range(order + 1)),
+                    q ** order)
+
+
+def _within(value, exact, rel=1e-15):
+    return abs(Fraction(value) - exact) <= Fraction(rel) * abs(exact)
+
+
+# the denominators are the library's own O_2l, pinned to exact rationals
+# by test_poisson_central_moment_matches_exact_interleaved, so these pin
+# the numerators and the division bit for bit
 def _q_normal_ref(m, ell):
     m1 = float(m[1])
     if m1 == 0.0:
         return math.nan
     num = math.fsum(math.comb(2 * ell, j) * (-m1) ** (2 * ell - j)
                     * float(m[j]) for j in range(2 * ell + 1))
-    return num / _poisson_ref(m1, 2 * ell)
+    return num / poisson_central_moment(m1, 2 * ell)
 
 
 def _q_central_ref(mu, ell):
@@ -451,7 +475,7 @@ def _q_central_ref(mu, ell):
         return math.nan
     central = math.fsum(math.comb(2 * ell, j) * (-mu1) ** (2 * ell - j)
                         * float(mu[j]) for j in range(2 * ell + 1))
-    o2l = _poisson_ref(mu1, 2 * ell)
+    o2l = poisson_central_moment(mu1, 2 * ell)
     return (central - o2l) / o2l
 
 
@@ -488,10 +512,13 @@ def _agree(new, ref):
 
 
 MAX_ORDER = 200
-# at mean 4.0 the Touchard sums reach inf from order 198 on; the order
-# lists keep the O(l^3) references cheap
+# O_200(4.0) is 2.3e305, in range; the order lists keep the O(l^3)
+# references cheap
 MEANS = (0.37, 2.0, 0.37, 4.0, 2.0)
 POISSON_ORDERS = (*range(2, 41, 2), 100, 150, 188, 196, 198, 200)
+# an int mean and its float share one row; means above 4 stop at order
+# 40, well inside the float64 range of O_r
+POISSON_MEANS = (*MEANS, 3, 3.0, 3, 20.0, 50.0, 206.0, 1000.0, 20.0)
 ELLS = (*range(1, 21), 50, 75, 94, 98, 99, 100)
 
 
@@ -507,16 +534,29 @@ def test_stirling_rows_match_recursion():
             _stirling_ref(z, k) for k in range(z + 1)]
 
 
-def test_poisson_central_moment_bit_exact_interleaved():
-    # an int mean keeps exact Touchard terms, so 3 and 3.0 differ from
-    # order 30 on and must not share a table
-    for i, lam in enumerate((*MEANS, 3, 3.0, 3)):
-        # alternate the direction so a table filled up to a high order is
-        # also read at low orders
-        orders = POISSON_ORDERS if i % 2 == 0 else POISSON_ORDERS[::-1]
+def test_poisson_central_moment_matches_exact_interleaved():
+    for i, lam in enumerate(POISSON_MEANS):
+        orders = POISSON_ORDERS if lam <= 4 else POISSON_ORDERS[:20]
+        # alternate the direction so a row grown to a high order is also
+        # read at low orders
+        if i % 2:
+            orders = orders[::-1]
         for order in orders:
-            assert _agree(_outcome(poisson_central_moment, lam, order),
-                          _outcome(_poisson_ref, lam, order)), (lam, order)
+            got = poisson_central_moment(lam, order)
+            assert _within(got, _poisson_exact(lam, order)), (lam, order)
+    for order in POISSON_ORDERS:
+        assert (poisson_central_moment(3, order).hex()
+                == poisson_central_moment(3.0, order).hex()), order
+
+
+def test_poisson_central_moment_overflow_is_named():
+    # O_198(5.0) is 1.9e307; O_199(5.0) exceeds DBL_MAX, and order 200
+    # needs every order below it
+    assert _within(poisson_central_moment(5.0, 198),
+                   _poisson_exact(5.0, 198))
+    with pytest.raises(OverflowError, match=r"^Poisson reference moment "
+                       r"O_199\(5\.0\) exceeds the float64 range$"):
+        poisson_central_moment(5.0, 200)
 
 
 def test_mu_and_q_ell_bit_exact_interleaved():
@@ -562,24 +602,29 @@ def test_added_factorial_moment_bit_exact(dist, order):
 
 
 def test_shared_tables_survive_threads():
-    # eight threads grow one Poisson table and the Stirling rows at once,
-    # with a tiny switch interval; an append lost or doubled between a
-    # length check and the append would shift every later entry
-    lam = 0.731
+    # eight threads read the Poisson rows of two means in turn, so the
+    # shared row is swapped on nearly every call, and grow the Stirling
+    # rows, all with a tiny switch interval; every thread must get the bits
+    # of a single-threaded run, and an append lost or doubled between a
+    # length check and the append would shift every later Stirling row
+    means = (0.731, 2.0)
     orders = list(range(2, 61, 2))
-    want = {order: _poisson_ref(lam, order) for order in orders}
+    want = {(lam, order): poisson_central_moment(lam, order)
+            for lam in means for order in orders}
+    for (lam, order), value in want.items():
+        assert _within(value, _poisson_exact(lam, order)), (lam, order)
     rows = range(200, 321, 8)
     want_rows = {z: _stirling_ref(z, z // 2) for z in rows}
     results = []
 
     def work(seed):
         rng = random.Random(seed)
-        mine = rng.sample(orders, len(orders))
-        got = {order: poisson_central_moment(lam, order) for order in mine}
+        got = {(lam, order): poisson_central_moment(lam, order)
+               for order in rng.sample(orders, len(orders)) for lam in means}
         got_rows = {z: stirling2(z, z // 2) for z in rng.sample(rows, 16)}
         results.append((got, got_rows))
 
-    poisson_central_moment(lam, 2)    # a fresh table for lam, still short
+    poisson_central_moment(means[0], 2)    # a fresh row, still short
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
