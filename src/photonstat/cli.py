@@ -11,7 +11,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 from . import __version__
 from .criteria import (
@@ -23,8 +23,13 @@ from .criteria import (
 )
 from .exceptions import AccuracyError, UndefinedStateError
 from .moments import StateModification
-from .oracle import DEFAULT_SUITE_STATES, equivalence_suite
-from .states import FAMILIES, CutoffPolicy, build_state
+from .oracle import (
+    DEFAULT_SUITE_STATES,
+    DEFAULT_TOL_ADD,
+    DEFAULT_TOL_SUBTRACT,
+    equivalence_suite,
+)
+from .states import DEFAULT_POLICY, FAMILIES, CutoffPolicy, build_state
 
 UNDEF = "UNDEF"
 DEGENERATE = "DEGENERATE"
@@ -61,12 +66,6 @@ def _render(value):
         return value
     cell = _json_cell(value)
     return cell if isinstance(cell, str) else repr(cell)
-
-
-def _policy_dict(policy):
-    return {"eps_tail": policy.eps_tail, "rel_tol": policy.rel_tol,
-            "max_cutoff": policy.max_cutoff,
-            "max_moment_order": policy.max_moment_order}
 
 
 def _mod_dict(mod):
@@ -111,7 +110,7 @@ def cmd_criteria(family, param, mod, ell_max, selection, fmt, policy,
         "param": param,
         "modification": _mod_dict(mod),
         "ell_max": ell_max,
-        "policy": _policy_dict(policy),
+        "policy": asdict(policy),
         "cutoff": dist.cutoff,
         "tail_bound": dist.tail_bound,
         "mean": _json_cell(report.mean),
@@ -153,7 +152,7 @@ def cmd_sweep(family, grid, mod, ell_max, selection, fmt, policy,
                 "ell_max": ell_max,
                 "criteria": list(selection),
                 "format": fmt,
-                "policy": _policy_dict(policy),
+                "policy": asdict(policy),
             },
             "rows": [{k: v if k == "flags" else _json_cell(v)
                       for k, v in row.items()} for row in rows],
@@ -253,13 +252,10 @@ def _policy_from(args, config, parser, ladder_order):
     """The cutoff policy, its check order raised (never lowered) to the
     ladder order the report will read."""
     try:
-        policy = CutoffPolicy(
-            eps_tail=float(_resolved(args, config, "eps_tail", 1e-12)),
-            rel_tol=float(_resolved(args, config, "rel_tol", 1e-10)),
-            max_cutoff=int(_resolved(args, config, "max_cutoff", 4096)),
-            max_moment_order=int(
-                _resolved(args, config, "max_moment_order", 12)),
-        )
+        # each field converted to the type of its library default
+        policy = CutoffPolicy(**{
+            key: type(default)(_resolved(args, config, key, default))
+            for key, default in asdict(DEFAULT_POLICY).items()})
     except (TypeError, ValueError) as exc:
         parser.error(str(exc))
     if ladder_order > policy.max_moment_order:
@@ -325,9 +321,11 @@ def build_parser():
                            + ",".join(CRITERIA_TOKENS))
             p.add_argument("--format", choices=("csv", "json"))
             p.add_argument("--eps-tail", type=float, dest="eps_tail",
-                           help="tail-mass bound for the cutoff (default 1e-12)")
+                           help="tail-mass bound for the cutoff "
+                                f"(default {DEFAULT_POLICY.eps_tail})")
             p.add_argument("--max-cutoff", type=int, dest="max_cutoff",
-                           help="hard cutoff cap (default 4096)")
+                           help="hard cutoff cap "
+                                f"(default {DEFAULT_POLICY.max_cutoff})")
         p.add_argument("--out", metavar="FILE",
                        help="write the document to FILE instead of stdout")
         p.add_argument("--config", metavar="FILE",
@@ -392,8 +390,8 @@ def main(argv=None):
                                 selection, fmt, policy, args.out)
         # selfcheck
         tol = _resolved(args, config, "tol", None)
-        tol_subtract = tol if tol is not None else 1e-9
-        tol_add = tol if tol is not None else 1e-8
+        tol_subtract = tol if tol is not None else DEFAULT_TOL_SUBTRACT
+        tol_add = tol if tol is not None else DEFAULT_TOL_ADD
         states = DEFAULT_SUITE_STATES
         if args.families:
             wanted = {tok.strip() for tok in args.families.split(",")}

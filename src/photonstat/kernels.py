@@ -25,6 +25,8 @@ def ladder_sums(probs, order, rising):
     made it exactly zero.
     Overflow, of a weight or of a sum, surfaces as non-finite output;
     callers must check finiteness.  Returns a list of order + 1 floats.
+    Order 0 is the exactly rounded sum of probs, overflow mapped to inf;
+    the cutoff search sums prefixes of its falling-weight row this way.
     """
     ns = list(map(float, compress(range(len(probs)), probs)))
     row = list(map(float, compress(probs, probs)))

@@ -11,7 +11,6 @@ highest requested factorial moment must be converged under cutoff doubling.
 import math
 from array import array
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import accumulate, compress, repeat
 from operator import mul, sub
 
@@ -39,10 +38,12 @@ class CutoffPolicy:
     eps_tail: required upper bound on the omitted probability mass.
     rel_tol: relative convergence tolerance for the moment-doubling check.
     max_cutoff: hard cap on the cutoff (exceeding it raises AccuracyError).
-    max_moment_order: factorial-moment order used in the convergence check.
-        It is a floor: set it at least as high as the largest ladder order
-        you will request.  The CLI raises it to the ladder order of each
-        request (count + criteria.moment_order(ell_max)), never lowers it.
+    max_moment_order: factorial-moment order used in the convergence check,
+        capped at the last occupied n of the float64 pmf (every higher
+        order vanishes).  It is a floor: set it at least as high as the
+        largest ladder order you will request.  The CLI raises it to the
+        ladder order of each request (count + criteria.moment_order(ell_max)),
+        never lowers it.
     """
 
     eps_tail: float = 1e-12
@@ -193,28 +194,6 @@ _BUILDERS = {
 }
 
 
-def _raw_factorial_moment(probs, order):
-    """sum_n p_n * n(n-1)...(n-order+1) on the unnormalized vector."""
-    return float(kernels.ladder_sums(probs, order, False)[order])
-
-
-def _moment_converged(probs, cutoff, policy):
-    """Exactly rounded convergence test of cutoff on a long enough pmf.
-
-    probs must reach index max(2*cutoff, max_moment_order + 1); its prefix
-    of length cutoff + 1 is pmf(param, cutoff), because the builders run
-    one forward recursion.
-    """
-    order = policy.max_moment_order
-    m_here = _raw_factorial_moment(probs[:cutoff + 1], order)
-    m_twice = _raw_factorial_moment(probs[:2 * cutoff + 1], order)
-    if m_twice == 0.0:
-        # both moments vanish trivially while 2*cutoff < order; only a pmf
-        # that is exactly zero from `order` on (underflow) has converged
-        return not any(probs[order:])
-    return abs(m_twice - m_here) <= policy.rel_tol * abs(m_twice)
-
-
 def _falling_weights(probs, order):
     """p_n * n(n-1)...(n-order+1) for every n, multiplied left to right as
     in kernels.ladder_sums; entries n < order, and entries with p_n == 0,
@@ -260,40 +239,51 @@ def _cap_error(family, param, policy):
         f"to rel_tol {policy.rel_tol:.1e}")
 
 
-@lru_cache(maxsize=1)
 def _search(family, param, policy):
-    """(cutoff, pmf) with pmf at least cutoff + 1 entries long.
+    """The cutoff choose_cutoff describes, for a nonnegative parameter.
 
+    Each pmf built yields one row of falling weights at the check order.
     Every candidate cutoff D from the tail cutoff up to `top` is screened,
-    in increasing order, on prefix sums S of the order-K falling weights
-    (S[D] against S[2D]); a candidate that passes is confirmed by the
-    exactly rounded _moment_converged, so the screen never decides.  `top`
-    doubles, up to max_cutoff, only when no candidate passes.  The cache
-    lets _build reuse the pmf that choose_cutoff's search built; the pmf
-    is read-only because every caller shares it.
+    in increasing order, on prefix sums S of that row (S[D] against
+    S[2D]); a candidate that passes is confirmed by the exactly rounded
+    sums of the same row's prefixes, so the screen never decides.  The
+    first non-finite moment at 2D raises AccuracyError: prefix sums of
+    nonnegative weights only grow, so no larger cutoff can pass.  `top`
+    doubles, up to max_cutoff, only when no candidate passes.
     """
     pmf, _ = _BUILDERS[family]
     if param == 0.0:
-        return 0, _frozen(pmf(param, 0))
-    order = policy.max_moment_order
+        return 0
     first = _tail_cutoff(family, param, policy)
-    top = min(2 * first + order, policy.max_cutoff)
+    top = min(2 * first + policy.max_moment_order, policy.max_cutoff)
     while True:
-        probs = _frozen(pmf(param, max(2 * top, order + 1)))
-        if not any(probs):
+        # at least K + 1 entries, so n_last < K only where the pmf underflows
+        probs = pmf(param, max(2 * top, policy.max_moment_order + 1))
+        occupied = list(compress(range(len(probs)), probs))
+        if not occupied:
             raise AccuracyError(
                 f"{family}({param}) has no nonzero probability in float64")
-        sums = list(accumulate(_falling_weights(probs, order)))
-        occupied_tail = any(probs[order:])
+        order = min(policy.max_moment_order, occupied[-1])
+        weights = _falling_weights(probs, order)
+        sums = list(accumulate(weights))
         for cutoff in range(first, top + 1):
             here, twice = sums[cutoff], sums[2 * cutoff]
             # widen rel_tol by the rounding bound of the running sums, so
-            # no candidate the exact test accepts is screened out
+            # no candidate the exact test accepts is screened out; a
+            # non-finite S[2D] goes on to the exact test, which raises
             slack = 16 * (cutoff + 1) * _EPS
-            if (abs(twice - here) <= (policy.rel_tol + slack) * (1 + slack)
-                    * twice and (twice != 0.0 or not occupied_tail)
-                    and _moment_converged(probs, cutoff, policy)):
-                return cutoff, probs
+            if twice == 0.0 or (math.isfinite(twice) and abs(twice - here)
+                                > (policy.rel_tol + slack) * (1 + slack)
+                                * twice):
+                continue
+            here, twice = (kernels.ladder_sums(weights[:n + 1], 0, False)[0]
+                           for n in (cutoff, 2 * cutoff))
+            if not math.isfinite(twice):
+                raise AccuracyError(
+                    f"{family}({param}): the order-{order} factorial moment "
+                    f"at cutoff {2 * cutoff} exceeds the float64 range")
+            if abs(twice - here) <= policy.rel_tol * twice:
+                return cutoff
         if top == policy.max_cutoff:
             raise _cap_error(family, param, policy)
         first, top = top + 1, min(2 * top, policy.max_cutoff)
@@ -303,14 +293,17 @@ def choose_cutoff(family, param, policy=DEFAULT_POLICY):
     """Smallest cutoff satisfying the tail and moment-convergence criteria.
 
     A cutoff D is accepted when the tail bound is at most eps_tail and the
-    order-K factorial moment (K = policy.max_moment_order) of the pmf cut
-    at D agrees with the one cut at 2D to within rel_tol.  When the
-    order-K moment at 2D is zero, D is accepted only if the pmf is exactly
-    zero in float64 from n = K on.  The search runs over 1..max_cutoff;
-    parameter 0 (the vacuum) gives 0.
+    factorial moment of the check order of the pmf cut at D agrees with
+    the one cut at 2D to within rel_tol.  The check order is
+    min(K, n_last), with K = policy.max_moment_order and n_last the last
+    n the float64 pmf occupies; higher orders vanish at every cutoff.  A
+    zero or non-finite moment at 2D never passes.  The search runs over
+    1..max_cutoff; parameter 0 (the vacuum) gives 0.
 
-    Raises AccuracyError when no cutoff up to policy.max_cutoff works, and
-    ValueError for a negative or non-finite parameter.
+    Raises AccuracyError when no cutoff up to policy.max_cutoff works, or
+    when the check-order moment at 2D exceeds the float64 range before
+    any cutoff passes, and ValueError for a negative or non-finite
+    parameter or an unknown family.
     """
     if family == "fock":
         n = _as_fock_index(param)
@@ -324,7 +317,7 @@ def choose_cutoff(family, param, policy=DEFAULT_POLICY):
         raise ValueError(f"{family} parameter must be finite")
     if param < 0:
         raise ValueError(f"{family} parameter must be nonnegative")
-    return _search(family, param, policy)[0]
+    return _search(family, param, policy)
 
 
 def _as_fock_index(param):
@@ -338,9 +331,8 @@ def _as_fock_index(param):
 
 def _build(family, param, policy, renormalize):
     cutoff = choose_cutoff(family, param, policy)
-    _, tail = _BUILDERS[family]
-    probs = _search(family, param, policy)[1][:cutoff + 1]
-    dist = NumberDistribution(probs, tail(param, cutoff))
+    pmf, tail = _BUILDERS[family]
+    dist = NumberDistribution(pmf(param, cutoff), tail(param, cutoff))
     return dist.renormalized() if renormalize else dist
 
 
@@ -369,12 +361,6 @@ def build_squeezed_vacuum(r, policy=DEFAULT_POLICY, renormalize=True):
 
 def build_state(family, param, policy=DEFAULT_POLICY):
     """Construct a base state by family name; see FAMILIES."""
-    if family == "coherent":
-        return build_coherent(param, policy)
-    if family == "thermal":
-        return build_thermal(param, policy)
     if family == "fock":
         return build_fock(param)
-    if family == "squeezed":
-        return build_squeezed_vacuum(param, policy)
-    raise ValueError(f"unknown state family {family!r}")
+    return _build(family, param, policy, True)

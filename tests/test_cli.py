@@ -99,14 +99,21 @@ def test_ladder_overflow_exits_3_without_traceback():
      "Poisson reference moment O_199(5.0) exceeds the float64 range"),
     (("fock", "7", "--ell-max", "100"),
      "Poisson reference moment O_194(7.0) exceeds the float64 range"),
-    # the Stirling sum for <n^148> overflows, its terms do not
+    # the cutoff check's order-K factorial moment overflows before any
+    # cutoff passes, so no cutoff can
     (("thermal", "5", "--ell-max", "80"),
-     "raw moment <n^148> exceeds the float64 range"),
+     "thermal(5.0): the order-160 factorial moment at cutoff"),
+    (("thermal", "3", "--subtract", "2", "--ell-max", "74"),
+     "thermal(3.0): the order-150 factorial moment at cutoff"),
+    # the Stirling sum for <n^145> overflows, its terms do not
+    (("thermal", "2", "--ell-max", "75"),
+     "raw moment <n^145> exceeds the float64 range"),
     # x! C(x,k)^2 N_{m+x-k} overflows in the reordering sum
     (("fock", "200", "--add", "2", "--ell-max", "60"),
      "reordering sum for m=2, x=120 exceeds the float64 range"),
 ], ids=["squeezed-25", "squeezed-800", "coherent-800", "fock-5-ell100",
-        "fock-7-ell100", "thermal-5-ell80", "fock-200-add2-ell60"])
+        "fock-7-ell100", "thermal-5-ell80", "thermal-3-sub2-ell74",
+        "thermal-2-ell75", "fock-200-add2-ell60"])
 def test_unrepresentable_state_exits_3_with_one_line(argv, message):
     family, param, *rest = argv
     cmd = [sys.executable, "-m", "photonstat", "criteria", "--family",

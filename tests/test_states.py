@@ -24,8 +24,22 @@ from photonstat import (
     antinormal_ladder,
     normal_ladder,
 )
+from photonstat import kernels
 from photonstat.cli import main
-from photonstat.states import _BUILDERS, _raw_factorial_moment
+from photonstat.states import _BUILDERS
+
+
+def _factorial_moment(probs, order):
+    """sum_n p_n * n(n-1)...(n-order+1), straight from the ladder kernel."""
+    return kernels.ladder_sums(probs, order, False)[order]
+
+
+def _check_order(family, param, policy):
+    """max_moment_order, capped at the last n the float64 pmf occupies."""
+    pmf, _ = _BUILDERS[family]
+    probs = pmf(param, policy.max_moment_order + 1)
+    return min(policy.max_moment_order,
+               max(n for n, p in enumerate(probs) if p))
 
 
 def test_coherent_vacuum_limit():
@@ -154,13 +168,15 @@ def test_choose_cutoff_convergence_oracle():
     cutoff = choose_cutoff("thermal", 1.0, policy)
     pmf, tail = _BUILDERS["thermal"]
     assert tail(1.0, cutoff) <= policy.eps_tail
-    m_here = _raw_factorial_moment(pmf(1.0, cutoff), 8)
-    m_twice = _raw_factorial_moment(pmf(1.0, 2 * cutoff), 8)
+    order = _check_order("thermal", 1.0, policy)
+    assert order == 8
+    m_here = _factorial_moment(pmf(1.0, cutoff), order)
+    m_twice = _factorial_moment(pmf(1.0, 2 * cutoff), order)
     assert abs(m_twice - m_here) <= policy.rel_tol * m_twice
     # and the cutoff is minimal: one step down violates a criterion
     smaller = cutoff - 1
-    m_small = _raw_factorial_moment(pmf(1.0, smaller), 8)
-    m_small2 = _raw_factorial_moment(pmf(1.0, 2 * smaller), 8)
+    m_small = _factorial_moment(pmf(1.0, smaller), order)
+    m_small2 = _factorial_moment(pmf(1.0, 2 * smaller), order)
     assert (tail(1.0, smaller) > policy.eps_tail
             or abs(m_small2 - m_small) > policy.rel_tol * m_small2)
 
@@ -168,15 +184,14 @@ def test_choose_cutoff_convergence_oracle():
 def _accepts(family, param, cutoff, policy=DEFAULT_POLICY):
     """The cutoff predicate, replayed from scratch at one cutoff."""
     pmf, tail = _BUILDERS[family]
-    order = policy.max_moment_order
+    order = _check_order(family, param, policy)
     if tail(param, cutoff) > policy.eps_tail:
         return False
-    m_here = _raw_factorial_moment(pmf(param, cutoff), order)
-    m_twice = _raw_factorial_moment(pmf(param, 2 * cutoff), order)
-    if m_twice == 0.0:
-        # a zero moment at 2D certifies only a pmf that underflows to 0
-        return not any(pmf(param, order + 1)[order:])
-    return abs(m_twice - m_here) <= policy.rel_tol * m_twice
+    m_here = _factorial_moment(pmf(param, cutoff), order)
+    m_twice = _factorial_moment(pmf(param, 2 * cutoff), order)
+    # a zero or non-finite moment at 2D never passes
+    return (0.0 < m_twice < math.inf
+            and abs(m_twice - m_here) <= policy.rel_tol * m_twice)
 
 
 @pytest.mark.parametrize("family,param", [
@@ -192,13 +207,59 @@ def test_choose_cutoff_is_smallest_by_linear_scan(family, param):
     assert choose_cutoff(family, param) == smallest
 
 
-@pytest.mark.parametrize("family,cutoff", [
-    ("coherent", 16), ("thermal", 19), ("squeezed", 18),
+@pytest.mark.parametrize("family,param,cutoff", [
+    pytest.param("coherent", 0.01, 16, id="coherent-16"),
+    pytest.param("thermal", 0.01, 19, id="thermal-19"),
+    pytest.param("squeezed", 0.01, 18, id="squeezed-18"),
+    # the pmf underflows to 0 past n = 10 (or 3, or 1): the check order is
+    # capped there, and a moment that is zero at 2D does not pass
+    ("coherent", 1e-30, 10), ("thermal", 1e-30, 10), ("squeezed", 1e-30, 10),
+    ("coherent", 1e-100, 3), ("coherent", 1e-300, 1),
 ])
-def test_small_param_cutoffs_pinned(family, cutoff):
+def test_small_param_cutoffs_pinned(family, param, cutoff):
     # at 0.01 the order-12 moments vanish for 2D < 12; those cutoffs must
     # not pass vacuously
-    assert choose_cutoff(family, 0.01) == cutoff
+    assert choose_cutoff(family, param) == cutoff
+
+
+def test_tiny_coherent_state_survives_subtraction(capsys):
+    # photon subtraction cannot annihilate a coherent state: Q stays 0
+    code = main(["criteria", "--family", "coherent", "--param", "1e-30",
+                 "--subtract", "2"])
+    assert code == 0
+    assert abs(json.loads(capsys.readouterr().out)["Q"]) < 1e-40
+    # ... unless N_2 = 1e-600 is not a float64
+    code = main(["criteria", "--family", "coherent", "--param", "1e-300",
+                 "--subtract", "2"])
+    assert code == 2
+
+
+def test_lee_dh_vanishes_up_to_the_underflowed_pmf(capsys):
+    # Lee's d_h is 0 for a coherent state; the check order 79 + 78 exceeds
+    # the last n the pmf occupies, and a cutoff below it would make
+    # dh_h = -m_1^(h+1) from h of about 10 on
+    code = main(["criteria", "--family", "coherent", "--param", "0.5",
+                 "--subtract", "1", "--ell-max", "78", "--criteria", "d_h"])
+    doc = json.loads(capsys.readouterr().out)
+    assert code == 0
+    for h in range(1, 79):
+        assert abs(doc[f"dh{h}"]) <= 1e-12 * doc["mean"] ** (h + 1), h
+
+
+def test_search_sums_one_weight_row(monkeypatch):
+    # the confirmations sum prefixes of the screen's falling-weight row
+    # (order 0) instead of rebuilding order-K weights
+    orders = []
+    ladder_sums = kernels.ladder_sums
+
+    def recording(probs, order, rising):
+        orders.append(order)
+        return ladder_sums(probs, order, rising)
+
+    monkeypatch.setattr(kernels, "ladder_sums", recording)
+    policy = CutoffPolicy(max_moment_order=70)
+    assert choose_cutoff("squeezed", 2.0, policy) == 3794
+    assert orders and set(orders) == {0}
 
 
 def _closed_form_ladders(family, param, k):
@@ -276,15 +337,25 @@ def test_cutoff_cap_raises_accuracy_error():
         build_thermal(5.0, policy)
 
 
-@pytest.mark.parametrize("family,param", [
-    ("squeezed", 19.5), ("squeezed", 25.0), ("squeezed", 800.0),
-    ("coherent", 746.0), ("coherent", 800.0),
+@pytest.mark.parametrize("family,param,order", [
+    pytest.param(family, param, 12, id=f"{family}-{param}")
+    for family, param in (("squeezed", 19.5), ("squeezed", 25.0),
+                          ("squeezed", 800.0), ("coherent", 746.0),
+                          ("coherent", 800.0))
+] + [
+    ("thermal", 3.0, 150), ("thermal", 5.0, 160), ("squeezed", 1.2, 150),
 ])
-def test_float64_limits_raise_accuracy_error(family, param):
+def test_float64_limits_raise_accuracy_error(family, param, order):
     # squeezed: tanh(r)**2 rounds to 1.0 (and cosh(r) overflows past 710);
-    # coherent: exp(-|alpha|^2) underflows, so the whole pmf is 0.0
-    with pytest.raises(AccuracyError, match=rf"{family}\({param}\)"):
-        choose_cutoff(family, param)
+    # coherent: exp(-|alpha|^2) underflows, so the whole pmf is 0.0;
+    # orders 150 and 160: the check moment overflows before any cutoff
+    # passes, so none can
+    policy = CutoffPolicy(max_moment_order=order)
+    match = rf"{family}\({param}\)"
+    if order > 12:
+        match += rf": the order-{order} factorial moment"
+    with pytest.raises(AccuracyError, match=match):
+        choose_cutoff(family, param, policy)
 
 
 def test_coherent_745_still_has_a_cutoff():
