@@ -19,17 +19,17 @@ reported as NaN plus a flag, never raised, so sweeps survive them.
 
 import math
 import threading
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import repeat
 from operator import mul
 
-from .exceptions import CancellationWarning, UndefinedStateError
+from .exceptions import UndefinedStateError
 from .moments import (
     Ordering,
     StateModification,
     modified_moment_sequence,
+    zero_norm_error,
 )
 
 # |det(mu) - det(m)| below this fraction of the largest cofactor product
@@ -113,7 +113,9 @@ def mandel_q_subtracted(ladder, n):
     if ladder.order < n + 2:
         raise ValueError(f"ladder covers 0..{ladder.order}, need {n + 2}")
     v = ladder.values
-    if v[n] <= 0.0 or v[n + 1] <= 0.0:
+    if v[n] <= 0.0:
+        raise zero_norm_error(ladder.base, n)
+    if v[n + 1] <= 0.0:
         raise UndefinedStateError(
             f"subtracting {n} photons leaves no state with positive mean")
     return float(v[n + 2] / v[n + 1] - v[n + 1] / v[n])
@@ -310,7 +312,9 @@ class CriteriaReport:
     Maps are keyed by l for the generalized Mandel families and by the
     order h = l - 1 for the Lee family (so lee_dh[1] = m_2 - m_1^2).
     Undefined entries are NaN and carry a flag; a3 may be a DegenerateA3
-    marker.  flags is a sorted tuple of diagnostic tokens.
+    marker.  flags is a sorted tuple of diagnostic tokens.  moments are
+    the factorial moments m_0, m_1, ... the criteria were computed from,
+    () for an undefined state.
     """
 
     mean: float
@@ -320,6 +324,7 @@ class CriteriaReport:
     lee_dh: dict = field(default_factory=dict)
     a3: object = math.nan
     flags: tuple = ()
+    moments: tuple = ()
 
     @property
     def undefined(self):
@@ -378,6 +383,7 @@ def criteria_from_moments(m, mu, ell_max, flags=()):
         lee_dh={ell - 1: lee_dh(m, ell) for ell in range(2, ell_max + 2)},
         a3=a3,
         flags=tuple(sorted(flags)),
+        moments=tuple(m),
     )
 
 
@@ -385,22 +391,17 @@ def evaluate_all(dist, mod=None, ell_max=3):
     """Evaluate every criterion for dist under the given modification.
 
     One moment ladder of order count + moment_order(ell_max) and one
-    Stirling conversion serve all criteria.  Degenerate or undefined
-    entries populate flags instead of raising, so parameter sweeps always
-    get a report back.
+    Stirling conversion serve all criteria.  Degenerate, undefined or
+    cancellation-dominated entries populate flags instead of raising, so
+    parameter sweeps always get a report back.
     """
     if ell_max < 1:
         raise ValueError("ell_max must be at least 1")
     if mod is None:
         mod = StateModification.identity()
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", CancellationWarning)
-        try:
-            m = modified_moment_sequence(dist, mod, moment_order(ell_max))
-        except UndefinedStateError:
-            return CriteriaReport(math.nan, math.nan,
-                                  flags=("undefined_state",))
-    flags = ()
-    if any(issubclass(w.category, CancellationWarning) for w in caught):
-        flags = ("cancellation",)
+    try:
+        m = modified_moment_sequence(dist, mod, moment_order(ell_max))
+    except UndefinedStateError:
+        return CriteriaReport(math.nan, math.nan, flags=("undefined_state",))
+    flags = ("cancellation",) if m.cancelled else ()
     return criteria_from_moments(m, mu_from_m(m), ell_max, flags)

@@ -1,4 +1,4 @@
-"""Exception and warning types shared across the package."""
+"""Exception types shared across the package."""
 
 
 class PhotonStatError(Exception):
@@ -6,18 +6,15 @@ class PhotonStatError(Exception):
 
 
 class AccuracyError(PhotonStatError):
-    """Requested truncation accuracy is unreachable within the cutoff cap."""
+    """Requested accuracy is unreachable: the cutoff cap is hit, or a
+    quantity overflows, underflows or cancels in float64."""
 
 
 class UndefinedStateError(PhotonStatError):
     """The requested modification annihilates the state (zero norm)."""
 
 
-class CancellationError(PhotonStatError):
+class CancellationError(AccuracyError):
     """An alternating moment sum came out negative beyond the cancellation
     tolerance; the result carries no significant digits."""
 
-
-class CancellationWarning(UserWarning):
-    """An alternating moment sum is small compared to its largest term;
-    the returned value may have lost precision to cancellation."""

@@ -17,14 +17,13 @@ a^+x a^x = sum_k (-1)^k k! C(x,k)^2 a^{x-k} a^+(x-k) taken in expectation.
 import enum
 import math
 import sys
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from operator import mul
 
 from . import kernels
-from .exceptions import CancellationError, CancellationWarning, UndefinedStateError
+from .exceptions import AccuracyError, CancellationError, UndefinedStateError
 from .states import NumberDistribution
 
 # alternating sums smaller than this fraction of their largest term are
@@ -156,6 +155,18 @@ def _check_cover(ladder, needed, ordering):
             f"ladder covers orders 0..{ladder.order}, need {needed}")
 
 
+def zero_norm_error(dist, n):
+    """The error for a zero normal ladder entry N_n of dist: subtraction
+    annihilates only a state of finite support (tail_bound 0, as for Fock
+    states and the vacuum); any other zero is a float64 underflow."""
+    if dist.tail_bound == 0.0:
+        return UndefinedStateError(
+            f"subtracting {n} photons annihilates the state (N_{n} = 0)")
+    return AccuracyError(
+        f"N_{n} underflows float64 to 0, but subtracting {n} photons "
+        "cannot annihilate a state without finite support")
+
+
 def subtracted_factorial_moment(ladder, n, x):
     """<a^+x a^x> on the n-photon-subtracted state: N_{n+x}/N_n."""
     if n < 0 or x < 0:
@@ -163,8 +174,7 @@ def subtracted_factorial_moment(ladder, n, x):
     _check_cover(ladder, n + x, Ordering.NORMAL)
     norm = ladder.values[n]
     if norm <= 0.0:
-        raise UndefinedStateError(
-            f"subtracting {n} photons annihilates the state (N_{n} = 0)")
+        raise zero_norm_error(ladder.base, n)
     return ladder.values[n + x] / norm
 
 
@@ -184,13 +194,8 @@ def reorder_coefficients(x):
     return list(_reorder_row(x))
 
 
-def added_factorial_moment(ladder, m, x):
-    """<a^+x a^x> on the m-photon-added state, from the anti-normal ladder.
-
-    Evaluates the alternating reordering sum with exact rounding (fsum) and
-    flags cancellation-dominated results; a negative sum beyond the
-    cancellation tolerance raises CancellationError.
-    """
+def _reordering_sum(ladder, m, x):
+    # (m_x of the m-photon-added state, whether cancellation dominated it)
     if m < 0 or x < 0:
         raise ValueError("m and x must be nonnegative")
     _check_cover(ladder, m + x, Ordering.ANTINORMAL)
@@ -210,37 +215,48 @@ def added_factorial_moment(ladder, m, x):
         raise CancellationError(
             f"alternating sum for m={m}, x={x} is negative "
             f"({total:.3e} against largest term {scale:.3e})")
-    if abs(total) < CANCELLATION_RTOL * scale:
-        warnings.warn(
-            f"alternating sum for m={m}, x={x} is below {CANCELLATION_RTOL:g}"
-            " of its largest term; cancellation may dominate",
-            CancellationWarning, stacklevel=2)
-    return max(total, 0.0) / norm
+    return max(total, 0.0) / norm, abs(total) < CANCELLATION_RTOL * scale
+
+
+def added_factorial_moment(ladder, m, x):
+    """<a^+x a^x> on the m-photon-added state, from the anti-normal ladder.
+
+    Evaluates the alternating reordering sum with exact rounding (fsum); a
+    negative sum beyond the cancellation tolerance raises CancellationError.
+    """
+    return _reordering_sum(ladder, m, x)[0]
+
+
+class FactorialMoments(list):
+    """Factorial moments m_0, m_1, ... of a modified state, as floats.
+
+    cancelled holds the orders whose reordering sum fell below
+    CANCELLATION_RTOL of its largest term; () on the subtraction path.
+    """
+
+    def __init__(self, values, cancelled=()):
+        super().__init__(values)
+        self.cancelled = tuple(cancelled)
 
 
 def modified_moment(dist, mod, x):
-    """<a^+x a^x> of the modified state, dispatching on the modification."""
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    if mod.count == 0 or mod.kind is ModKind.SUBTRACT:
-        ladder = normal_ladder(dist, mod.count + x)
-        return subtracted_factorial_moment(ladder, mod.count, x)
-    ladder = antinormal_ladder(dist, mod.count + x)
-    return added_factorial_moment(ladder, mod.count, x)
+    """<a^+x a^x> of the modified state, read off its moment sequence."""
+    return modified_moment_sequence(dist, mod, x)[x]
 
 
 def modified_moment_sequence(dist, mod, x_max):
     """Factorial moments m_0..m_{x_max} of the modified state.
 
     Builds one ladder of sufficient length and reads every order from it.
-    Returns a list of floats.
+    Returns a FactorialMoments list of floats.
     """
     if x_max < 0:
         raise ValueError("x_max must be nonnegative")
     if mod.count == 0 or mod.kind is ModKind.SUBTRACT:
         ladder = normal_ladder(dist, mod.count + x_max)
-        return [subtracted_factorial_moment(ladder, mod.count, x)
-                for x in range(x_max + 1)]
+        return FactorialMoments([subtracted_factorial_moment(
+            ladder, mod.count, x) for x in range(x_max + 1)])
     ladder = antinormal_ladder(dist, mod.count + x_max)
-    return [added_factorial_moment(ladder, mod.count, x)
-            for x in range(x_max + 1)]
+    values, cancelled = zip(*(_reordering_sum(ladder, mod.count, x)
+                              for x in range(x_max + 1)))
+    return FactorialMoments(values, (x for x, c in enumerate(cancelled) if c))

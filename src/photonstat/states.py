@@ -362,5 +362,5 @@ def build_squeezed_vacuum(r, policy=DEFAULT_POLICY, renormalize=True):
 def build_state(family, param, policy=DEFAULT_POLICY):
     """Construct a base state by family name; see FAMILIES."""
     if family == "fock":
-        return build_fock(param)
+        return build_fock(choose_cutoff(family, param, policy))
     return _build(family, param, policy, True)

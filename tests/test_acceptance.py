@@ -118,9 +118,6 @@ def test_shortcut_oracle_equivalence():
         f"worst {report.max_rel_dev:.2e}, {elapsed:.1f}s)")
 
 
-# added fock states hit exact zeros in the alternating sum; the resulting
-# cancellation diagnostic is expected, not a failure
-@pytest.mark.filterwarnings("ignore::photonstat.CancellationWarning")
 def test_specialization_consistency():
     for family, param in DEFAULT_SUITE_STATES:
         dist = build_state(family, param)

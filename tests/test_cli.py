@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from photonstat import stirling2
+from photonstat import CancellationError, moments, stirling2
 from photonstat.cli import main
 
 
@@ -32,10 +32,14 @@ def test_criteria_fock_subtracted(capsys):
 
 
 def test_criteria_annihilated_state_exits_2(capsys):
-    code, _, err = run_cli(capsys, "criteria", "--family", "fock",
-                           "--param", "2", "--subtract", "3")
-    assert code == 2
-    assert "state annihilated" in err
+    # only a state of finite support, such as a Fock state or a vacuum
+    for family, param, count in (("fock", "2", "3"), ("coherent", "0", "1"),
+                                 ("thermal", "0", "1"),
+                                 ("squeezed", "0", "2")):
+        code, _, err = run_cli(capsys, "criteria", "--family", family,
+                               "--param", param, "--subtract", count)
+        assert code == 2
+        assert "state annihilated" in err
 
 
 def test_criteria_thermal_added(capsys):
@@ -111,9 +115,18 @@ def test_ladder_overflow_exits_3_without_traceback():
     # x! C(x,k)^2 N_{m+x-k} overflows in the reordering sum
     (("fock", "200", "--add", "2", "--ell-max", "60"),
      "reordering sum for m=2, x=120 exceeds the float64 range"),
+    # N_2 underflows to 0, but only finite support can be annihilated
+    (("coherent", "1e-300", "--subtract", "2"), "N_2 underflows float64"),
+    (("thermal", "1e-300", "--subtract", "2"), "N_2 underflows float64"),
+    (("squeezed", "1e-200", "--subtract", "2"), "N_2 underflows float64"),
+    # --max-cutoff caps Fock states too
+    (("fock", "200", "--max-cutoff", "100"),
+     "fock index 200 exceeds max_cutoff 100"),
 ], ids=["squeezed-25", "squeezed-800", "coherent-800", "fock-5-ell100",
         "fock-7-ell100", "thermal-5-ell80", "thermal-3-sub2-ell74",
-        "thermal-2-ell75", "fock-200-add2-ell60"])
+        "thermal-2-ell75", "fock-200-add2-ell60", "coherent-1e-300-sub2",
+        "thermal-1e-300-sub2", "squeezed-1e-200-sub2",
+        "fock-200-max-cutoff-100"])
 def test_unrepresentable_state_exits_3_with_one_line(argv, message):
     family, param, *rest = argv
     cmd = [sys.executable, "-m", "photonstat", "criteria", "--family",
@@ -209,6 +222,52 @@ def test_sweep_flags_an_overflowing_row():
     assert alone.stdout.splitlines() == [header, fock1]
     cells = fock4000.split(",")
     assert cells[0] == "4000" and cells[-1] == "accuracy_failure"
+    assert set(cells[1:-1]) == {"UNDEF"}
+
+
+def test_sweep_flags_an_underflowed_row(capsys):
+    code, out, err = run_cli(capsys, "sweep", "--family", "coherent",
+                             "--param", "1", "--param", "1e-300",
+                             "--subtract", "2")
+    assert code == 0 and err == ""
+    flags = [row["flags"] for row in csv.DictReader(io.StringIO(out))]
+    assert flags == ["", "accuracy_failure"]
+
+
+def _negative_sum_for_fock(n, monkeypatch):
+    # the reordering sum of every added Fock(n) comes out negative
+    reordering_sum = moments._reordering_sum
+
+    def negative(ladder, m, x):
+        if ladder.base.cutoff == n:
+            raise CancellationError(
+                f"alternating sum for m={m}, x={x} is negative")
+        return reordering_sum(ladder, m, x)
+
+    monkeypatch.setattr(moments, "_reordering_sum", negative)
+
+
+def test_cancellation_error_exits_3_with_one_line(monkeypatch, capsys):
+    _negative_sum_for_fock(3, monkeypatch)
+    code, out, err = run_cli(capsys, "criteria", "--family", "fock",
+                             "--param", "3", "--add", "1")
+    assert code == 3 and out == ""
+    assert err == ("error: accuracy failure: alternating sum for m=1, x=0 "
+                   "is negative\n")
+
+
+def test_sweep_flags_a_cancellation_error_row(monkeypatch, capsys):
+    argv = ("sweep", "--family", "fock", "--param", "1", "--param", "3",
+            "--param", "5", "--add", "1")
+    _, clean, _ = run_cli(capsys, *argv)
+    _negative_sum_for_fock(3, monkeypatch)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    lines, clean_lines = out.splitlines(), clean.splitlines()
+    assert len(lines) == 4
+    assert lines[:2] == clean_lines[:2] and lines[3] == clean_lines[3]
+    cells = lines[2].split(",")
+    assert cells[0] == "3" and cells[-1] == "accuracy_failure"
     assert set(cells[1:-1]) == {"UNDEF"}
 
 

@@ -2,6 +2,7 @@ import math
 import random
 import sys
 import threading
+import warnings
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -585,7 +586,6 @@ def test_reorder_coefficients_bit_exact():
     assert reorder_coefficients(3) == _reorder_ref(3)
 
 
-@pytest.mark.filterwarnings("ignore::photonstat.CancellationWarning")
 # the numpy-scalar products of the reference warn where they overflow
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 @pytest.mark.parametrize("dist,order", [
@@ -640,3 +640,35 @@ def test_shared_tables_survive_threads():
     assert len(results) == 8
     for got, got_rows in results:
         assert got == want and got_rows == want_rows
+
+
+def test_cancellation_flags_survive_threads():
+    # eight threads alternate a report whose reordering sums cancel with
+    # one that has none, at a tiny switch interval; each report must carry
+    # its single-threaded flags, and the process-wide warnings state must
+    # be left as it was
+    cases = ((build_fock(0), StateModification.add(1)),
+             (build_thermal(1.0), StateModification.subtract(1)))
+    want = [evaluate_all(dist, mod).flags for dist, mod in cases]
+    assert want == [("a3_degenerate", "cancellation"), ()]
+    filters, hook = list(warnings.filters), warnings.showwarning
+    results = []
+
+    def work():
+        for i in range(150):
+            dist, mod = cases[i % 2]
+            results.append(evaluate_all(dist, mod).flags == want[i % 2])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work) for _ in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 1200 and all(results)
+    assert warnings.filters == filters and warnings.showwarning is hook

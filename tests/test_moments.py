@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,8 +9,8 @@ from hypothesis import strategies as st
 
 from photonstat import moments
 from photonstat import (
+    AccuracyError,
     CancellationError,
-    CancellationWarning,
     MomentLadder,
     NumberDistribution,
     Ordering,
@@ -18,11 +20,14 @@ from photonstat import (
     antinormal_ladder,
     build_coherent,
     build_fock,
+    build_squeezed_vacuum,
     build_thermal,
     ladder_sums_exact,
+    mandel_q_subtracted,
     modified_moment,
     modified_moment_sequence,
     normal_ladder,
+    oracle_subtract,
     reorder_coefficients,
     subtracted_factorial_moment,
 )
@@ -163,6 +168,28 @@ def test_oversubtraction_is_undefined():
         subtracted_factorial_moment(ladder, 3, 1)
 
 
+@pytest.mark.parametrize("dist,n,error", [
+    # finite support: the subtraction really annihilates the state
+    (build_fock(2), 3, UndefinedStateError),
+    (build_coherent(0.0), 1, UndefinedStateError),
+    (build_thermal(0.0), 2, UndefinedStateError),
+    # unbounded support: N_n only underflows float64
+    (build_coherent(1e-300), 2, AccuracyError),
+    (build_thermal(1e-300), 2, AccuracyError),
+    (build_squeezed_vacuum(1e-200), 2, AccuracyError),
+], ids=["fock2", "coherent0", "thermal0", "coherent1e-300",
+        "thermal1e-300", "squeezed1e-200"])
+def test_zero_norm_is_annihilation_only_for_finite_support(dist, n, error):
+    ladder = normal_ladder(dist, n + 2)
+    assert ladder.values[n] == 0.0
+    with pytest.raises(error, match=f"N_{n}"):
+        subtracted_factorial_moment(ladder, n, 1)
+    with pytest.raises(error, match=f"N_{n}"):
+        mandel_q_subtracted(ladder, n)
+    with pytest.raises(error, match=f"N_{n}"):
+        oracle_subtract(dist, n)
+
+
 def test_subtracted_moment_requires_normal_ordering():
     ladder = antinormal_ladder(build_fock(1), 3)
     with pytest.raises(ValueError):
@@ -249,9 +276,22 @@ def test_added_moment_total_cancellation_is_flagged():
     # adding one photon to vacuum gives |1>, whose second factorial moment
     # vanishes by exact cancellation of the alternating sum
     ladder = antinormal_ladder(build_fock(0), 3)
-    with pytest.warns(CancellationWarning):
-        value = added_factorial_moment(ladder, 1, 2)
-    assert value == 0.0
+    assert added_factorial_moment(ladder, 1, 2) == 0.0
+    seq = modified_moment_sequence(build_fock(0), StateModification.add(1), 2)
+    assert seq == [1.0, 1.0, 0.0] and seq.cancelled == (2,)
+
+
+def test_moment_sequence_names_only_cancelled_orders():
+    # thermal(1) + 2 photons: every sum keeps its digits; the subtraction
+    # path has no alternating sum at all
+    for mod in (StateModification.add(2), StateModification.subtract(2)):
+        seq = modified_moment_sequence(build_thermal(1.0), mod, 4)
+        assert seq.cancelled == ()
+    # |2> + 1 photon = |3>: m_4 and m_5 vanish by exact cancellation
+    seq = modified_moment_sequence(build_fock(2), StateModification.add(1), 5)
+    assert seq[4:] == [0.0, 0.0] and seq.cancelled == (4, 5)
+    for copied in (copy.copy(seq), pickle.loads(pickle.dumps(seq))):
+        assert copied == seq and copied.cancelled == (4, 5)
 
 
 def test_added_moment_negative_sum_raises():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from photonstat import moments
 from photonstat import (
     StateModification,
     UndefinedStateError,
@@ -175,6 +176,23 @@ def test_suite_flags_undefined_consistently():
     assert len(undefined) == 1
     assert undefined[0].mod == "subtract3"
     assert undefined[0].passed
+
+
+def test_suite_fails_an_annihilation_only_the_shortcut_sees(monkeypatch):
+    # a shortcut that wrongly annihilates thermal(1) under one subtraction
+    # fails one undefined cell instead of aborting the suite
+    subtracted = moments.subtracted_factorial_moment
+
+    def annihilating(ladder, n, x):
+        if n == 1:
+            raise UndefinedStateError("spurious annihilation")
+        return subtracted(ladder, n, x)
+
+    monkeypatch.setattr(moments, "subtracted_factorial_moment", annihilating)
+    report = equivalence_suite((("thermal", 1.0),), n_max=1, m_max=1)
+    cells = [c for c in report.cells if c.mod == "subtract1"]
+    assert [(c.quantity, c.passed) for c in cells] == [("undefined", False)]
+    assert report.failures() == cells
 
 
 def test_suite_mixed_families_pass_at_documented_tolerances():

@@ -228,10 +228,10 @@ def test_tiny_coherent_state_survives_subtraction(capsys):
                  "--subtract", "2"])
     assert code == 0
     assert abs(json.loads(capsys.readouterr().out)["Q"]) < 1e-40
-    # ... unless N_2 = 1e-600 is not a float64
+    # N_2 = 1e-600 underflows float64: an accuracy failure, not annihilation
     code = main(["criteria", "--family", "coherent", "--param", "1e-300",
                  "--subtract", "2"])
-    assert code == 2
+    assert code == 3
 
 
 def test_lee_dh_vanishes_up_to_the_underflowed_pmf(capsys):
@@ -329,6 +329,13 @@ def test_non_finite_params_rejected(family, param):
         choose_cutoff(family, param)
     with pytest.raises(ValueError):
         build_state(family, param)
+
+
+def test_fock_index_honours_max_cutoff():
+    policy = CutoffPolicy(max_cutoff=100)
+    assert build_state("fock", 100, policy).cutoff == 100
+    with pytest.raises(AccuracyError, match="exceeds max_cutoff 100"):
+        build_state("fock", 200, policy)
 
 
 def test_cutoff_cap_raises_accuracy_error():
