@@ -135,7 +135,7 @@ def cmd_sweep(family, grid, mod, ell_max, selection, fmt, policy,
         try:
             dist = build_state(family, param, policy)
             reports.append(evaluate_all(dist, mod, ell_max))
-        except (AccuracyError, OverflowError):
+        except AccuracyError:
             reports.append(CriteriaReport(math.nan, math.nan,
                                           flags=("accuracy_failure",)))
     rows = [_row(param, report, selection, ell_max)
@@ -211,7 +211,10 @@ def _parse_param_range(text, parser):
         parser.error("--param-range values must be finite")
     if step <= 0 or stop < start:
         parser.error("--param-range needs step > 0 and stop >= start")
-    count = int(math.floor((stop - start) / step + 1e-6)) + 1
+    span = (stop - start) / step
+    if not span < sys.maxsize:  # also inf: more points than a list holds
+        parser.error("--param-range has too many points")
+    count = int(math.floor(span + 1e-6)) + 1
     return tuple(start + i * step for i in range(count))
 
 
@@ -232,42 +235,43 @@ def _load_config(path, parser):
     try:
         with open(path, encoding="utf-8") as handle:
             config = json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
         parser.error(f"cannot read config file {path}: {exc}")
     if not isinstance(config, dict):
         parser.error(f"config file {path} must hold a JSON object")
     return config
 
 
-def _resolved(args, config, key, fallback):
+def _resolved(args, config, key, fallback, parser):
+    """The flag's value, else the config file's read as the flag's text
+    would be (by the type of fallback), else fallback."""
     value = getattr(args, key, None)
     if value is not None:
         return value
-    if key in config:
-        return config[key]
-    return fallback
+    if key not in config:
+        return fallback
+    try:
+        return type(fallback)(str(config[key]))
+    except ValueError:
+        parser.error(f"config {key}: invalid value {config[key]!r}")
 
 
 def _policy_from(args, config, parser, ladder_order):
     """The cutoff policy, its check order raised (never lowered) to the
     ladder order the report will read."""
     try:
-        # each field converted to the type of its library default
         policy = CutoffPolicy(**{
-            key: type(default)(_resolved(args, config, key, default))
+            key: _resolved(args, config, key, default, parser)
             for key, default in asdict(DEFAULT_POLICY).items()})
-    except (TypeError, ValueError) as exc:
+        if ladder_order > policy.max_moment_order:
+            policy = replace(policy, max_moment_order=ladder_order)
+    except ValueError as exc:
         parser.error(str(exc))
-    if ladder_order > policy.max_moment_order:
-        policy = replace(policy, max_moment_order=ladder_order)
     return policy
 
 
 def _ell_max_from(args, config, parser):
-    try:
-        ell_max = int(_resolved(args, config, "ell_max", 3))
-    except (TypeError, ValueError):
-        parser.error("--ell-max must be an integer")
+    ell_max = _resolved(args, config, "ell_max", 3, parser)
     if ell_max < 1:
         parser.error("--ell-max must be at least 1")
     return ell_max
@@ -380,18 +384,22 @@ def main(argv=None):
                 parser.error("sweep needs --param or --param-range")
             grid = _check_params(args.family, grid, parser)
             selection = _parse_criteria(
-                _resolved(args, config, "criteria", ",".join(CRITERIA_TOKENS)),
-                parser)
-            fmt = _resolved(args, config, "format", "csv" if sweep else "json")
+                _resolved(args, config, "criteria", ",".join(CRITERIA_TOKENS),
+                          parser), parser)
+            fmt = _resolved(args, config, "format", "csv" if sweep else "json",
+                            parser)
+            if fmt not in ("csv", "json"):
+                parser.error(f"config format: invalid choice: {fmt!r} "
+                             "(choose from 'csv', 'json')")
             if sweep:
                 return cmd_sweep(args.family, grid, mod, ell_max, selection,
                                  fmt, policy, args.out)
             return cmd_criteria(args.family, grid[0], mod, ell_max,
                                 selection, fmt, policy, args.out)
         # selfcheck
-        tol = _resolved(args, config, "tol", None)
-        tol_subtract = tol if tol is not None else DEFAULT_TOL_SUBTRACT
-        tol_add = tol if tol is not None else DEFAULT_TOL_ADD
+        tol_subtract = _resolved(args, config, "tol", DEFAULT_TOL_SUBTRACT,
+                                 parser)
+        tol_add = _resolved(args, config, "tol", DEFAULT_TOL_ADD, parser)
         states = DEFAULT_SUITE_STATES
         if args.families:
             wanted = {tok.strip() for tok in args.families.split(",")}
@@ -407,7 +415,7 @@ def main(argv=None):
     except UndefinedStateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (AccuracyError, OverflowError) as exc:
+    except AccuracyError as exc:
         print(f"error: accuracy failure: {exc}", file=sys.stderr)
         return 3
 

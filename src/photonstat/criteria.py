@@ -24,12 +24,13 @@ from functools import lru_cache
 from itertools import repeat
 from operator import mul
 
-from .exceptions import UndefinedStateError
+from .exceptions import AccuracyError, UndefinedStateError
 from .moments import (
     Ordering,
     StateModification,
+    check_subtracted_norms,
+    checked_fsum,
     modified_moment_sequence,
-    zero_norm_error,
 )
 
 # |det(mu) - det(m)| below this fraction of the largest cofactor product
@@ -61,16 +62,6 @@ def _binomial_row(n):
     return tuple(math.comb(n, j) for j in range(n + 1))
 
 
-def _fsum(terms, quantity, *args):
-    """math.fsum; a sum (or a term) beyond the float64 range raises an
-    OverflowError naming quantity.format(*args)."""
-    try:
-        return math.fsum(terms)
-    except (OverflowError, ValueError):
-        raise OverflowError(
-            quantity.format(*args) + " exceeds the float64 range") from None
-
-
 def stirling2(z, k):
     """Stirling number of the second kind S(z, k), exact integer."""
     if k < 0 or z < 0 or k > z:
@@ -89,8 +80,8 @@ def mu_from_m(m, z_max=None):
     if len(m) <= z_max:
         raise ValueError(f"need factorial moments up to order {z_max}")
     m = [float(v) for v in m[:z_max + 1]]
-    return [1.0] + [_fsum(map(mul, _stirling_row(z)[1:], m[1:z + 1]),
-                          "raw moment <n^{}>", z)
+    return [1.0] + [checked_fsum(map(mul, _stirling_row(z)[1:], m[1:z + 1]),
+                                 "raw moment <n^{}>", z)
                     for z in range(1, z_max + 1)]
 
 
@@ -112,9 +103,8 @@ def mandel_q_subtracted(ladder, n):
         raise ValueError("ladder must be normally ordered")
     if ladder.order < n + 2:
         raise ValueError(f"ladder covers 0..{ladder.order}, need {n + 2}")
+    check_subtracted_norms(ladder, n)
     v = ladder.values
-    if v[n] <= 0.0:
-        raise zero_norm_error(ladder.base, n)
     if v[n + 1] <= 0.0:
         raise UndefinedStateError(
             f"subtracting {n} photons leaves no state with positive mean")
@@ -167,11 +157,11 @@ def _poisson_row(lam, order):
         row = list(row)
         for r in range(len(row) - 1, order):
             # every term is positive, so nothing cancels
-            value = lam * _fsum(map(mul, _binomial_row(r), row[:r]),
-                                "Poisson reference moment O_{}({!r})",
-                                r + 1, lam)
+            value = lam * checked_fsum(
+                map(mul, _binomial_row(r), row[:r]),
+                "Poisson reference moment O_{}({!r})", r + 1, lam)
             if math.isinf(value):
-                raise OverflowError(
+                raise AccuracyError(
                     f"Poisson reference moment O_{r + 1}({lam!r}) exceeds "
                     "the float64 range")
             row.append(value)
@@ -197,10 +187,11 @@ def poisson_central_moment(lam, order):
 
 def _binomial_sum(mean, seq, order, quantity):
     # sum_j C(order,j) (-mean)^(order-j) seq_j, the central-moment expansion
-    return _fsum(map(mul, map(mul, _binomial_row(order),
-                              map(pow, repeat(-mean), range(order, -1, -1))),
-                     map(float, seq)),
-                 quantity, order)
+    return checked_fsum(
+        map(mul, map(mul, _binomial_row(order),
+                     map(pow, repeat(-mean), range(order, -1, -1))),
+            map(float, seq)),
+        quantity, order)
 
 
 def q_ell_normal(m, ell):

@@ -110,9 +110,19 @@ def ladder_sums_exact(probs, order, rising=False):
     return sums
 
 
+def checked_fsum(terms, quantity, *args):
+    """math.fsum; a sum (or a term) beyond the float64 range raises an
+    AccuracyError naming quantity.format(*args)."""
+    try:
+        return math.fsum(terms)
+    except (OverflowError, ValueError):
+        raise AccuracyError(
+            quantity.format(*args) + " exceeds the float64 range") from None
+
+
 def _overflow(order, rising):
     kind = "anti-normal" if rising else "normal"
-    return OverflowError(
+    return AccuracyError(
         f"{kind} ladder entry up to order {order} exceeds the float64 range")
 
 
@@ -163,8 +173,17 @@ def zero_norm_error(dist, n):
         return UndefinedStateError(
             f"subtracting {n} photons annihilates the state (N_{n} = 0)")
     return AccuracyError(
-        f"N_{n} underflows float64 to 0, but subtracting {n} photons "
-        "cannot annihilate a state without finite support")
+        f"N_{n} underflows float64 to 0, but no N_k of a state without "
+        "finite support vanishes")
+
+
+def check_subtracted_norms(ladder, n):
+    """zero_norm_error for the first zero among N_n, N_{n+1}, N_{n+2}, which
+    the norm, mean and Mandel Q of the n-photon-subtracted state read; a
+    zero N_{n+1} or N_{n+2} under finite support is just a zero mean."""
+    for k, value in enumerate(ladder.values[n:n + 3], n):
+        if value <= 0.0 and (k == n or ladder.base.tail_bound > 0.0):
+            raise zero_norm_error(ladder.base, k)
 
 
 def subtracted_factorial_moment(ladder, n, x):
@@ -205,11 +224,7 @@ def _reordering_sum(ladder, m, x):
     # N_{m+x-k} for k = 0..x
     terms = list(map(mul, _reorder_row(x),
                      reversed(ladder.values[m:m + x + 1])))
-    try:
-        total = math.fsum(terms)
-    except (OverflowError, ValueError):
-        raise OverflowError(f"reordering sum for m={m}, x={x} exceeds the "
-                            "float64 range") from None
+    total = checked_fsum(terms, "reordering sum for m={}, x={}", m, x)
     scale = max(map(abs, terms))
     if total < -CANCELLATION_RTOL * scale:
         raise CancellationError(
@@ -248,12 +263,14 @@ def modified_moment_sequence(dist, mod, x_max):
     """Factorial moments m_0..m_{x_max} of the modified state.
 
     Builds one ladder of sufficient length and reads every order from it.
-    Returns a FactorialMoments list of floats.
+    Returns a FactorialMoments list of floats.  Subtraction (and the
+    identity) first applies check_subtracted_norms.
     """
     if x_max < 0:
         raise ValueError("x_max must be nonnegative")
     if mod.count == 0 or mod.kind is ModKind.SUBTRACT:
         ladder = normal_ladder(dist, mod.count + x_max)
+        check_subtracted_norms(ladder, mod.count)
         return FactorialMoments([subtracted_factorial_moment(
             ladder, mod.count, x) for x in range(x_max + 1)])
     ladder = antinormal_ladder(dist, mod.count + x_max)

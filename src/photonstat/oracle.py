@@ -22,7 +22,7 @@ from .criteria import (
     moment_order,
 )
 from .exceptions import UndefinedStateError
-from .moments import ModKind, StateModification, zero_norm_error
+from .moments import ModKind, StateModification, checked_fsum, zero_norm_error
 from .states import DEFAULT_POLICY, NumberDistribution, build_state
 
 DEFAULT_SUITE_STATES = (
@@ -58,8 +58,8 @@ def direct_moments(dist, x_max):
     """Factorial moments m_0..m_{x_max} by direct summation over the pmf.
 
     Integer falling-factorial weights, fsum accumulation; falls back to
-    exact rational arithmetic if a term overflows float64.  Returns a list
-    of floats.
+    exact rational arithmetic if a term overflows float64, and raises
+    AccuracyError if the exact moment does.  Returns a list of floats.
     """
     probs = dist.probs
     out = []
@@ -71,7 +71,9 @@ def direct_moments(dist, x_max):
         except OverflowError:
             exact = sum(_falling(n, x) * Fraction(probs[n])
                         for n in range(x, len(probs)) if probs[n] != 0.0)
-            out.append(float(exact))  # may legitimately overflow: let it raise
+            # fsum of the one exact value rounds it, or names its overflow
+            out.append(checked_fsum((exact,), "direct factorial moment m_{}",
+                                    x))
     return out
 
 

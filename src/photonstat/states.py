@@ -9,6 +9,7 @@ highest requested factorial moment must be converged under cutoff doubling.
 """
 
 import math
+import sys
 from array import array
 from dataclasses import dataclass
 from itertools import accumulate, compress, repeat
@@ -60,6 +61,10 @@ class CutoffPolicy:
             raise ValueError("max_cutoff must be at least 1")
         if self.max_moment_order < 0:
             raise ValueError("max_moment_order must be nonnegative")
+        # both size lists, and sys.maxsize is the longest a list can be
+        for name in ("max_cutoff", "max_moment_order"):
+            if getattr(self, name) > sys.maxsize:
+                raise ValueError(f"{name} must not exceed {sys.maxsize}")
 
 
 DEFAULT_POLICY = CutoffPolicy()

@@ -1,17 +1,25 @@
+import contextlib
 import csv
 import importlib
 import io
 import json
 import math
+import os
 import subprocess
 import sys
+import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from photonstat import CancellationError, moments, stirling2
 from photonstat.cli import main
+from photonstat.criteria import CRITERIA_TOKENS
+from photonstat.states import FAMILIES
 
 
 def run_cli(capsys, *argv):
@@ -119,6 +127,11 @@ def test_ladder_overflow_exits_3_without_traceback():
     (("coherent", "1e-300", "--subtract", "2"), "N_2 underflows float64"),
     (("thermal", "1e-300", "--subtract", "2"), "N_2 underflows float64"),
     (("squeezed", "1e-200", "--subtract", "2"), "N_2 underflows float64"),
+    # N_4 and N_2 hold the mean and Q: Q = -1e-100 would claim a
+    # sub-Poissonian coherent state, and mean 0 an undefined mean
+    (("coherent", "1e-100", "--subtract", "2"), "N_4 underflows float64"),
+    (("coherent", "1e-300", "--subtract", "1"), "N_2 underflows float64"),
+    (("coherent", "1e-300"), "N_2 underflows float64"),
     # --max-cutoff caps Fock states too
     (("fock", "200", "--max-cutoff", "100"),
      "fock index 200 exceeds max_cutoff 100"),
@@ -126,6 +139,7 @@ def test_ladder_overflow_exits_3_without_traceback():
         "fock-7-ell100", "thermal-5-ell80", "thermal-3-sub2-ell74",
         "thermal-2-ell75", "fock-200-add2-ell60", "coherent-1e-300-sub2",
         "thermal-1e-300-sub2", "squeezed-1e-200-sub2",
+        "coherent-1e-100-sub2", "coherent-1e-300-sub1", "coherent-1e-300",
         "fock-200-max-cutoff-100"])
 def test_unrepresentable_state_exits_3_with_one_line(argv, message):
     family, param, *rest = argv
@@ -526,3 +540,119 @@ def test_config_file_must_be_json_object(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "criteria", "--family", "thermal",
                          "--param", "1", "--config", str(config))
     assert code == 1
+
+
+_HUGE = str(10 ** 26)
+
+
+@pytest.mark.parametrize("argv,config", [
+    # a count or order beyond sys.maxsize, the longest possible list
+    (("criteria", "--family", "coherent", "--param", "1", "--add", _HUGE),
+     None),
+    (("criteria", "--family", "coherent", "--param", "1",
+      "--subtract", _HUGE), None),
+    (("criteria", "--family", "coherent", "--param", "1",
+      "--ell-max", _HUGE), None),
+    (("criteria", "--family", "coherent", "--param", "1",
+      "--max-cutoff", str(10 ** 400)), None),
+    (("sweep", "--family", "coherent", "--param-range", "0:1e300:1e-300"),
+     None),
+    # config values are read as the text of their flags
+    (("criteria", "--family", "thermal", "--param", "1"),
+     '{"ell_max": 1e400}'),
+    (("criteria", "--family", "thermal", "--param", "1"),
+     '{"max_cutoff": 1e400}'),
+    (("criteria", "--family", "thermal", "--param", "1"), '{"ell_max": 2.5}'),
+    (("criteria", "--family", "thermal", "--param", "1"), '{"criteria": 5}'),
+    (("criteria", "--family", "thermal", "--param", "1"), '{"format": "xml"}'),
+    (("selfcheck",), '{"tol": "x"}'),
+    (("selfcheck",), '{"tol": [1]}'),
+    (("criteria", "--family", "thermal", "--param", "1"), b"\xff{}"),
+], ids=["add", "subtract", "ell-max", "max-cutoff", "param-range",
+        "config-ell-max", "config-max-cutoff", "config-ell-max-float",
+        "config-criteria", "config-format", "config-tol-text",
+        "config-tol-list", "config-not-utf8"])
+def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv,
+                                              config):
+    if config is not None:
+        path = tmp_path / "config.json"
+        if isinstance(config, bytes):
+            path.write_bytes(config)
+        else:
+            path.write_text(config, encoding="utf-8")
+        argv = (*argv, "--config", str(path))
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("photonstat: error: ")
+
+
+# ------------------------------------------------------------------ fuzz
+
+_FUZZ_PARAMS = ("0", "1e-300", "1e-100", "1e-30", "0.05", "0.5", "1", "2",
+                "8", "19.5", "25", "745", "800", "200", "4000")
+_CONFIG_KEYS = ("ell_max", "criteria", "format", "eps_tail", "rel_tol",
+                "max_cutoff", "max_moment_order", "tol")
+_CONFIG_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 64), st.just(10 ** 26),
+    st.floats(), st.text(max_size=4), st.lists(st.integers(0, 3), max_size=2),
+    st.sampled_from(("csv", "json", "Q,A3", "d_h")))
+
+
+@st.composite
+def _cli_calls(draw):
+    """An argv for main and a config dict (or None) from a bounded grammar."""
+    command = draw(st.sampled_from(("criteria", "sweep", "selfcheck")))
+    argv = [command]
+
+    def maybe(flag, values):
+        if draw(st.booleans()):
+            argv.extend((flag, str(draw(st.sampled_from(values)))))
+
+    if command == "selfcheck":
+        maybe("--tol", ("1e-8", "0", "nan"))
+        maybe("--families", ("fock", "coherent,thermal", "cat"))
+    else:
+        argv += ["--family", draw(st.sampled_from(FAMILIES))]
+        points = 1 if command == "criteria" else draw(st.integers(1, 3))
+        for _ in range(points):
+            argv += ["--param", draw(st.sampled_from(_FUZZ_PARAMS))]
+        mod = draw(st.sampled_from((None, "--add", "--subtract")))
+        if mod:
+            argv += [mod, str(draw(st.integers(0, 200)))]
+        maybe("--ell-max", range(61))
+        maybe("--max-cutoff", (1, 16, 100, 4096))
+        maybe("--eps-tail", ("1e-12", "1e-6", "0.5", "1e-300", "-1", "nan"))
+        maybe("--format", ("csv", "json"))
+        maybe("--criteria", ("Q", "A3,d_h", ",".join(CRITERIA_TOKENS), "x"))
+    config = draw(st.none() | st.dictionaries(
+        st.sampled_from(_CONFIG_KEYS), _CONFIG_VALUES, max_size=3))
+    return argv, config
+
+
+def _run_in_process(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_cli_calls())
+def test_fuzzed_invocations_exit_with_a_code_and_one_line(call):
+    argv, config = call
+    with tempfile.TemporaryDirectory() as tmp:
+        if config is not None:
+            path = os.path.join(tmp, "config.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                json.dump(config, handle)
+            argv = [*argv, "--config", path]
+        start = time.perf_counter()
+        first = _run_in_process(argv)
+        elapsed = time.perf_counter() - start
+        assert _run_in_process(argv) == first
+    code, _, err = first
+    assert code in range(5)
+    assert len(err.splitlines()) <= 1
+    assert elapsed < 30, argv

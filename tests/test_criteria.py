@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonstat import (
+    AccuracyError,
     CancellationError,
     DegenerateA3,
     StateModification,
@@ -414,7 +415,7 @@ def test_order_one_coincidence_random_distributions(weights):
 # The criteria stage reuses Stirling, binomial and reordering rows and one
 # row of Poisson moments per mean.  These uncached copies recompute every
 # term from scratch with the same operations, so every result must agree
-# to the bit.  A reference that overflows must map to OverflowError.  The
+# to the bit.  A reference that overflows must map to AccuracyError.  The
 # Poisson reference O_2l is checked against exact rationals instead.
 
 @lru_cache(maxsize=None)
@@ -498,7 +499,7 @@ def _outcome(fn, *args):
     """Exact bits of fn(*args), or the exception type it raised."""
     try:
         value = fn(*args)
-    except (ArithmeticError, ValueError, CancellationError) as exc:
+    except (ArithmeticError, ValueError, AccuracyError) as exc:
         return type(exc)
     return [float(v).hex() for v in np.atleast_1d(value)]
 
@@ -506,9 +507,9 @@ def _outcome(fn, *args):
 def _agree(new, ref):
     # float64 overflow may end in ValueError ("-inf + inf") or
     # OverflowError in the uncached forms; the shared tables raise
-    # OverflowError either way
+    # AccuracyError either way
     if ref in (ValueError, OverflowError):
-        return new is OverflowError
+        return new is AccuracyError
     return new == ref
 
 
@@ -555,7 +556,7 @@ def test_poisson_central_moment_overflow_is_named():
     # needs every order below it
     assert _within(poisson_central_moment(5.0, 198),
                    _poisson_exact(5.0, 198))
-    with pytest.raises(OverflowError, match=r"^Poisson reference moment "
+    with pytest.raises(AccuracyError, match=r"^Poisson reference moment "
                        r"O_199\(5\.0\) exceeds the float64 range$"):
         poisson_central_moment(5.0, 200)
 

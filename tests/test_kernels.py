@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonstat import kernels
+from photonstat import AccuracyError, kernels
 from photonstat.moments import ladder_sums_exact, normal_ladder
 from photonstat.states import (
     _BUILDERS,
@@ -68,7 +68,7 @@ def test_overflow_surfaces_as_nonfinite():
     probs[244] = probs[245] = 0.5
     got = kernels.ladder_sums(probs, 138, False)
     assert not np.all(np.isfinite(got))
-    with pytest.raises(OverflowError, match="exceeds the float64 range"):
+    with pytest.raises(AccuracyError, match="exceeds the float64 range"):
         normal_ladder(NumberDistribution(probs), 138)
 
 

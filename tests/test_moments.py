@@ -103,7 +103,7 @@ def test_ladder_overflow_raises():
     probs = np.zeros(401)
     probs[400] = 1.0
     dist = NumberDistribution(probs)
-    with pytest.raises(OverflowError):
+    with pytest.raises(AccuracyError):
         normal_ladder(dist, 400)
 
 
@@ -117,7 +117,7 @@ def test_provable_antinormal_overflow_raises_before_any_sum(monkeypatch):
 
     monkeypatch.setattr(moments.kernels, "ladder_sums", forbidden)
     monkeypatch.setattr(moments, "ladder_sums_exact", forbidden)
-    with pytest.raises(OverflowError, match="^anti-normal ladder entry up to "
+    with pytest.raises(AccuracyError, match="^anti-normal ladder entry up to "
                        "order 200000 exceeds the float64 range$"):
         antinormal_ladder(dist, 200000)
 
@@ -127,11 +127,11 @@ def test_antinormal_overflow_bound_is_not_premature():
     values = antinormal_ladder(build_fock(0), 170).values
     assert all(math.isclose(v, math.factorial(k), rel_tol=1e-12)
                for k, v in enumerate(values))
-    with pytest.raises(OverflowError, match="anti-normal"):
+    with pytest.raises(AccuracyError, match="anti-normal"):
         antinormal_ladder(build_fock(0), 171)
     # Fock(1) has N_k = (k+1)!: the bound 170! does not prove N_170 = 171!
     # overflows, so the exact fallback must find it
-    with pytest.raises(OverflowError, match="anti-normal"):
+    with pytest.raises(AccuracyError, match="anti-normal"):
         antinormal_ladder(build_fock(1), 170)
 
 
@@ -188,6 +188,31 @@ def test_zero_norm_is_annihilation_only_for_finite_support(dist, n, error):
         mandel_q_subtracted(ladder, n)
     with pytest.raises(error, match=f"N_{n}"):
         oracle_subtract(dist, n)
+
+
+@pytest.mark.parametrize("param,n,k", [
+    (1e-100, 2, 4),     # N_2 = 1e-200, N_3 = 1e-300, N_4 underflows
+    (1e-300, 1, 2),     # N_1 = 1e-300, N_2 underflows
+    (1e-300, 0, 2),     # the identity reads N_0..N_2 too
+])
+def test_underflowed_mean_entries_are_accuracy_failures(param, n, k):
+    # the mean and Q of a subtracted coherent state read N_{n+1}, N_{n+2}
+    dist = build_coherent(param)
+    ladder = normal_ladder(dist, n + 4)
+    assert ladder.values[n] > 0.0 and ladder.values[k] == 0.0
+    with pytest.raises(AccuracyError, match=f"^N_{k} underflows float64"):
+        modified_moment_sequence(dist, StateModification.subtract(n), 4)
+    with pytest.raises(AccuracyError, match=f"^N_{k} underflows float64"):
+        mandel_q_subtracted(ladder, n)
+
+
+def test_zero_mean_entries_of_finite_support_are_a_zero_mean():
+    # Fock(2) less 2 photons is the vacuum: N_3 = N_4 = 0 is exact
+    dist = build_fock(2)
+    m = modified_moment_sequence(dist, StateModification.subtract(2), 4)
+    assert m == [1.0, 0.0, 0.0, 0.0, 0.0]
+    with pytest.raises(UndefinedStateError, match="positive mean"):
+        mandel_q_subtracted(normal_ladder(dist, 4), 2)
 
 
 def test_subtracted_moment_requires_normal_ordering():

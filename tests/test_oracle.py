@@ -5,6 +5,7 @@ import pytest
 
 from photonstat import moments
 from photonstat import (
+    AccuracyError,
     StateModification,
     UndefinedStateError,
     antinormal_ladder,
@@ -133,6 +134,14 @@ def test_direct_moments_overflow_falls_back_to_exact():
     got = direct_moments(NumberDistribution(probs), 200)[200]
     log_want = (math.log(1e-300) + math.lgamma(301) - math.lgamma(101))
     assert math.isclose(math.log(got), log_want, rel_tol=1e-12)
+
+
+def test_direct_moment_beyond_float64_is_an_accuracy_error():
+    # m_148 of Fock(200) is 200!/52! = 9.8e306; m_149 is 52 times that
+    assert direct_moments(build_fock(200), 148)[148] < 1.8e308
+    with pytest.raises(AccuracyError, match="^direct factorial moment "
+                       "m_149 exceeds the float64 range$"):
+        direct_moments(build_fock(200), 150)
 
 
 # ------------------------------------------------------- ladder duality
