@@ -53,17 +53,6 @@ from .criteria import (
     q_ell_normal,
     stirling2,
 )
-from .oracle import (
-    DEFAULT_SUITE_STATES,
-    EquivalenceCell,
-    EquivalenceReport,
-    OracleResult,
-    direct_moments,
-    direct_power_moments,
-    equivalence_suite,
-    oracle_add,
-    oracle_subtract,
-)
 
 __all__ = [
     "AccuracyError",
@@ -116,3 +105,13 @@ __all__ = [
     "reorder_coefficients",
     "stirling2",
 ]
+
+
+def __getattr__(name):
+    # Only names not bound above get here: the public ones are the oracle's,
+    # loaded on first use (PEP 562) since only the self-check runs it.  They
+    # are looked up on every access, never cached in this module.
+    if name in __all__:
+        from . import oracle
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

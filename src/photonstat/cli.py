@@ -8,10 +8,8 @@ invocations produce byte-identical bytes.
 import argparse
 import csv
 import io
-import json
 import math
 import sys
-from dataclasses import asdict, replace
 
 from . import __version__
 from .criteria import (
@@ -23,12 +21,6 @@ from .criteria import (
 )
 from .exceptions import AccuracyError, UndefinedStateError
 from .moments import StateModification
-from .oracle import (
-    DEFAULT_SUITE_STATES,
-    DEFAULT_TOL_ADD,
-    DEFAULT_TOL_SUBTRACT,
-    equivalence_suite,
-)
 from .states import DEFAULT_POLICY, FAMILIES, CutoffPolicy, build_state
 
 UNDEF = "UNDEF"
@@ -82,6 +74,11 @@ def _csv_table(rows):
 
 
 def _emit(document, out_path):
+    """Write document (text, or a dict as indented JSON) to out_path or,
+    without one, to stdout."""
+    if isinstance(document, dict):
+        import json  # only JSON documents and config files need it
+        document = json.dumps(document, indent=2) + "\n"
     if out_path:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(document)
@@ -110,7 +107,7 @@ def cmd_criteria(family, param, mod, ell_max, selection, fmt, policy,
         "param": param,
         "modification": _mod_dict(mod),
         "ell_max": ell_max,
-        "policy": asdict(policy),
+        "policy": policy._asdict(),
         "cutoff": dist.cutoff,
         "tail_bound": dist.tail_bound,
         "mean": _json_cell(report.mean),
@@ -118,10 +115,9 @@ def cmd_criteria(family, param, mod, ell_max, selection, fmt, policy,
     for key, value in report.cells(ell_max, selection).items():
         doc[key] = _json_cell(value)
     if isinstance(report.a3, DegenerateA3):
-        doc["A3_detail"] = {"det_m": report.a3.det_m,
-                            "det_mu": report.a3.det_mu}
+        doc["A3_detail"] = report.a3._asdict()
     doc["flags"] = list(report.flags)
-    _emit(json.dumps(doc, indent=2) + "\n", out_path)
+    _emit(doc, out_path)
     return 0
 
 
@@ -152,12 +148,12 @@ def cmd_sweep(family, grid, mod, ell_max, selection, fmt, policy,
                 "ell_max": ell_max,
                 "criteria": list(selection),
                 "format": fmt,
-                "policy": asdict(policy),
+                "policy": policy._asdict(),
             },
             "rows": [{k: v if k == "flags" else _json_cell(v)
                       for k, v in row.items()} for row in rows],
         }
-        _emit(json.dumps(doc, indent=2) + "\n", out_path)
+        _emit(doc, out_path)
     else:
         _emit(_csv_table(rows), out_path)
     inaccurate = ["accuracy_failure" in r.flags for r in reports]
@@ -169,6 +165,7 @@ def cmd_sweep(family, grid, mod, ell_max, selection, fmt, policy,
 # --------------------------------------------------------------- selfcheck
 
 def cmd_selfcheck(states, tol_subtract, tol_add, out_path=None):
+    from .oracle import equivalence_suite
     report = equivalence_suite(states=states, tol_subtract=tol_subtract,
                                tol_add=tol_add)
     by_combo = {}
@@ -186,8 +183,7 @@ def cmd_selfcheck(states, tol_subtract, tol_add, out_path=None):
           f"{worst.rel_dev:.3e} at {worst.family}({worst.param!r}) "
           f"{worst.mod} {worst.quantity}")
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(report.to_text())
+        _emit(report.to_text(), out_path)
     if report.passed:
         print("selfcheck PASS")
         return 0
@@ -232,6 +228,7 @@ def _parse_criteria(text, parser):
 def _load_config(path, parser):
     if not path:
         return {}
+    import json
     try:
         with open(path, encoding="utf-8") as handle:
             config = json.load(handle)
@@ -262,9 +259,9 @@ def _policy_from(args, config, parser, ladder_order):
     try:
         policy = CutoffPolicy(**{
             key: _resolved(args, config, key, default, parser)
-            for key, default in asdict(DEFAULT_POLICY).items()})
+            for key, default in DEFAULT_POLICY._asdict().items()})
         if ladder_order > policy.max_moment_order:
-            policy = replace(policy, max_moment_order=ladder_order)
+            policy = policy._replace(max_moment_order=ladder_order)
     except ValueError as exc:
         parser.error(str(exc))
     return policy
@@ -396,17 +393,18 @@ def main(argv=None):
                                  fmt, policy, args.out)
             return cmd_criteria(args.family, grid[0], mod, ell_max,
                                 selection, fmt, policy, args.out)
-        # selfcheck
-        tol_subtract = _resolved(args, config, "tol", DEFAULT_TOL_SUBTRACT,
-                                 parser)
-        tol_add = _resolved(args, config, "tol", DEFAULT_TOL_ADD, parser)
-        states = DEFAULT_SUITE_STATES
+        from . import oracle  # selfcheck, the one command that runs it
+        tol_subtract = _resolved(args, config, "tol",
+                                 oracle.DEFAULT_TOL_SUBTRACT, parser)
+        tol_add = _resolved(args, config, "tol", oracle.DEFAULT_TOL_ADD,
+                            parser)
+        states = oracle.DEFAULT_SUITE_STATES
         if args.families:
             wanted = {tok.strip() for tok in args.families.split(",")}
             unknown = wanted - set(FAMILIES)
             if unknown:
                 parser.error(f"unknown families: {', '.join(sorted(unknown))}")
-            states = tuple(s for s in DEFAULT_SUITE_STATES if s[0] in wanted)
+            states = tuple(s for s in states if s[0] in wanted)
             if not states:
                 parser.error("no suite states match --families")
         return cmd_selfcheck(states, tol_subtract, tol_add, args.out)

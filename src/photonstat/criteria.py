@@ -19,7 +19,7 @@ reported as NaN plus a flag, never raised, so sweeps survive them.
 
 import math
 import threading
-from dataclasses import dataclass, field
+from collections import namedtuple
 from functools import lru_cache
 from itertools import repeat
 from operator import mul
@@ -232,12 +232,10 @@ def q_ell_central(mu, ell):
     return (central - o2l) / o2l
 
 
-@dataclass(frozen=True)
-class DegenerateA3:
+class DegenerateA3(namedtuple("DegenerateA3", "det_m det_mu")):
     """Marker for an A3 with a vanishing denominator (0/0-type case)."""
 
-    det_m: float
-    det_mu: float
+    __slots__ = ()
 
 
 def _det3(a):
@@ -296,8 +294,9 @@ def agarwal_tara(m, mu=None, tol_det=DET_DEGENERACY_TOL):
 CRITERIA_TOKENS = ("Q", "Q_ell_normal", "Q_ell_central", "d_h", "A3")
 
 
-@dataclass(frozen=True)
-class CriteriaReport:
+class CriteriaReport(namedtuple(
+        "CriteriaReport", "mean mandel_q q_ell_normal q_ell_central lee_dh "
+                          "a3 flags moments")):
     """Every criterion for one (state, modification) pair.
 
     Maps are keyed by l for the generalized Mandel families and by the
@@ -305,17 +304,16 @@ class CriteriaReport:
     Undefined entries are NaN and carry a flag; a3 may be a DegenerateA3
     marker.  flags is a sorted tuple of diagnostic tokens.  moments are
     the factorial moments m_0, m_1, ... the criteria were computed from,
-    () for an undefined state.
+    () for an undefined state.  A map left out is a new empty dict.
     """
 
-    mean: float
-    mandel_q: float
-    q_ell_normal: dict = field(default_factory=dict)
-    q_ell_central: dict = field(default_factory=dict)
-    lee_dh: dict = field(default_factory=dict)
-    a3: object = math.nan
-    flags: tuple = ()
-    moments: tuple = ()
+    __slots__ = ()
+
+    def __new__(cls, mean, mandel_q, q_ell_normal=None, q_ell_central=None,
+                lee_dh=None, a3=math.nan, flags=(), moments=()):
+        return super().__new__(cls, mean, mandel_q, q_ell_normal or {},
+                               q_ell_central or {}, lee_dh or {}, a3, flags,
+                               moments)
 
     @property
     def undefined(self):

@@ -17,14 +17,13 @@ a^+x a^x = sum_k (-1)^k k! C(x,k)^2 a^{x-k} a^+(x-k) taken in expectation.
 import enum
 import math
 import sys
-from dataclasses import dataclass
-from fractions import Fraction
+from collections import namedtuple
 from functools import lru_cache
 from operator import mul
 
 from . import kernels
 from .exceptions import AccuracyError, CancellationError, UndefinedStateError
-from .states import NumberDistribution
+from .states import checked_make
 
 # alternating sums smaller than this fraction of their largest term are
 # flagged as cancellation-dominated
@@ -44,16 +43,17 @@ class ModKind(enum.Enum):
     ADD = "add"
 
 
-@dataclass(frozen=True)
-class StateModification:
+class StateModification(namedtuple("StateModification", "kind count")):
     """Subtract or add a fixed number of photons; count = 0 is the identity."""
 
-    kind: ModKind
-    count: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not isinstance(self.count, int) or self.count < 0:
+    def __new__(cls, kind, count):
+        if not isinstance(count, int) or count < 0:
             raise ValueError("count must be a nonnegative integer")
+        return super().__new__(cls, kind, count)
+
+    _make = classmethod(checked_make)
 
     @classmethod
     def subtract(cls, n):
@@ -68,19 +68,18 @@ class StateModification:
         return cls(ModKind.SUBTRACT, 0)
 
 
-@dataclass(frozen=True)
-class MomentLadder:
+class MomentLadder(namedtuple("MomentLadder", "values ordering base")):
     """Ladder of norm constants N_0..N_K with its ordering convention.
 
-    values is kept as a tuple of floats.
+    values is kept as a tuple of floats; ladder[k] reads N_k from it.
     """
 
-    values: tuple
-    ordering: Ordering
-    base: NumberDistribution
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "values", tuple(map(float, self.values)))
+    def __new__(cls, values, ordering, base):
+        return super().__new__(cls, tuple(map(float, values)), ordering, base)
+
+    _make = classmethod(checked_make)
 
     @property
     def order(self):
@@ -96,6 +95,8 @@ def ladder_sums_exact(probs, order, rising=False):
     Accepts any sequence convertible to Fraction (floats convert exactly).
     Returns a list of Fractions.
     """
+    from fractions import Fraction  # loaded only when a ladder overflows
+
     sums = [Fraction(0)] * (order + 1)
     for n, p in enumerate(probs):
         frac = Fraction(p)

@@ -12,7 +12,7 @@ modifications and reports every cell; it is the package's self-check.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .criteria import (
@@ -37,54 +37,47 @@ DEFAULT_TOL_SUBTRACT = 1e-9
 DEFAULT_TOL_ADD = 1e-8
 
 
-@dataclass(frozen=True)
-class OracleResult:
+class OracleResult(namedtuple("OracleResult", "dist moments norm_constant")):
     """Modified distribution, its direct moments (a list of floats), and
     the raw norm weight."""
 
-    dist: NumberDistribution
-    moments: list
-    norm_constant: float
+    __slots__ = ()
 
 
-def _falling(n, k):
-    w = 1
-    for j in range(k):
-        w *= n - j
-    return w
+def _weighted(weight, probs, quantity, *args):
+    """[weight(n) * p_n for each n] as floats, and its fsum; weight(n) is
+    an exact integer, read where p_n is nonzero.  A weight beyond float64
+    makes the terms exact, so only a sum beyond float64 raises
+    AccuracyError naming quantity.format(*args)."""
+    try:
+        terms = [float(weight(n)) * p if p else 0.0
+                 for n, p in enumerate(probs)]
+    except OverflowError:
+        exact = [weight(n) * Fraction(p) if p else 0
+                 for n, p in enumerate(probs)]
+        # fsum of the one exact total rounds it, or names its overflow
+        total = checked_fsum((sum(exact),), quantity, *args)
+        return [float(t) for t in exact], total  # each at most the total
+    return terms, checked_fsum(terms, quantity, *args)
 
 
 def direct_moments(dist, x_max):
     """Factorial moments m_0..m_{x_max} by direct summation over the pmf.
 
     Integer falling-factorial weights, fsum accumulation; falls back to
-    exact rational arithmetic if a term overflows float64, and raises
-    AccuracyError if the exact moment does.  Returns a list of floats.
+    exact rational arithmetic if a weight overflows float64, and raises
+    AccuracyError if the moment does.  Returns a list of floats.
     """
-    probs = dist.probs
-    out = []
-    for x in range(x_max + 1):
-        try:
-            out.append(math.fsum(
-                float(_falling(n, x)) * probs[n]
-                for n in range(x, len(probs)) if probs[n] != 0.0))
-        except OverflowError:
-            exact = sum(_falling(n, x) * Fraction(probs[n])
-                        for n in range(x, len(probs)) if probs[n] != 0.0)
-            # fsum of the one exact value rounds it, or names its overflow
-            out.append(checked_fsum((exact,), "direct factorial moment m_{}",
-                                    x))
-    return out
+    return [_weighted(lambda n: math.perm(n, x), dist.probs,
+                      "direct factorial moment m_{}", x)[1]
+            for x in range(x_max + 1)]
 
 
 def direct_power_moments(dist, z_max):
-    """Raw moments mu_z = sum_n n^z p_n by direct summation, as a list."""
-    probs = dist.probs
-    return [
-        math.fsum(float(n ** z) * probs[n]
-                  for n in range(len(probs)) if probs[n] != 0.0)
-        for z in range(z_max + 1)
-    ]
+    """Raw moments mu_z = sum_n n^z p_n, summed as in direct_moments."""
+    return [_weighted(lambda n: n ** z, dist.probs, "direct raw moment mu_{}",
+                      z)[1]
+            for z in range(z_max + 1)]
 
 
 def oracle_subtract(dist, n, x_max=4):
@@ -95,11 +88,9 @@ def oracle_subtract(dist, n, x_max=4):
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    probs = dist.probs
     # empty, with norm 0, when n exceeds the cutoff
-    raw = [float(_falling(j + n, n)) * probs[j + n]
-           for j in range(len(probs) - n)]
-    norm = math.fsum(raw)
+    raw, norm = _weighted(lambda j: math.perm(j + n, n), dist.probs[n:],
+                          "normally ordered norm constant N_{}", n)
     if norm <= 0.0:
         raise zero_norm_error(dist, n)
     out = NumberDistribution([w / norm for w in raw], 0.0)
@@ -115,10 +106,9 @@ def oracle_add(dist, m, x_max=4):
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    raw = [0.0] * m + [float(_falling(j + m, m)) * p
-                       for j, p in enumerate(dist.probs)]
-    norm = math.fsum(raw)
-    out = NumberDistribution([w / norm for w in raw], 0.0)
+    raw, norm = _weighted(lambda j: math.perm(j + m, m), dist.probs,
+                          "anti-normally ordered norm constant N_{}", m)
+    out = NumberDistribution([0.0] * m + [w / norm for w in raw], 0.0)
     return OracleResult(out, direct_moments(out, x_max), norm)
 
 
@@ -128,16 +118,13 @@ def apply_modification(dist, mod, x_max=4):
     return oracle_subtract(dist, mod.count, x_max)
 
 
-@dataclass(frozen=True)
-class EquivalenceCell:
-    family: str
-    param: float
-    mod: str           # e.g. "subtract2", "add1"
-    quantity: str      # "m0".."m4", "Q", "Q2_normal", "dh1", "A3", "undefined"
-    shortcut: float
-    oracle: float
-    rel_dev: float
-    tol: float
+class EquivalenceCell(namedtuple(
+        "EquivalenceCell",
+        "family param mod quantity shortcut oracle rel_dev tol")):
+    """One compared quantity.  mod is a tag such as "subtract2" or "add1";
+    quantity is "m0".."m4", "Q", "Q2_normal", "dh1", "A3" or "undefined"."""
+
+    __slots__ = ()
 
     @property
     def passed(self):
@@ -150,9 +137,16 @@ class EquivalenceCell:
                 f"rel_dev={self.rel_dev:.3e} {status}")
 
 
-@dataclass
 class EquivalenceReport:
-    cells: list
+    """Every cell of one equivalence_suite run; cells is a list."""
+
+    def __init__(self, cells):
+        self.cells = cells
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.cells == other.cells
 
     @property
     def passed(self):

@@ -11,7 +11,7 @@ highest requested factorial moment must be converged under cutoff doubling.
 import math
 import sys
 from array import array
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import accumulate, compress, repeat
 from operator import mul, sub
 
@@ -32,8 +32,13 @@ def _frozen(values):
     return memoryview(array("d", values).tobytes()).cast("d")
 
 
-@dataclass(frozen=True)
-class CutoffPolicy:
+def checked_make(cls, iterable):
+    """A record's _make (which _replace calls) that keeps __new__'s checks."""
+    return cls(*iterable)
+
+
+class CutoffPolicy(namedtuple(
+        "CutoffPolicy", "eps_tail rel_tol max_cutoff max_moment_order")):
     """Accuracy policy for choosing the Fock-space truncation point.
 
     eps_tail: required upper bound on the omitted probability mass.
@@ -47,31 +52,33 @@ class CutoffPolicy:
         never lowers it.
     """
 
-    eps_tail: float = 1e-12
-    rel_tol: float = 1e-10
-    max_cutoff: int = 4096
-    max_moment_order: int = 12
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.eps_tail > 0:  # also rejects NaN
+    def __new__(cls, eps_tail=1e-12, rel_tol=1e-10, max_cutoff=4096,
+                max_moment_order=12):
+        if not eps_tail > 0:  # also rejects NaN
             raise ValueError("eps_tail must be positive")
-        if not self.rel_tol > 0:
+        if not rel_tol > 0:
             raise ValueError("rel_tol must be positive")
-        if self.max_cutoff < 1:
+        if max_cutoff < 1:
             raise ValueError("max_cutoff must be at least 1")
-        if self.max_moment_order < 0:
+        if max_moment_order < 0:
             raise ValueError("max_moment_order must be nonnegative")
         # both size lists, and sys.maxsize is the longest a list can be
-        for name in ("max_cutoff", "max_moment_order"):
-            if getattr(self, name) > sys.maxsize:
+        for name, value in (("max_cutoff", max_cutoff),
+                            ("max_moment_order", max_moment_order)):
+            if value > sys.maxsize:
                 raise ValueError(f"{name} must not exceed {sys.maxsize}")
+        return super().__new__(cls, eps_tail, rel_tol, max_cutoff,
+                               max_moment_order)
+
+    _make = classmethod(checked_make)
 
 
 DEFAULT_POLICY = CutoffPolicy()
 
 
-@dataclass(frozen=True)
-class NumberDistribution:
+class NumberDistribution(namedtuple("NumberDistribution", "probs tail_bound")):
     """Truncated photon-number distribution with a guaranteed tail bound.
 
     probs[n] is the probability of n photons, n = 0..cutoff.  tail_bound is
@@ -81,21 +88,22 @@ class NumberDistribution:
     kept as a read-only float64 memoryview.
     """
 
-    probs: memoryview
-    tail_bound: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, probs, tail_bound=0.0):
         try:
-            probs = _frozen(self.probs)
+            probs = _frozen(probs)
         except TypeError:
             raise ValueError("probs must be a 1-d sequence of numbers") from None
         if not probs:
             raise ValueError("probs must be nonempty")
         if min(probs) < 0.0 or not all(map(math.isfinite, probs)):
             raise ValueError("probabilities must be finite and nonnegative")
-        if not (0.0 <= self.tail_bound < 1.0):
+        if not (0.0 <= tail_bound < 1.0):
             raise ValueError("tail_bound must lie in [0, 1)")
-        object.__setattr__(self, "probs", probs)
+        return super().__new__(cls, probs, tail_bound)
+
+    _make = classmethod(checked_make)
 
     def __reduce__(self):
         # a memoryview cannot be pickled or copied; its values can

@@ -215,11 +215,23 @@ def test_runtime_needs_no_numpy(argv):
     assert blocked.stderr == normal.stderr == ""
 
 
-def test_cli_import_leaves_numpy_unloaded():
-    code = "import sys, photonstat.cli; print('numpy' in sys.modules)"
+def test_cli_import_loads_only_what_commands_use():
+    # numpy is no runtime dependency; dataclasses (with inspect), fractions
+    # (with decimal), json and the oracle are loaded only by the calls
+    # that use them: none by a criteria or sweep call printing CSV
+    code = ("import sys; before = set(sys.modules); import photonstat.cli; "
+            "print(*sorted(set(sys.modules) - before))")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, check=True, timeout=60)
-    assert result.stdout == "False\n"
+    loaded = set(result.stdout.split())
+    assert "photonstat.criteria" in loaded
+    assert not loaded & {"numpy", "dataclasses", "inspect", "fractions",
+                         "decimal", "json", "photonstat.oracle"}
+    selfcheck = subprocess.run([sys.executable, "-m", "photonstat",
+                                "selfcheck"], capture_output=True, text=True,
+                               timeout=120)
+    assert selfcheck.returncode == 0, selfcheck.stderr
+    assert selfcheck.stdout.endswith("selfcheck PASS\n")
 
 
 def test_sweep_flags_an_overflowing_row():

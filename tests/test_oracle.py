@@ -144,6 +144,50 @@ def test_direct_moment_beyond_float64_is_an_accuracy_error():
         direct_moments(build_fock(200), 150)
 
 
+def test_direct_power_moment_beyond_float64_is_an_accuracy_error():
+    # 200^133 = 1.1e306 fits float64; 200^134 does not
+    assert direct_power_moments(build_fock(200), 133)[133] == float(200 ** 133)
+    with pytest.raises(AccuracyError, match="^direct raw moment mu_134 "
+                       "exceeds the float64 range$"):
+        direct_power_moments(build_fock(200), 140)
+
+
+def test_direct_power_moment_overflow_falls_back_to_exact():
+    # 300^130 overflows float64 on its own; times 1e-300 it is 4.9e21
+    from fractions import Fraction
+
+    from photonstat import NumberDistribution
+    probs = np.zeros(301)
+    probs[300] = 1e-300
+    got = direct_power_moments(NumberDistribution(probs), 130)[130]
+    assert got == float(300 ** 130 * Fraction(1e-300))
+
+
+@pytest.mark.parametrize("modify,kind", [
+    (oracle_subtract, "normally"), (oracle_add, "anti-normally")])
+def test_norm_constant_beyond_float64_is_an_accuracy_error(modify, kind):
+    # N_150 of Fock(200) is 200!/50! = 2.6e310 (subtraction) or 350!/200!
+    # (addition); the shortcut's ladders fail the same way
+    with pytest.raises(AccuracyError, match=f"^{kind} ordered norm constant "
+                       "N_150 exceeds the float64 range$"):
+        modify(build_fock(200), 150)
+
+
+def test_subtraction_weight_overflow_falls_back_to_exact():
+    # the weight 200!/50! overflows float64, but p_200 = 1e-100 keeps the
+    # raw total 2.6e210 representable: the subtracted state is Fock(50)
+    from fractions import Fraction
+
+    from photonstat import NumberDistribution
+    probs = np.zeros(201)
+    probs[0], probs[200] = 0.5, 1e-100
+    res = oracle_subtract(NumberDistribution(probs), 150)
+    assert res.norm_constant == float(
+        math.perm(200, 150) * Fraction(1e-100))
+    np.testing.assert_array_equal(res.dist.probs, [0.0] * 50 + [1.0])
+    assert res.moments == [1.0, 50.0, 2450.0, 117600.0, 5527200.0]
+
+
 # ------------------------------------------------------- ladder duality
 
 @pytest.mark.parametrize("family,build,param", [
