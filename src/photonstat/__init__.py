@@ -6,7 +6,6 @@ __version__ = "0.1.0"
 
 from .exceptions import (
     AccuracyError,
-    CancellationError,
     PhotonStatError,
     UndefinedStateError,
 )
@@ -23,12 +22,10 @@ from .states import (
     choose_cutoff,
 )
 from .moments import (
-    FactorialMoments,
     ModKind,
     MomentLadder,
     Ordering,
     StateModification,
-    added_factorial_moment,
     antinormal_ladder,
     ladder_sums_exact,
     modified_moment,
@@ -56,7 +53,6 @@ from .criteria import (
 
 __all__ = [
     "AccuracyError",
-    "CancellationError",
     "CriteriaReport",
     "CutoffPolicy",
     "DEFAULT_POLICY",
@@ -65,7 +61,6 @@ __all__ = [
     "EquivalenceCell",
     "EquivalenceReport",
     "FAMILIES",
-    "FactorialMoments",
     "ModKind",
     "MomentLadder",
     "NumberDistribution",
@@ -74,7 +69,6 @@ __all__ = [
     "PhotonStatError",
     "StateModification",
     "UndefinedStateError",
-    "added_factorial_moment",
     "agarwal_tara",
     "antinormal_ladder",
     "build_coherent",

@@ -164,10 +164,9 @@ def cmd_sweep(family, grid, mod, ell_max, selection, fmt, policy,
 
 # --------------------------------------------------------------- selfcheck
 
-def cmd_selfcheck(states, tol_subtract, tol_add, out_path=None):
+def cmd_selfcheck(states, tol, out_path=None):
     from .oracle import equivalence_suite
-    report = equivalence_suite(states=states, tol_subtract=tol_subtract,
-                               tol_add=tol_add)
+    report = equivalence_suite(states=states, tol=tol)
     by_combo = {}
     for cell in report.cells:
         key = (cell.family, cell.param, cell.mod)
@@ -351,7 +350,7 @@ def build_parser():
     check = sub.add_parser("selfcheck",
                            help="shortcut-vs-oracle equivalence suite")
     check.add_argument("--tol", type=float,
-                       help="override both path tolerances")
+                       help="override the relative tolerance of every cell")
     check.add_argument("--families",
                        help="comma list of families to check "
                             "(default: all suite states)")
@@ -394,10 +393,7 @@ def main(argv=None):
             return cmd_criteria(args.family, grid[0], mod, ell_max,
                                 selection, fmt, policy, args.out)
         from . import oracle  # selfcheck, the one command that runs it
-        tol_subtract = _resolved(args, config, "tol",
-                                 oracle.DEFAULT_TOL_SUBTRACT, parser)
-        tol_add = _resolved(args, config, "tol", oracle.DEFAULT_TOL_ADD,
-                            parser)
+        tol = _resolved(args, config, "tol", oracle.DEFAULT_TOL, parser)
         states = oracle.DEFAULT_SUITE_STATES
         if args.families:
             wanted = {tok.strip() for tok in args.families.split(",")}
@@ -407,7 +403,7 @@ def main(argv=None):
             states = tuple(s for s in states if s[0] in wanted)
             if not states:
                 parser.error("no suite states match --families")
-        return cmd_selfcheck(states, tol_subtract, tol_add, args.out)
+        return cmd_selfcheck(states, tol, args.out)
     except SystemExit as exc:
         return int(exc.code or 0)
     except UndefinedStateError as exc:

@@ -347,14 +347,14 @@ def moment_order(ell_max):
     return max(2 * ell_max, ell_max + 1, 4)
 
 
-def criteria_from_moments(m, mu, ell_max, flags=()):
+def criteria_from_moments(m, mu, ell_max):
     """Every criterion up to order ell_max from one state's moments.
 
     m are its factorial moments and mu its raw moments, both up to order
-    moment_order(ell_max).  flags are diagnostic tokens to carry into the
-    report; undefined_mean and a3_degenerate are added here when they hold.
+    moment_order(ell_max).  The report's flags hold undefined_mean and
+    a3_degenerate when they apply.
     """
-    flags = set(flags)
+    flags = set()
     m = [float(v) for v in m]
     mu = [float(v) for v in mu]
     mean = m[1]
@@ -380,9 +380,9 @@ def evaluate_all(dist, mod=None, ell_max=3):
     """Evaluate every criterion for dist under the given modification.
 
     One moment ladder of order count + moment_order(ell_max) and one
-    Stirling conversion serve all criteria.  Degenerate, undefined or
-    cancellation-dominated entries populate flags instead of raising, so
-    parameter sweeps always get a report back.
+    Stirling conversion serve all criteria.  Degenerate or undefined
+    entries populate flags instead of raising, so parameter sweeps always
+    get a report back.
     """
     if ell_max < 1:
         raise ValueError("ell_max must be at least 1")
@@ -392,5 +392,4 @@ def evaluate_all(dist, mod=None, ell_max=3):
         m = modified_moment_sequence(dist, mod, moment_order(ell_max))
     except UndefinedStateError:
         return CriteriaReport(math.nan, math.nan, flags=("undefined_state",))
-    flags = ("cancellation",) if m.cancelled else ()
-    return criteria_from_moments(m, mu_from_m(m), ell_max, flags)
+    return criteria_from_moments(m, mu_from_m(m), ell_max)

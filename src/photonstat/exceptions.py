@@ -7,14 +7,9 @@ class PhotonStatError(Exception):
 
 class AccuracyError(PhotonStatError):
     """Requested accuracy is unreachable: the cutoff cap is hit, or a
-    quantity overflows, underflows or cancels in float64."""
+    quantity overflows or underflows in float64."""
 
 
 class UndefinedStateError(PhotonStatError):
     """The requested modification annihilates the state (zero norm)."""
-
-
-class CancellationError(AccuracyError):
-    """An alternating moment sum came out negative beyond the cancellation
-    tolerance; the result carries no significant digits."""
 

@@ -12,11 +12,9 @@ def _row_sum(row):
         return math.inf
 
 
-def ladder_sums(probs, order, rising):
-    """Weighted moment sums of a photon-number pmf, one value per order.
-
-    falling (rising=False): out[k] = sum_n p_n * n*(n-1)*...*(n-k+1)
-    rising  (rising=True):  out[k] = sum_n p_n * (n+1)*(n+2)*...*(n+k)
+def ladder_sums(probs, order):
+    """Falling-factorial moment sums of a photon-number pmf, one value per
+    order: out[k] = sum_n p_n * n*(n-1)*...*(n-k+1).
 
     Weights are built by left-to-right products from p_n, one row of
     weights per order, and each order is summed with exact rounding
@@ -35,9 +33,8 @@ def ladder_sums(probs, order, rising):
         if not row:  # every falling weight has vanished: the rest are 0
             out += [0.0] * (order + 1 - k)
             break
-        # factor n + k (rising) or n - k + 1 (falling), exact in float64
-        shift = float(k if rising else 1 - k)
-        row = list(map(mul, row, map(add, ns, repeat(shift))))
+        # factor n - k + 1, exact in float64
+        row = list(map(mul, row, map(add, ns, repeat(float(1 - k)))))
         # only the weight of n = k - 1 can have become zero, and it leads
         # the row unless an earlier weight overflowed to inf (then NaN)
         if not row[0]:

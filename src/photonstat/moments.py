@@ -1,17 +1,25 @@
 """Normalization-constant ladders and factorial moments of modified states.
 
-The ladder N_0..N_K of a state collects either the normally ordered
-expectation values <a^+k a^k> (falling factorial weights) or the
-anti-normally ordered <a^k a^+k> (rising factorial weights).  Factorial
-moments of photon-subtracted and photon-added versions of the state are
-pure algebra on that ladder:
+The normal ladder N_0..N_K of a state collects the normally ordered
+expectation values N_k = <a^+k a^k> = <(n)_k>, with (n)_k the falling
+factorial n(n-1)...(n-k+1).  Factorial moments of photon-subtracted and
+photon-added versions of the state are pure algebra on that ladder:
 
-    subtract n photons:  <a^+x a^x> = N_{n+x} / N_n          (normal ladder)
-    add m photons:       <a^+x a^x> = (1/N_m) * sum_k (-1)^k k! C(x,k)^2
-                                       * N_{m+x-k}       (anti-normal ladder)
+    subtract n photons:  <a^+x a^x> = N_{n+x} / N_n
+    add m photons:       T_r = <(n+m)_r> = sum_i C(r,i) (m)_i N_{r-i}
+                         <a^+x a^x> = (1/T_m) * sum_k C(x,k) (m)_k
+                                       * T_{m+x-k}
 
-The second formula is the operator reordering identity
-a^+x a^x = sum_k (-1)^k k! C(x,k)^2 a^{x-k} a^+(x-k) taken in expectation.
+The first added-state sum is the Vandermonde convolution of falling
+factorials, (n+m)_r = sum_i C(r,i) (m)_i (n)_{r-i}; the second is its
+product form (y)_m (y)_x = sum_k C(x,k) (m)_k (y)_{m+x-k} at y = n + m.
+T_m = <a^m a^+m> is the norm of the added state.  Every term of both sums
+is nonnegative, so nothing cancels.
+
+The paper instead reorders a^+x a^x = sum_k (-1)^k k! C(x,k)^2
+a^{x-k} a^+(x-k) and reads the anti-normal ladder <a^k a^+k>; the tests
+check the positive form against that identity (reorder_coefficients on
+antinormal_ladder) in exact rationals.
 """
 
 import enum
@@ -22,12 +30,8 @@ from functools import lru_cache
 from operator import mul
 
 from . import kernels
-from .exceptions import AccuracyError, CancellationError, UndefinedStateError
+from .exceptions import AccuracyError, UndefinedStateError
 from .states import checked_make
-
-# alternating sums smaller than this fraction of their largest term are
-# flagged as cancellation-dominated
-CANCELLATION_RTOL = 1e-8
 
 # log(DBL_MAX) plus a margin far beyond the rounding of lgamma and log
 _LOG_FLOAT64_LIMIT = math.log(sys.float_info.max) + 1.0
@@ -71,7 +75,7 @@ class StateModification(namedtuple("StateModification", "kind count")):
 class MomentLadder(namedtuple("MomentLadder", "values ordering base")):
     """Ladder of norm constants N_0..N_K with its ordering convention.
 
-    values is kept as a tuple of floats; ladder[k] reads N_k from it.
+    values is kept as a tuple of floats.
     """
 
     __slots__ = ()
@@ -85,12 +89,10 @@ class MomentLadder(namedtuple("MomentLadder", "values ordering base")):
     def order(self):
         return len(self.values) - 1
 
-    def __getitem__(self, k):
-        return self.values[k]
 
-
-def ladder_sums_exact(probs, order, rising=False):
-    """Exact-rational ladder sums; reference path and overflow fallback.
+def ladder_sums_exact(probs, order):
+    """Exact-rational normal ladder sums; reference path and overflow
+    fallback.
 
     Accepts any sequence convertible to Fraction (floats convert exactly).
     Returns a list of Fractions.
@@ -104,9 +106,8 @@ def ladder_sums_exact(probs, order, rising=False):
             continue
         w = frac
         sums[0] += w
-        kmax = order if rising else min(order, n)
-        for k in range(1, kmax + 1):
-            w *= (n + k) if rising else (n - k + 1)
+        for k in range(1, min(order, n) + 1):
+            w *= n - k + 1
             sums[k] += w
     return sums
 
@@ -121,41 +122,90 @@ def checked_fsum(terms, quantity, *args):
             quantity.format(*args) + " exceeds the float64 range") from None
 
 
-def _overflow(order, rising):
-    kind = "anti-normal" if rising else "normal"
-    return AccuracyError(
-        f"{kind} ladder entry up to order {order} exceeds the float64 range")
-
-
-def _ladder(dist, order, rising):
-    if order < 0:
-        raise ValueError("ladder order must be nonnegative")
-    if rising:
-        # N_order >= order! * N_0, since (n+1)...(n+order) >= order!
-        total = dist.total()
-        if total > 0.0 and (math.lgamma(order + 1) + math.log(total)
-                            > _LOG_FLOAT64_LIMIT):
-            raise _overflow(order, rising)
-    values = kernels.ladder_sums(dist.probs, order, rising)
-    if not all(map(math.isfinite, values)):
-        # weights overflowed float64 for some occupied n; redo exactly and
-        # convert at the end
-        exact = ladder_sums_exact(dist.probs, order, rising)
-        try:
-            values = [float(v) for v in exact]
-        except OverflowError:
-            raise _overflow(order, rising) from None
-    return values
+def _proves_overflow(k, total):
+    # <(n+k)_k> >= k! * N_0, since (n+k)...(n+1) >= k!
+    return total > 0.0 and (math.lgamma(k + 1) + math.log(total)
+                            > _LOG_FLOAT64_LIMIT)
 
 
 def normal_ladder(dist, order):
     """N_k = <a^+k a^k> of the base state for k = 0..order."""
-    return MomentLadder(_ladder(dist, order, rising=False), Ordering.NORMAL, dist)
+    if order < 0:
+        raise ValueError("ladder order must be nonnegative")
+    values = kernels.ladder_sums(dist.probs, order)
+    if not all(map(math.isfinite, values)):
+        # weights overflowed float64 for some occupied n; redo exactly and
+        # convert at the end
+        try:
+            values = [float(v) for v in ladder_sums_exact(dist.probs, order)]
+        except OverflowError:
+            raise AccuracyError(
+                f"normal ladder entry up to order {order} exceeds the "
+                "float64 range") from None
+    return MomentLadder(values, Ordering.NORMAL, dist)
+
+
+def _occupied_head(values):
+    # N_k vanishes exactly once no occupied n reaches k, and nowhere else
+    # (a weight p_n (n)_k with n >= k never underflows), so the zeros of
+    # a normal ladder form its tail; the positive sums skip it, so a
+    # coefficient beyond float64 never meets a zero entry
+    return values[:len(values) - values.count(0.0)]
+
+
+# bounded: a sweep over m would otherwise keep every row of big integers
+@lru_cache(maxsize=1024)
+def _vandermonde_row(r, m):
+    """C(r,i) (m)_i for i = 0..min(r, m), exact: the coefficients of both
+    added-state sums, and with m = r those of the anti-normal ladder."""
+    return tuple(math.comb(r, i) * math.perm(m, i)
+                 for i in range(min(r, m) + 1))
+
+
+def _positive_sums(first, rows, values, quantity):
+    """[sum_i row[i] * values[r - i] for r, row in enumerate(rows, first)].
+
+    Every term is nonnegative.  Entries past the end of values are 0 and
+    are skipped.  Each sum is exactly rounded (math.fsum).  A coefficient
+    beyond float64, or a product or sum that overflows, sends every sum to
+    exact rationals, rounded once at the end; only a sum beyond float64
+    then raises AccuracyError, naming quantity.format(r).
+    """
+    pairs = []
+    for r, row in enumerate(rows, first):
+        hi = min(r, len(values) - 1)
+        pairs.append((row[r - hi:], values[r - len(row) + 1:hi + 1][::-1]))
+    try:
+        sums = [math.fsum(map(mul, row, entries)) for row, entries in pairs]
+        if all(map(math.isfinite, sums)):
+            return sums
+    except OverflowError:
+        pass
+    from fractions import Fraction  # loaded only when a product overflows
+    sums = []
+    for r, (row, entries) in enumerate(pairs, first):
+        try:
+            sums.append(float(sum(map(mul, row, map(Fraction, entries)))))
+        except OverflowError:
+            raise AccuracyError(
+                quantity.format(r) + " exceeds the float64 range") from None
+    return sums
 
 
 def antinormal_ladder(dist, order):
-    """N_k = <a^k a^+k> of the base state for k = 0..order."""
-    return MomentLadder(_ladder(dist, order, rising=True), Ordering.ANTINORMAL, dist)
+    """N_k = <a^k a^+k> of the base state for k = 0..order, from the normal
+    ladder: sum_j C(k,j)^2 j! N_{k-j}, all terms nonnegative."""
+    if order < 0:
+        raise ValueError("ladder order must be nonnegative")
+    if _proves_overflow(order, dist.total()):
+        raise AccuracyError(
+            f"anti-normal ladder entry up to order {order} exceeds the "
+            "float64 range")
+    normal = _occupied_head(normal_ladder(dist, order).values)
+    rows = [_vandermonde_row(k, k) for k in range(order + 1)]
+    return MomentLadder(
+        _positive_sums(0, rows, normal, "anti-normal ladder entry N_{}"),
+        Ordering.ANTINORMAL, dist)
 
 
 def _check_cover(ladder, needed, ordering):
@@ -198,12 +248,6 @@ def subtracted_factorial_moment(ladder, n, x):
     return ladder.values[n + x] / norm
 
 
-@lru_cache(maxsize=None)
-def _reorder_row(x):
-    return tuple((-1) ** k * math.factorial(k) * math.comb(x, k) ** 2
-                 for k in range(x + 1))
-
-
 def reorder_coefficients(x):
     """Integer coefficients of a^{x-k} a^+(x-k) in the expansion of a^+x a^x.
 
@@ -211,48 +255,8 @@ def reorder_coefficients(x):
     """
     if x < 0:
         raise ValueError("x must be nonnegative")
-    return list(_reorder_row(x))
-
-
-def _reordering_sum(ladder, m, x):
-    # (m_x of the m-photon-added state, whether cancellation dominated it)
-    if m < 0 or x < 0:
-        raise ValueError("m and x must be nonnegative")
-    _check_cover(ladder, m + x, Ordering.ANTINORMAL)
-    norm = ladder.values[m]
-    if norm <= 0.0:
-        raise UndefinedStateError(f"anti-normal ladder entry N_{m} vanished")
-    # N_{m+x-k} for k = 0..x
-    terms = list(map(mul, _reorder_row(x),
-                     reversed(ladder.values[m:m + x + 1])))
-    total = checked_fsum(terms, "reordering sum for m={}, x={}", m, x)
-    scale = max(map(abs, terms))
-    if total < -CANCELLATION_RTOL * scale:
-        raise CancellationError(
-            f"alternating sum for m={m}, x={x} is negative "
-            f"({total:.3e} against largest term {scale:.3e})")
-    return max(total, 0.0) / norm, abs(total) < CANCELLATION_RTOL * scale
-
-
-def added_factorial_moment(ladder, m, x):
-    """<a^+x a^x> on the m-photon-added state, from the anti-normal ladder.
-
-    Evaluates the alternating reordering sum with exact rounding (fsum); a
-    negative sum beyond the cancellation tolerance raises CancellationError.
-    """
-    return _reordering_sum(ladder, m, x)[0]
-
-
-class FactorialMoments(list):
-    """Factorial moments m_0, m_1, ... of a modified state, as floats.
-
-    cancelled holds the orders whose reordering sum fell below
-    CANCELLATION_RTOL of its largest term; () on the subtraction path.
-    """
-
-    def __init__(self, values, cancelled=()):
-        super().__init__(values)
-        self.cancelled = tuple(cancelled)
+    return [(-1) ** k * math.factorial(k) * math.comb(x, k) ** 2
+            for k in range(x + 1)]
 
 
 def modified_moment(dist, mod, x):
@@ -261,20 +265,37 @@ def modified_moment(dist, mod, x):
 
 
 def modified_moment_sequence(dist, mod, x_max):
-    """Factorial moments m_0..m_{x_max} of the modified state.
+    """Factorial moments m_0..m_{x_max} of the modified state, as a list of
+    floats.
 
-    Builds one ladder of sufficient length and reads every order from it.
-    Returns a FactorialMoments list of floats.  Subtraction (and the
-    identity) first applies check_subtracted_norms.
+    Builds one normal ladder of order count + x_max and reads every order
+    from it.  Subtraction (and the identity) first applies
+    check_subtracted_norms; addition uses the two positive sums of the
+    module docstring.
     """
     if x_max < 0:
         raise ValueError("x_max must be nonnegative")
-    if mod.count == 0 or mod.kind is ModKind.SUBTRACT:
-        ladder = normal_ladder(dist, mod.count + x_max)
-        check_subtracted_norms(ladder, mod.count)
-        return FactorialMoments([subtracted_factorial_moment(
-            ladder, mod.count, x) for x in range(x_max + 1)])
-    ladder = antinormal_ladder(dist, mod.count + x_max)
-    values, cancelled = zip(*(_reordering_sum(ladder, mod.count, x)
-                              for x in range(x_max + 1)))
-    return FactorialMoments(values, (x for x, c in enumerate(cancelled) if c))
+    m = mod.count
+    if m == 0 or mod.kind is ModKind.SUBTRACT:
+        ladder = normal_ladder(dist, m + x_max)
+        check_subtracted_norms(ladder, m)
+        return [subtracted_factorial_moment(ladder, m, x)
+                for x in range(x_max + 1)]
+    # T_m >= m! N_0 overflows: fail before building any ladder
+    if _proves_overflow(m, dist.total()):
+        raise AccuracyError(
+            f"<(n+{m})_{m}> of the base state exceeds the float64 range")
+    normal = _occupied_head(normal_ladder(dist, m + x_max).values)
+    if not normal:
+        raise UndefinedStateError("the base state has zero norm (N_0 = 0)")
+    # t[j] = T_{m+j}: no sum reads T_r below r = m, and T_r past
+    # r = m + n_last vanishes and is left out
+    rows = [_vandermonde_row(r, m)
+            for r in range(m, m + min(x_max, len(normal) - 1) + 1)]
+    t = _positive_sums(m, rows, normal, f"<(n+{m})_{{}}> of the base state")
+    # dividing by the norm first keeps the moment sums in range wherever
+    # the moments are
+    t = [value / t[0] for value in t]
+    rows = [_vandermonde_row(x, m) for x in range(x_max + 1)]
+    return _positive_sums(0, rows, t, "factorial moment m_{} of the "
+                          f"{m}-photon-added state")

@@ -32,9 +32,7 @@ DEFAULT_SUITE_STATES = (
     ("fock", 0), ("fock", 1), ("fock", 2), ("fock", 3), ("fock", 4),
 )
 
-# cancellation budget is larger on the addition path (alternating sums)
-DEFAULT_TOL_SUBTRACT = 1e-9
-DEFAULT_TOL_ADD = 1e-8
+DEFAULT_TOL = 1e-9
 
 
 class OracleResult(namedtuple("OracleResult", "dist moments norm_constant")):
@@ -200,15 +198,12 @@ def _as_float(value):
 
 
 def equivalence_suite(states=DEFAULT_SUITE_STATES, n_max=3, m_max=4, x_max=4,
-                      tol_subtract=DEFAULT_TOL_SUBTRACT,
-                      tol_add=DEFAULT_TOL_ADD,
-                      ell_max=2, policy=DEFAULT_POLICY):
+                      tol=DEFAULT_TOL, ell_max=2, policy=DEFAULT_POLICY):
     """Compare ladder shortcuts against the brute-force path, cell by cell.
 
     For every (base state, modification) the factorial moments m_0..m_x_max
     and every criterion are computed along both routes.  Cells record the
-    relative deviation; a cell fails when it exceeds the tolerance of its
-    path (subtraction vs addition).
+    relative deviation; a cell fails when it exceeds tol.
     """
     cells = []
     crit_x = moment_order(ell_max)
@@ -220,7 +215,6 @@ def equivalence_suite(states=DEFAULT_SUITE_STATES, n_max=3, m_max=4, x_max=4,
     for family, param in states:
         dist = build_state(family, param, policy)
         for mod in mods:
-            tol = tol_add if mod.kind is ModKind.ADD else tol_subtract
             tag = f"{mod.kind.value}{mod.count}"
             report = evaluate_all(dist, mod, report_ell)
             try:

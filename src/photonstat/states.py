@@ -289,7 +289,7 @@ def _search(family, param, policy):
                                 > (policy.rel_tol + slack) * (1 + slack)
                                 * twice):
                 continue
-            here, twice = (kernels.ladder_sums(weights[:n + 1], 0, False)[0]
+            here, twice = (kernels.ladder_sums(weights[:n + 1], 0)[0]
                            for n in (cutoff, 2 * cutoff))
             if not math.isfinite(twice):
                 raise AccuracyError(

@@ -110,7 +110,7 @@ def test_photon_added_exactness_on_fock_inputs():
 def test_shortcut_oracle_equivalence():
     started = time.perf_counter()
     report = equivalence_suite(DEFAULT_SUITE_STATES, n_max=3, m_max=4,
-                               x_max=4, tol_subtract=1e-9, tol_add=1e-8)
+                               x_max=4, tol=1e-9)
     elapsed = time.perf_counter() - started
     assert report.passed, [c.line() for c in report.failures()][:10]
     assert elapsed < 60.0, f"equivalence suite took {elapsed:.1f}s"

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -7,7 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonstat import AccuracyError, kernels
-from photonstat.moments import ladder_sums_exact, normal_ladder
+from photonstat.moments import (
+    antinormal_ladder,
+    ladder_sums_exact,
+    normal_ladder,
+)
 from photonstat.states import (
     _BUILDERS,
     NumberDistribution,
@@ -21,14 +26,26 @@ def thermal_like(size, q=0.6):
     return probs / probs.sum()
 
 
+def exact_rising_sums(probs, order):
+    """sum_n p_n (n+1)(n+2)...(n+k) for k = 0..order, as Fractions."""
+    return [sum(Fraction(p) * math.perm(n + k, k) for n, p in enumerate(probs))
+            for k in range(order + 1)]
+
+
 @pytest.mark.parametrize("rising", [False, True])
 @pytest.mark.parametrize("size,order",
                          [(1, 0), (5, 3), (64, 8), (200, 10), (700, 14)])
 def test_matches_exact_rational_reference(rising, size, order):
+    # falling sums come from the kernel, rising ones are the anti-normal
+    # ladder derived from them
     probs = thermal_like(size, q=0.7)
-    got = kernels.ladder_sums(probs, order, rising)
-    want = [float(v) for v in ladder_sums_exact(probs, order, rising)]
-    np.testing.assert_allclose(got, want, rtol=1e-13)
+    if rising:
+        got = antinormal_ladder(NumberDistribution(probs), order).values
+        want = exact_rising_sums(probs, order)
+    else:
+        got = kernels.ladder_sums(probs, order)
+        want = ladder_sums_exact(probs, order)
+    np.testing.assert_allclose(got, [float(v) for v in want], rtol=1e-13)
 
 
 def test_zero_entries_are_skipped():
@@ -36,22 +53,22 @@ def test_zero_entries_are_skipped():
     # would carry enormous weights
     probs = np.zeros(500)
     probs[2] = 1.0
-    got = kernels.ladder_sums(probs, 6, False)
+    got = kernels.ladder_sums(probs, 6)
     np.testing.assert_array_equal(got, [1.0, 2.0, 2.0, 0, 0, 0, 0])
-    got = kernels.ladder_sums(probs, 3, True)
+    got = antinormal_ladder(NumberDistribution(probs), 3).values
     np.testing.assert_array_equal(got, [1.0, 3.0, 12.0, 60.0])
 
 
 def test_falling_weights_stop_at_occupation():
     # n < k contributes nothing to falling sums
     probs = np.array([0.25, 0.75])
-    got = kernels.ladder_sums(probs, 4, False)
+    got = kernels.ladder_sums(probs, 4)
     np.testing.assert_array_equal(got, [1.0, 0.75, 0.0, 0.0, 0.0])
 
 
 def test_order_zero_is_total_mass():
     probs = thermal_like(100)
-    got = kernels.ladder_sums(probs, 0, True)
+    got = kernels.ladder_sums(probs, 0)
     assert len(got) == 1
     assert math.isclose(got[0], math.fsum(probs), rel_tol=1e-15)
 
@@ -60,13 +77,13 @@ def test_overflow_surfaces_as_nonfinite():
     # occupied indices large enough that falling weights exceed float64
     probs = np.zeros(401)
     probs[400] = 1.0
-    got = kernels.ladder_sums(probs, 400, False)
+    got = kernels.ladder_sums(probs, 400)
     assert not np.all(np.isfinite(got))
     # every weight is finite, but the order-138 sum exceeds float64; the
     # kernel must report it as non-finite, not raise
     probs = np.zeros(246)
     probs[244] = probs[245] = 0.5
-    got = kernels.ladder_sums(probs, 138, False)
+    got = kernels.ladder_sums(probs, 138)
     assert not np.all(np.isfinite(got))
     with pytest.raises(AccuracyError, match="exceeds the float64 range"):
         normal_ladder(NumberDistribution(probs), 138)
@@ -75,16 +92,15 @@ def test_overflow_surfaces_as_nonfinite():
 @settings(max_examples=30, deadline=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1,
                 max_size=40),
-       st.integers(min_value=0, max_value=8),
-       st.booleans())
-def test_compensation_tracks_exact_sums(weights, order, rising):
+       st.integers(min_value=0, max_value=8))
+def test_compensation_tracks_exact_sums(weights, order):
     total = math.fsum(weights)
     if total == 0.0:
         weights[0] = 1.0
         total = 1.0
     probs = np.array(weights) / total
-    got = kernels.ladder_sums(probs, order, rising)
-    want = ladder_sums_exact(probs, order, rising)
+    got = kernels.ladder_sums(probs, order)
+    want = ladder_sums_exact(probs, order)
     for g, w in zip(got, want):
         assert math.isclose(g, float(w), rel_tol=1e-12, abs_tol=1e-300)
 
@@ -94,7 +110,7 @@ def test_compensation_tracks_exact_sums(weights, order, rising):
        st.integers(min_value=0, max_value=10))
 def test_rising_ladder_never_decreases(size, order):
     probs = thermal_like(size)
-    got = kernels.ladder_sums(probs, order, True)
+    got = antinormal_ladder(NumberDistribution(probs), order).values
     assert np.all(np.diff(got) >= 0)
 
 
@@ -102,12 +118,12 @@ def test_rising_ladder_never_decreases(size, order):
 # Test-local copies of the numpy kernel and cutoff-search weights the
 # stdlib versions replaced; the new code must reproduce them exactly.
 
-def numpy_ladder_sums(probs, order, rising):
+def numpy_ladder_sums(probs, order):
     probs = np.asarray(probs, dtype=np.float64)
     occ = np.flatnonzero(probs)
     n = occ.astype(np.float64)
     steps = np.arange(1, order + 1, dtype=np.float64)[:, None]
-    factors = n + steps if rising else np.maximum(n - steps + 1, 0.0)
+    factors = np.maximum(n - steps + 1, 0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         weights = np.cumprod(np.vstack((probs[occ], factors)), axis=0)
     out = np.empty(order + 1, dtype=np.float64)
@@ -171,11 +187,27 @@ PIN_CASES = (
                          ids=[c[0] + f"-K{c[2]}" for c in PIN_CASES])
 def test_ladder_sums_match_numpy_kernel_bit_for_bit(name, probs, order,
                                                      rising):
-    want = hexes(numpy_ladder_sums(probs, order, rising))
-    assert hexes(kernels.ladder_sums(probs, order, rising)) == want
+    falling = numpy_ladder_sums(probs, order).tolist()
+    if rising:
+        # the anti-normal ladder is the exactly rounded positive sum
+        # sum_j C(k,j)^2 j! N_{k-j} over the kernel's falling sums; where
+        # those overflow, so does the ladder
+        dist = NumberDistribution(probs)
+        if not all(map(math.isfinite, falling)):
+            with pytest.raises(AccuracyError):
+                antinormal_ladder(dist, order)
+            return
+        want = hexes(math.fsum(math.comb(k, j) ** 2 * math.factorial(j)
+                               * falling[k - j]
+                               for j in range(k + 1) if falling[k - j])
+                     for k in range(order + 1))
+        assert hexes(antinormal_ladder(dist, order).values) == want
+        return
+    want = hexes(falling)
+    assert hexes(kernels.ladder_sums(probs, order)) == want
     # the library passes its read-only float64 view, not an array
     probs = NumberDistribution(probs).probs
-    assert hexes(kernels.ladder_sums(probs, order, rising)) == want
+    assert hexes(kernels.ladder_sums(probs, order)) == want
 
 
 @pytest.mark.parametrize("name,probs,order", PIN_CASES,

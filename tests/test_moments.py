@@ -1,6 +1,5 @@
-import copy
 import math
-import pickle
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,19 +9,18 @@ from hypothesis import strategies as st
 from photonstat import moments
 from photonstat import (
     AccuracyError,
-    CancellationError,
-    MomentLadder,
     NumberDistribution,
     Ordering,
     StateModification,
     UndefinedStateError,
-    added_factorial_moment,
     antinormal_ladder,
     build_coherent,
     build_fock,
     build_squeezed_vacuum,
+    build_state,
     build_thermal,
     ladder_sums_exact,
+    mandel_q_added,
     mandel_q_subtracted,
     modified_moment,
     modified_moment_sequence,
@@ -91,11 +89,18 @@ def test_ladder_unit_norm_head():
         assert abs(normal_ladder(dist, 2).values[0] - 1.0) <= 1e-13
 
 
+def _exact_antinormal(probs, order):
+    # <a^k a^+k> = sum_n p_n (n+1)...(n+k), exactly
+    return [sum(Fraction(p) * math.perm(n + k, k) for n, p in enumerate(probs))
+            for k in range(order + 1)]
+
+
 def test_ladder_float_matches_exact_rational():
     dist = build_thermal(1.2)
-    for rising in (False, True):
-        got = (antinormal_ladder if rising else normal_ladder)(dist, 8).values
-        want = [float(v) for v in ladder_sums_exact(dist.probs, 8, rising)]
+    for ladder, exact in ((normal_ladder, ladder_sums_exact),
+                          (antinormal_ladder, _exact_antinormal)):
+        got = ladder(dist, 8).values
+        want = [float(v) for v in exact(dist.probs, 8)]
         np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
@@ -130,7 +135,7 @@ def test_antinormal_overflow_bound_is_not_premature():
     with pytest.raises(AccuracyError, match="anti-normal"):
         antinormal_ladder(build_fock(0), 171)
     # Fock(1) has N_k = (k+1)!: the bound 170! does not prove N_170 = 171!
-    # overflows, so the exact fallback must find it
+    # overflows, so the positive sum must find it
     with pytest.raises(AccuracyError, match="anti-normal"):
         antinormal_ladder(build_fock(1), 170)
 
@@ -271,59 +276,89 @@ def test_reordering_identity_exact_on_truncated_basis(x):
 # --------------------------------------------------------- added moments
 
 def test_added_moment_vacuum():
-    ladder = antinormal_ladder(build_fock(0), 2)
-    assert added_factorial_moment(ladder, 1, 1) == 1.0
+    assert modified_moment(build_fock(0), StateModification.add(1), 1) == 1.0
 
 
 def test_added_moment_fock1():
-    ladder = antinormal_ladder(build_fock(1), 2)
-    assert added_factorial_moment(ladder, 1, 1) == 2.0
+    assert modified_moment(build_fock(1), StateModification.add(1), 1) == 2.0
 
 
 def test_added_moment_thermal():
-    ladder = antinormal_ladder(build_thermal(1.0), 2)
-    assert math.isclose(added_factorial_moment(ladder, 1, 1), 3.0,
-                        rel_tol=1e-10)
+    assert math.isclose(
+        modified_moment(build_thermal(1.0), StateModification.add(1), 1),
+        3.0, rel_tol=1e-10)
 
 
 def test_added_moment_order_zero_is_one():
-    ladder = antinormal_ladder(build_thermal(0.7), 4)
-    assert added_factorial_moment(ladder, 4, 0) == 1.0
+    assert modified_moment(build_thermal(0.7), StateModification.add(4),
+                           0) == 1.0
 
 
 def test_added_moment_requires_antinormal_ordering():
-    ladder = normal_ladder(build_fock(1), 3)
-    with pytest.raises(ValueError):
-        added_factorial_moment(ladder, 1, 1)
+    # the added-state Q read straight off a ladder needs <a^k a^+k>
+    with pytest.raises(ValueError, match="anti-normally ordered"):
+        mandel_q_added(normal_ladder(build_fock(1), 3), 1)
 
 
-def test_added_moment_total_cancellation_is_flagged():
-    # adding one photon to vacuum gives |1>, whose second factorial moment
-    # vanishes by exact cancellation of the alternating sum
-    ladder = antinormal_ladder(build_fock(0), 3)
-    assert added_factorial_moment(ladder, 1, 2) == 0.0
-    seq = modified_moment_sequence(build_fock(0), StateModification.add(1), 2)
-    assert seq == [1.0, 1.0, 0.0] and seq.cancelled == (2,)
+def _exact_added(dist, m, x_max):
+    # the m-photon-added pmf is p_n (n+m)!/n! moved up to n + m
+    probs = [Fraction(p) for p in dist.probs]
+    norm = sum(p * math.perm(n + m, m) for n, p in enumerate(probs))
+    return [sum(p * math.perm(n + m, m) * math.perm(n + m, x)
+                for n, p in enumerate(probs)) / norm
+            for x in range(x_max + 1)]
 
 
-def test_moment_sequence_names_only_cancelled_orders():
-    # thermal(1) + 2 photons: every sum keeps its digits; the subtraction
-    # path has no alternating sum at all
-    for mod in (StateModification.add(2), StateModification.subtract(2)):
-        seq = modified_moment_sequence(build_thermal(1.0), mod, 4)
-        assert seq.cancelled == ()
-    # |2> + 1 photon = |3>: m_4 and m_5 vanish by exact cancellation
-    seq = modified_moment_sequence(build_fock(2), StateModification.add(1), 5)
-    assert seq[4:] == [0.0, 0.0] and seq.cancelled == (4, 5)
-    for copied in (copy.copy(seq), pickle.loads(pickle.dumps(seq))):
-        assert copied == seq and copied.cancelled == (4, 5)
+@pytest.mark.parametrize("family,param,m,x_max", [
+    ("squeezed", 0.01, 1, 12), ("squeezed", 0.05, 1, 12),
+    ("squeezed", 0.5, 1, 12), ("squeezed", 1.2, 1, 12),
+    ("thermal", 0.05, 2, 12), ("thermal", 3.0, 2, 12),
+    ("fock", 0, 6, 12), ("fock", 3, 6, 12), ("fock", 50, 6, 12),
+    ("fock", 200, 6, 12),
+    ("coherent", 0.01, 3, 12), ("coherent", 2.0, 3, 12),
+    ("coherent", 40.0, 3, 12),
+    # coefficients C(r,i) (165)_i beyond float64 meet entries N_j = 1e-2j
+    ("coherent", 0.01, 165, 12),
+    # terms C(x,k) (20)_k T_{m+x-k} beyond float64, moments within it
+    ("fock", 135, 20, 150),
+], ids=lambda v: str(v))
+def test_added_moments_match_exact_rationals(family, param, m, x_max):
+    # the small-parameter states are where an alternating reordering sum
+    # loses every digit; exact zeros (past a Fock state's n) stay exact
+    dist = build_state(family, param)
+    got = modified_moment_sequence(dist, StateModification.add(m), x_max)
+    assert type(got) is list
+    for x, (g, w) in enumerate(zip(got, _exact_added(dist, m, x_max))):
+        assert abs(Fraction(g) - w) <= Fraction(1e-15) * w, (x, g, float(w))
 
 
-def test_added_moment_negative_sum_raises():
-    bogus = MomentLadder(np.array([2.0, 1.0]), Ordering.ANTINORMAL,
-                         build_fock(0))
-    with pytest.raises(CancellationError):
-        added_factorial_moment(bogus, 0, 1)
+@pytest.mark.parametrize("family,param", [
+    ("thermal", 0.7), ("coherent", 0.01), ("squeezed", 0.8), ("fock", 3)])
+def test_paper_reordering_identity_matches_positive_form(family, param):
+    # in exact rationals on one float pmf, the paper's alternating sum over
+    # the anti-normal ladder equals the positive Vandermonde form over the
+    # normal ladder, term rows and norms included
+    probs = build_state(family, param).probs
+    order = 10
+    normal = ladder_sums_exact(probs, order + 6)
+    anti = _exact_antinormal(probs, order + 6)
+    for m in range(1, 7):
+        t = [sum(c * normal[r - i]
+                 for i, c in enumerate(moments._vandermonde_row(r, m)))
+             for r in range(m + order + 1)]
+        assert t[m] == anti[m]
+        for x in range(order + 1):
+            paper = sum(c * anti[m + x - k]
+                        for k, c in enumerate(reorder_coefficients(x)))
+            positive = sum(c * t[m + x - k]
+                           for k, c in enumerate(moments._vandermonde_row(x, m)))
+            assert paper == positive, (m, x)
+
+
+def test_added_state_of_a_zero_distribution_is_undefined():
+    with pytest.raises(UndefinedStateError, match="zero norm"):
+        modified_moment_sequence(NumberDistribution([0.0, 0.0]),
+                                 StateModification.add(1), 2)
 
 
 # ------------------------------------------------------------- dispatcher

@@ -210,8 +210,7 @@ def test_norm_constant_duality(family, build, param):
 
 def test_suite_coherent_passes():
     states = (("coherent", 0.5), ("coherent", 1.0), ("coherent", 2.0))
-    report = equivalence_suite(states, n_max=3, m_max=0, x_max=4,
-                               tol_subtract=1e-9)
+    report = equivalence_suite(states, n_max=3, m_max=0, x_max=4, tol=1e-9)
     assert report.passed
 
 
@@ -263,7 +262,7 @@ def test_suite_extended_order_envelope():
 
 def test_suite_fails_below_float_noise():
     states = (("thermal", 1.0),)
-    report = equivalence_suite(states, tol_subtract=1e-16, tol_add=1e-16)
+    report = equivalence_suite(states, tol=1e-16)
     assert not report.passed
 
 

@@ -81,7 +81,7 @@ def test_replace_converts_like_the_constructor():
     dist = build_fock(1)._replace(probs=[0.25, 0.75])
     assert isinstance(dist.probs, memoryview) and dist.probs.readonly
     ladder = normal_ladder(dist, 2)._replace(values=[1, 2])
-    assert ladder.values == (1.0, 2.0) and ladder[1] == 2.0
+    assert ladder.values == (1.0, 2.0) and ladder.values[1] == 2.0
 
 
 @pytest.mark.parametrize("record", _records()[:-1],

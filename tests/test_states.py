@@ -31,7 +31,7 @@ from photonstat.states import _BUILDERS
 
 def _factorial_moment(probs, order):
     """sum_n p_n * n(n-1)...(n-order+1), straight from the ladder kernel."""
-    return kernels.ladder_sums(probs, order, False)[order]
+    return kernels.ladder_sums(probs, order)[order]
 
 
 def _check_order(family, param, policy):
@@ -252,9 +252,9 @@ def test_search_sums_one_weight_row(monkeypatch):
     orders = []
     ladder_sums = kernels.ladder_sums
 
-    def recording(probs, order, rising):
+    def recording(probs, order):
         orders.append(order)
-        return ladder_sums(probs, order, rising)
+        return ladder_sums(probs, order)
 
     monkeypatch.setattr(kernels, "ladder_sums", recording)
     policy = CutoffPolicy(max_moment_order=70)
@@ -288,7 +288,7 @@ def test_thermal_ladders_match_closed_form(family, param, order):
     normal = normal_ladder(dist, order)
     anti = antinormal_ladder(dist, order)
     for k in range(order + 1):
-        for got, want in zip((normal[k], anti[k]),
+        for got, want in zip((normal.values[k], anti.values[k]),
                              _closed_form_ladders(family, param, k)):
             if family != "fock":
                 assert math.isclose(got, want, rel_tol=DEFAULT_POLICY.rel_tol)
