@@ -25,11 +25,12 @@ from itertools import repeat
 from operator import mul
 
 from .exceptions import AccuracyError, UndefinedStateError
+from .kernels import checked_fsum, exact_fsum
 from .moments import (
     Ordering,
     StateModification,
+    _check_cover,
     check_subtracted_norms,
-    checked_fsum,
     modified_moment_sequence,
 )
 
@@ -72,16 +73,16 @@ def stirling2(z, k):
 def mu_from_m(m, z_max=None):
     """Raw moments mu_z = <n^z> from factorial moments via Stirling weights.
 
-    mu_z = sum_{k=1..z} S(z,k) m_k; weights are exact integers.  Returns
-    a list of floats.
+    mu_z = sum_{k=1..z} S(z,k) m_k, exact integer weights summed by
+    kernels.exact_fsum.  Returns a list of floats.
     """
     if z_max is None:
         z_max = len(m) - 1
     if len(m) <= z_max:
         raise ValueError(f"need factorial moments up to order {z_max}")
     m = [float(v) for v in m[:z_max + 1]]
-    return [1.0] + [checked_fsum(map(mul, _stirling_row(z)[1:], m[1:z + 1]),
-                                 "raw moment <n^{}>", z)
+    return [1.0] + [exact_fsum(_stirling_row(z)[1:], m[1:z + 1],
+                               "raw moment <n^{}>", z)
                     for z in range(1, z_max + 1)]
 
 
@@ -99,10 +100,7 @@ def mandel_q(m1, m2):
 def mandel_q_subtracted(ladder, n):
     """Mandel Q of the n-photon-subtracted state straight off the ladder:
     N_{n+2}/N_{n+1} - N_{n+1}/N_n."""
-    if ladder.ordering is not Ordering.NORMAL:
-        raise ValueError("ladder must be normally ordered")
-    if ladder.order < n + 2:
-        raise ValueError(f"ladder covers 0..{ladder.order}, need {n + 2}")
+    _check_cover(ladder, n + 2, Ordering.NORMAL)
     check_subtracted_norms(ladder, n)
     v = ladder.values
     if v[n + 1] <= 0.0:
@@ -114,17 +112,15 @@ def mandel_q_subtracted(ladder, n):
 def mandel_q_added(ladder, m):
     """Mandel Q of the m-photon-added state straight off the ladder:
     (N_{m+2} - 4 N_{m+1} + 2 N_m)/(N_{m+1} - N_m) - (N_{m+1} - N_m)/N_m."""
-    if ladder.ordering is not Ordering.ANTINORMAL:
-        raise ValueError("ladder must be anti-normally ordered")
-    if ladder.order < m + 2:
-        raise ValueError(f"ladder covers 0..{ladder.order}, need {m + 2}")
+    _check_cover(ladder, m + 2, Ordering.ANTINORMAL)
     v = ladder.values
     if v[m + 1] <= v[m]:
         raise ValueError(
             "anti-normal ladder is not strictly increasing at "
             f"k={m}; corrupted ladder or mean-zero state")
     mean = (v[m + 1] - v[m]) / v[m]
-    second = math.fsum((v[m + 2], -4.0 * v[m + 1], 2.0 * v[m]))
+    second = checked_fsum((v[m + 2], -4.0 * v[m + 1], 2.0 * v[m]),
+                          "norm times m_2 of the {}-photon-added state", m)
     return float(second / (v[m + 1] - v[m]) - mean)
 
 
@@ -157,8 +153,8 @@ def _poisson_row(lam, order):
         row = list(row)
         for r in range(len(row) - 1, order):
             # every term is positive, so nothing cancels
-            value = lam * checked_fsum(
-                map(mul, _binomial_row(r), row[:r]),
+            value = lam * exact_fsum(
+                _binomial_row(r), row[:r],
                 "Poisson reference moment O_{}({!r})", r + 1, lam)
             if math.isinf(value):
                 raise AccuracyError(
@@ -240,14 +236,14 @@ class DegenerateA3(namedtuple("DegenerateA3", "det_m det_mu")):
 
 def _det3(a):
     # fully expanded cofactor form, exactly rounded over the 6 products
-    return math.fsum((
+    return checked_fsum((
         a[0][0] * a[1][1] * a[2][2],
         -a[0][0] * a[1][2] * a[2][1],
         -a[0][1] * a[1][0] * a[2][2],
         a[0][1] * a[1][2] * a[2][0],
         a[0][2] * a[1][0] * a[2][1],
         -a[0][2] * a[1][1] * a[2][0],
-    ))
+    ), "A3 moment determinant")
 
 
 def _cofactor_scale(a):

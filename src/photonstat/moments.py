@@ -27,7 +27,6 @@ import math
 import sys
 from collections import namedtuple
 from functools import lru_cache
-from operator import mul
 
 from . import kernels
 from .exceptions import AccuracyError, UndefinedStateError
@@ -91,13 +90,13 @@ class MomentLadder(namedtuple("MomentLadder", "values ordering base")):
 
 
 def ladder_sums_exact(probs, order):
-    """Exact-rational normal ladder sums; reference path and overflow
-    fallback.
+    """Exact-rational normal ladder sums, the reference for
+    kernels.ladder_sums.
 
     Accepts any sequence convertible to Fraction (floats convert exactly).
     Returns a list of Fractions.
     """
-    from fractions import Fraction  # loaded only when a ladder overflows
+    from fractions import Fraction  # loaded only by the reference path
 
     sums = [Fraction(0)] * (order + 1)
     for n, p in enumerate(probs):
@@ -112,16 +111,6 @@ def ladder_sums_exact(probs, order):
     return sums
 
 
-def checked_fsum(terms, quantity, *args):
-    """math.fsum; a sum (or a term) beyond the float64 range raises an
-    AccuracyError naming quantity.format(*args)."""
-    try:
-        return math.fsum(terms)
-    except (OverflowError, ValueError):
-        raise AccuracyError(
-            quantity.format(*args) + " exceeds the float64 range") from None
-
-
 def _proves_overflow(k, total):
     # <(n+k)_k> >= k! * N_0, since (n+k)...(n+1) >= k!
     return total > 0.0 and (math.lgamma(k + 1) + math.log(total)
@@ -132,17 +121,8 @@ def normal_ladder(dist, order):
     """N_k = <a^+k a^k> of the base state for k = 0..order."""
     if order < 0:
         raise ValueError("ladder order must be nonnegative")
-    values = kernels.ladder_sums(dist.probs, order)
-    if not all(map(math.isfinite, values)):
-        # weights overflowed float64 for some occupied n; redo exactly and
-        # convert at the end
-        try:
-            values = [float(v) for v in ladder_sums_exact(dist.probs, order)]
-        except OverflowError:
-            raise AccuracyError(
-                f"normal ladder entry up to order {order} exceeds the "
-                "float64 range") from None
-    return MomentLadder(values, Ordering.NORMAL, dist)
+    return MomentLadder(kernels.ladder_sums(dist.probs, order),
+                        Ordering.NORMAL, dist)
 
 
 def _occupied_head(values):
@@ -163,32 +143,17 @@ def _vandermonde_row(r, m):
 
 
 def _positive_sums(first, rows, values, quantity):
-    """[sum_i row[i] * values[r - i] for r, row in enumerate(rows, first)].
+    """[sum_i row[i] * values[r - i] for r, row in enumerate(rows, first)],
+    each by kernels.exact_fsum, naming quantity.format(r).
 
     Every term is nonnegative.  Entries past the end of values are 0 and
-    are skipped.  Each sum is exactly rounded (math.fsum).  A coefficient
-    beyond float64, or a product or sum that overflows, sends every sum to
-    exact rationals, rounded once at the end; only a sum beyond float64
-    then raises AccuracyError, naming quantity.format(r).
+    are skipped.
     """
-    pairs = []
+    sums = []
     for r, row in enumerate(rows, first):
         hi = min(r, len(values) - 1)
-        pairs.append((row[r - hi:], values[r - len(row) + 1:hi + 1][::-1]))
-    try:
-        sums = [math.fsum(map(mul, row, entries)) for row, entries in pairs]
-        if all(map(math.isfinite, sums)):
-            return sums
-    except OverflowError:
-        pass
-    from fractions import Fraction  # loaded only when a product overflows
-    sums = []
-    for r, (row, entries) in enumerate(pairs, first):
-        try:
-            sums.append(float(sum(map(mul, row, map(Fraction, entries)))))
-        except OverflowError:
-            raise AccuracyError(
-                quantity.format(r) + " exceeds the float64 range") from None
+        sums.append(kernels.exact_fsum(
+            row[r - hi:], values[r - len(row) + 1:hi + 1][::-1], quantity, r))
     return sums
 
 
@@ -210,7 +175,8 @@ def antinormal_ladder(dist, order):
 
 def _check_cover(ladder, needed, ordering):
     if ladder.ordering is not ordering:
-        raise ValueError(f"ladder must be {ordering.value}ly ordered")
+        adverb = ordering.value.replace("anti", "anti-") + "ly"
+        raise ValueError(f"ladder must be {adverb} ordered")
     if ladder.order < needed:
         raise ValueError(
             f"ladder covers orders 0..{ladder.order}, need {needed}")

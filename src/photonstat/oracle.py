@@ -22,7 +22,8 @@ from .criteria import (
     moment_order,
 )
 from .exceptions import UndefinedStateError
-from .moments import ModKind, StateModification, checked_fsum, zero_norm_error
+from .kernels import checked_fsum
+from .moments import ModKind, StateModification, zero_norm_error
 from .states import DEFAULT_POLICY, NumberDistribution, build_state
 
 DEFAULT_SUITE_STATES = (
@@ -106,6 +107,8 @@ def oracle_add(dist, m, x_max=4):
         raise ValueError("m must be nonnegative")
     raw, norm = _weighted(lambda j: math.perm(j + m, m), dist.probs,
                           "anti-normally ordered norm constant N_{}", m)
+    if norm <= 0.0:
+        raise UndefinedStateError("the base state has zero norm (N_0 = 0)")
     out = NumberDistribution([0.0] * m + [w / norm for w in raw], 0.0)
     return OracleResult(out, direct_moments(out, x_max), norm)
 

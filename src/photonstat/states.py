@@ -114,10 +114,11 @@ class NumberDistribution(namedtuple("NumberDistribution", "probs tail_bound")):
         return len(self.probs) - 1
 
     def total(self):
-        return math.fsum(self.probs)
+        return kernels.checked_fsum(self.probs, "total probability")
 
     def mean(self):
-        return math.fsum(n * p for n, p in enumerate(self.probs))
+        return kernels.checked_fsum((n * p for n, p in enumerate(self.probs)),
+                                    "mean photon number")
 
     def renormalized(self):
         """Return a copy scaled to unit total probability."""
@@ -289,12 +290,14 @@ def _search(family, param, policy):
                                 > (policy.rel_tol + slack) * (1 + slack)
                                 * twice):
                 continue
-            here, twice = (kernels.ladder_sums(weights[:n + 1], 0)[0]
-                           for n in (cutoff, 2 * cutoff))
-            if not math.isfinite(twice):
+            try:
+                here, twice = (kernels.ladder_sums(weights[:n + 1], 0)[0]
+                               for n in (cutoff, 2 * cutoff))
+            except AccuracyError:  # S[D] <= S[2D], so S[2D] is out of range
                 raise AccuracyError(
                     f"{family}({param}): the order-{order} factorial moment "
-                    f"at cutoff {2 * cutoff} exceeds the float64 range")
+                    f"at cutoff {2 * cutoff} exceeds the float64 range"
+                ) from None
             if abs(twice - here) <= policy.rel_tol * twice:
                 return cutoff
         if top == policy.max_cutoff:

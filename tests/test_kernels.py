@@ -73,20 +73,23 @@ def test_order_zero_is_total_mass():
     assert math.isclose(got[0], math.fsum(probs), rel_tol=1e-15)
 
 
-def test_overflow_surfaces_as_nonfinite():
-    # occupied indices large enough that falling weights exceed float64
+def test_overflow_raises_at_the_first_entry():
+    # the falling weight of a point mass at n = 400 first exceeds float64
+    # at order 122, where (400)_k first exceeds DBL_MAX; the error names
+    # that entry
     probs = np.zeros(401)
     probs[400] = 1.0
-    got = kernels.ladder_sums(probs, 400)
-    assert not np.all(np.isfinite(got))
-    # every weight is finite, but the order-138 sum exceeds float64; the
-    # kernel must report it as non-finite, not raise
+    with pytest.raises(AccuracyError, match="^normal ladder entry N_122 "
+                                            "exceeds the float64 range$"):
+        kernels.ladder_sums(probs, 400)
+    # every weight is finite, but the order-138 sum exceeds float64
     probs = np.zeros(246)
     probs[244] = probs[245] = 0.5
-    got = kernels.ladder_sums(probs, 138)
-    assert not np.all(np.isfinite(got))
-    with pytest.raises(AccuracyError, match="exceeds the float64 range"):
-        normal_ladder(NumberDistribution(probs), 138)
+    for ladder in (kernels.ladder_sums,
+                   lambda p, k: normal_ladder(NumberDistribution(p), k)):
+        with pytest.raises(AccuracyError, match="^normal ladder entry N_138 "
+                                                "exceeds the float64 range$"):
+            ladder(probs, 138)
 
 
 @settings(max_examples=30, deadline=None)
@@ -172,7 +175,7 @@ PIN_CASES = (
      for size, order in [(1, 0), (5, 3), (64, 8), (200, 10), (700, 14)]]
     + [(name, probs, order) for name, probs in pmf_cases()
        for order in (8, 12, 18)]
-    # the inputs of test_overflow_surfaces_as_nonfinite, a weight that
+    # the inputs of test_overflow_raises_at_the_first_entry, a weight that
     # overflows before its falling factor reaches 0 (inf * 0 = NaN), and
     # orders past the support, where every falling weight vanishes
     + [("spike-400", spike(401, 400), 400),
@@ -203,11 +206,17 @@ def test_ladder_sums_match_numpy_kernel_bit_for_bit(name, probs, order,
                      for k in range(order + 1))
         assert hexes(antinormal_ladder(dist, order).values) == want
         return
-    want = hexes(falling)
-    assert hexes(kernels.ladder_sums(probs, order)) == want
     # the library passes its read-only float64 view, not an array
-    probs = NumberDistribution(probs).probs
-    assert hexes(kernels.ladder_sums(probs, order)) == want
+    for probs in (probs, NumberDistribution(probs).probs):
+        if all(map(math.isfinite, falling)):
+            assert hexes(kernels.ladder_sums(probs, order)) == hexes(falling)
+            continue
+        # the kernel raises at the first order the reference overflows
+        first = next(k for k, v in enumerate(falling)
+                     if not math.isfinite(v))
+        with pytest.raises(AccuracyError,
+                           match=f"^normal ladder entry N_{first} exceeds"):
+            kernels.ladder_sums(probs, order)
 
 
 @pytest.mark.parametrize("name,probs,order", PIN_CASES,

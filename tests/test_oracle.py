@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from photonstat import moments
 from photonstat import (
     AccuracyError,
+    NumberDistribution,
     StateModification,
     UndefinedStateError,
     antinormal_ladder,
@@ -16,6 +19,9 @@ from photonstat import (
     direct_moments,
     direct_power_moments,
     equivalence_suite,
+    evaluate_all,
+    modified_moment_sequence,
+    mu_from_m,
     normal_ladder,
     oracle_add,
     oracle_subtract,
@@ -66,6 +72,18 @@ def test_add_vacuum_gives_single_photon():
     res = oracle_add(build_fock(0), 1)
     np.testing.assert_array_equal(res.dist.probs, [0.0, 1.0])
     assert res.norm_constant == 1.0
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_zero_norm_base_is_undefined_on_both_paths(m):
+    # the shortcut and the oracle see the same undefined added state
+    dist = NumberDistribution([0.0, 0.0])
+    for path in (lambda: modified_moment_sequence(
+                     dist, StateModification.add(m), 4),
+                 lambda: oracle_add(dist, m)):
+        with pytest.raises(UndefinedStateError, match=r"^the base state has "
+                           r"zero norm \(N_0 = 0\)$"):
+            path()
 
 
 def test_add_fock1_gives_fock2():
@@ -274,3 +292,55 @@ def test_suite_report_text_has_one_record_per_cell():
     assert len(lines) == 2 + len(report.cells)
     assert "PASS" in lines[1]
     assert all("rel_dev" in line for line in lines[2:])
+
+
+# ------------------------------------------------------------------ fuzz
+
+# an entry is 0, an ordinary probability, a subnormal, or a weight near
+# DBL_MAX, so sums overflow, underflow and meet exact zeros
+_FUZZ_ENTRIES = st.one_of(
+    st.just(0.0),
+    st.floats(-12.0, 0.0).map(lambda e: 10.0 ** e),
+    st.integers(1, 2 ** 20).map(lambda k: k * 5e-324),
+    st.floats(300.0, 308.0).map(lambda e: 10.0 ** e))
+
+
+def _settled(fn, *args):
+    """fn(*args), or None where it raises one of the package's errors."""
+    try:
+        return fn(*args)
+    except (AccuracyError, UndefinedStateError):
+        return None
+
+
+def _assert_no_inf(values):
+    assert not any(isinstance(v, float) and math.isinf(v) for v in values), \
+        values
+
+
+# Counts stay small: a count near 10**18 still allocates in proportion
+# before it fails (a MemoryError), which the bounded-work change to the
+# subtraction and ladder paths is to settle first.
+@settings(max_examples=300, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_FUZZ_ENTRIES, min_size=1, max_size=12),
+       st.sampled_from((0.0, 1e-13)),
+       st.sampled_from((StateModification.add, StateModification.subtract)),
+       st.integers(0, 6), st.integers(1, 4))
+def test_entry_points_return_finite_values_or_raise_package_errors(
+        probs, tail_bound, modification, count, ell_max):
+    # no builtin OverflowError, ValueError or ZeroDivisionError escapes,
+    # and nothing returned is inf
+    dist = NumberDistribution(probs, tail_bound)
+    report = _settled(evaluate_all, dist, modification(count), ell_max)
+    if report is not None:
+        _assert_no_inf(report.moments)
+        _assert_no_inf(report.cells(ell_max).values())
+        _assert_no_inf(_settled(mu_from_m, report.moments) or ())
+    oracle = (oracle_add if modification is StateModification.add
+              else oracle_subtract)
+    result = _settled(oracle, dist, count, 8)
+    if result is not None:
+        _assert_no_inf((*result.moments, result.norm_constant))
+    for direct in (direct_moments, direct_power_moments):
+        _assert_no_inf(_settled(direct, dist, 8) or ())
