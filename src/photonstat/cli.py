@@ -394,9 +394,14 @@ def main(argv=None):
                                 selection, fmt, policy, args.out)
         from . import oracle  # selfcheck, the one command that runs it
         tol = _resolved(args, config, "tol", oracle.DEFAULT_TOL, parser)
+        if not 0.0 <= tol < math.inf:  # also NaN
+            parser.error("--tol must be a finite nonnegative number")
         states = oracle.DEFAULT_SUITE_STATES
-        if args.families:
-            wanted = {tok.strip() for tok in args.families.split(",")}
+        if args.families is not None:
+            wanted = {tok.strip() for tok in args.families.split(",")
+                      if tok.strip()}
+            if not wanted:
+                parser.error("--families must name at least one family")
             unknown = wanted - set(FAMILIES)
             if unknown:
                 parser.error(f"unknown families: {', '.join(sorted(unknown))}")

@@ -376,7 +376,9 @@ def evaluate_all(dist, mod=None, ell_max=3):
     """Evaluate every criterion for dist under the given modification.
 
     One moment ladder of order count + moment_order(ell_max) and one
-    Stirling conversion serve all criteria.  Degenerate or undefined
+    Stirling conversion serve all criteria.  dist is the base distribution
+    or, as in modified_moment_sequence, a normal ladder of it covering that
+    order, which several calls may share.  Degenerate or undefined
     entries populate flags instead of raising, so parameter sweeps always
     get a report back.
     """

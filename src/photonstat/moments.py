@@ -226,7 +226,8 @@ def reorder_coefficients(x):
 
 
 def modified_moment(dist, mod, x):
-    """<a^+x a^x> of the modified state, read off its moment sequence."""
+    """<a^+x a^x> of the modified state, read off its moment sequence;
+    dist may be a normal ladder, as there."""
     return modified_moment_sequence(dist, mod, x)[x]
 
 
@@ -234,24 +235,36 @@ def modified_moment_sequence(dist, mod, x_max):
     """Factorial moments m_0..m_{x_max} of the modified state, as a list of
     floats.
 
-    Builds one normal ladder of order count + x_max and reads every order
-    from it.  Subtraction (and the identity) first applies
-    check_subtracted_norms; addition uses the two positive sums of the
-    module docstring.
+    dist is the base distribution, or its normal MomentLadder of order at
+    least count + x_max (else ValueError).  A distribution gets one normal
+    ladder of order count + x_max; a ladder serves as that one would, since
+    its entries do not depend on the order built, so one ladder can serve
+    every modification of a state.  Subtraction (and the identity) first
+    applies check_subtracted_norms; addition uses the two positive sums of
+    the module docstring.
     """
     if x_max < 0:
         raise ValueError("x_max must be nonnegative")
     m = mod.count
-    if m == 0 or mod.kind is ModKind.SUBTRACT:
+    subtract = m == 0 or mod.kind is ModKind.SUBTRACT
+    ladder = None
+    if isinstance(dist, MomentLadder):
+        _check_cover(dist, m + x_max, Ordering.NORMAL)
+        # the entries past count + x_max, which a fresh ladder lacks, stay
+        # unread
+        ladder = dist._replace(values=dist.values[:m + x_max + 1])
+        dist = ladder.base
+    # T_m >= m! N_0 overflows: fail before building any ladder
+    if not subtract and _proves_overflow(m, dist.total()):
+        raise AccuracyError(
+            f"<(n+{m})_{m}> of the base state exceeds the float64 range")
+    if ladder is None:
         ladder = normal_ladder(dist, m + x_max)
+    if subtract:
         check_subtracted_norms(ladder, m)
         return [subtracted_factorial_moment(ladder, m, x)
                 for x in range(x_max + 1)]
-    # T_m >= m! N_0 overflows: fail before building any ladder
-    if _proves_overflow(m, dist.total()):
-        raise AccuracyError(
-            f"<(n+{m})_{m}> of the base state exceeds the float64 range")
-    normal = _occupied_head(normal_ladder(dist, m + x_max).values)
+    normal = _occupied_head(ladder.values)
     if not normal:
         raise UndefinedStateError("the base state has zero norm (N_0 = 0)")
     # t[j] = T_{m+j}: no sum reads T_r below r = m, and T_r past

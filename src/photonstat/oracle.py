@@ -13,7 +13,8 @@ modifications and reports every cell; it is the package's self-check.
 
 import math
 from collections import namedtuple
-from fractions import Fraction
+from itertools import compress, repeat
+from operator import add, mul, truediv
 
 from .criteria import (
     DegenerateA3,
@@ -23,7 +24,12 @@ from .criteria import (
 )
 from .exceptions import UndefinedStateError
 from .kernels import checked_fsum
-from .moments import ModKind, StateModification, zero_norm_error
+from .moments import (
+    ModKind,
+    StateModification,
+    normal_ladder,
+    zero_norm_error,
+)
 from .states import DEFAULT_POLICY, NumberDistribution, build_state
 
 DEFAULT_SUITE_STATES = (
@@ -43,17 +49,35 @@ class OracleResult(namedtuple("OracleResult", "dist moments norm_constant")):
     __slots__ = ()
 
 
-def _weighted(weight, probs, quantity, *args):
-    """[weight(n) * p_n for each n] as floats, and its fsum; weight(n) is
-    an exact integer, read where p_n is nonzero.  A weight beyond float64
-    makes the terms exact, so only a sum beyond float64 raises
-    AccuracyError naming quantity.format(*args)."""
+def _occupied(probs):
+    """The photon numbers n with p_n != 0, and those p_n."""
+    return (list(compress(range(len(probs)), probs)),
+            list(compress(probs, probs)))
+
+
+def _weight_rows(ns, shifts):
+    """Exact integer weight rows over the photon numbers ns: first all
+    ones, then for each shift the previous row times n + shift, one
+    multiplication per entry."""
+    row = [1] * len(ns)
+    yield row
+    for shift in shifts:
+        row = list(map(mul, row,
+                       map(add, ns, repeat(shift)) if shift else ns))
+        yield row
+
+
+def _weighted(weights, probs, quantity, *args):
+    """[float(w) * p for w, p in zip(weights, probs)], and its fsum; weights
+    are exact integers.  A weight beyond float64 makes the terms exact, so
+    only a sum beyond float64 raises AccuracyError naming
+    quantity.format(*args)."""
     try:
-        terms = [float(weight(n)) * p if p else 0.0
-                 for n, p in enumerate(probs)]
+        # int * float converts the int to float first, or raises
+        terms = list(map(mul, weights, probs))
     except OverflowError:
-        exact = [weight(n) * Fraction(p) if p else 0
-                 for n, p in enumerate(probs)]
+        from fractions import Fraction  # loaded only when a weight overflows
+        exact = list(map(mul, weights, map(Fraction, probs)))
         # fsum of the one exact total rounds it, or names its overflow
         total = checked_fsum((sum(exact),), quantity, *args)
         return [float(t) for t in exact], total  # each at most the total
@@ -63,20 +87,37 @@ def _weighted(weight, probs, quantity, *args):
 def direct_moments(dist, x_max):
     """Factorial moments m_0..m_{x_max} by direct summation over the pmf.
 
-    Integer falling-factorial weights, fsum accumulation; falls back to
-    exact rational arithmetic if a weight overflows float64, and raises
-    AccuracyError if the moment does.  Returns a list of floats.
+    Falling-factorial weights (n)_x as exact integer rows, the row of x
+    from that of x - 1, fsum accumulation; falls back to exact rational
+    arithmetic if a weight overflows float64, and raises AccuracyError if
+    the moment does.  Returns a list of floats.
     """
-    return [_weighted(lambda n: math.perm(n, x), dist.probs,
-                      "direct factorial moment m_{}", x)[1]
-            for x in range(x_max + 1)]
+    ns, ps = _occupied(dist.probs)
+    return [_weighted(row, ps, "direct factorial moment m_{}", x)[1]
+            for x, row in enumerate(_weight_rows(ns, range(0, -x_max, -1)))]
 
 
 def direct_power_moments(dist, z_max):
-    """Raw moments mu_z = sum_n n^z p_n, summed as in direct_moments."""
-    return [_weighted(lambda n: n ** z, dist.probs, "direct raw moment mu_{}",
-                      z)[1]
-            for z in range(z_max + 1)]
+    """Raw moments mu_z = sum_n n^z p_n, the weight row of z that of z - 1
+    times n, summed as in direct_moments."""
+    ns, ps = _occupied(dist.probs)
+    return [_weighted(row, ps, "direct raw moment mu_{}", z)[1]
+            for z, row in enumerate(_weight_rows(ns, repeat(0, z_max)))]
+
+
+def _raised(probs, count, quantity):
+    """q_j = (j+1)(j+2)...(j+count) p_j / norm for every j of probs, and
+    norm, the raw total, named quantity.format(count); q is left all 0
+    where norm is 0."""
+    ns, ps = _occupied(probs)
+    for weights in _weight_rows(ns, range(1, count + 1)):
+        pass  # only the last row is needed
+    terms, norm = _weighted(weights, ps, quantity, count)
+    q = [0.0] * len(probs)
+    if norm > 0.0:
+        for j, value in zip(ns, map(truediv, terms, repeat(norm))):
+            q[j] = value
+    return q, norm
 
 
 def oracle_subtract(dist, n, x_max=4):
@@ -88,11 +129,11 @@ def oracle_subtract(dist, n, x_max=4):
     if n < 0:
         raise ValueError("n must be nonnegative")
     # empty, with norm 0, when n exceeds the cutoff
-    raw, norm = _weighted(lambda j: math.perm(j + n, n), dist.probs[n:],
-                          "normally ordered norm constant N_{}", n)
+    q, norm = _raised(dist.probs[n:], n,
+                      "normally ordered norm constant N_{}")
     if norm <= 0.0:
         raise zero_norm_error(dist, n)
-    out = NumberDistribution([w / norm for w in raw], 0.0)
+    out = NumberDistribution(q, 0.0)
     return OracleResult(out, direct_moments(out, x_max), norm)
 
 
@@ -105,11 +146,11 @@ def oracle_add(dist, m, x_max=4):
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    raw, norm = _weighted(lambda j: math.perm(j + m, m), dist.probs,
-                          "anti-normally ordered norm constant N_{}", m)
+    q, norm = _raised(dist.probs, m,
+                      "anti-normally ordered norm constant N_{}")
     if norm <= 0.0:
         raise UndefinedStateError("the base state has zero norm (N_0 = 0)")
-    out = NumberDistribution([0.0] * m + [w / norm for w in raw], 0.0)
+    out = NumberDistribution([0.0] * m + q, 0.0)
     return OracleResult(out, direct_moments(out, x_max), norm)
 
 
@@ -206,8 +247,11 @@ def equivalence_suite(states=DEFAULT_SUITE_STATES, n_max=3, m_max=4, x_max=4,
 
     For every (base state, modification) the factorial moments m_0..m_x_max
     and every criterion are computed along both routes.  Cells record the
-    relative deviation; a cell fails when it exceeds tol.
+    relative deviation; a cell fails when it exceeds tol, a finite
+    nonnegative number (else ValueError).
     """
+    if not 0.0 <= tol < math.inf:  # also NaN
+        raise ValueError("tol must be a finite nonnegative number")
     cells = []
     crit_x = moment_order(ell_max)
     moment_x = max(x_max, crit_x)
@@ -215,11 +259,14 @@ def equivalence_suite(states=DEFAULT_SUITE_STATES, n_max=3, m_max=4, x_max=4,
     report_ell = max(ell_max, (x_max + 1) // 2)
     mods = [StateModification.subtract(n) for n in range(n_max + 1)]
     mods += [StateModification.add(m) for m in range(1, m_max + 1)]
+    # one normal ladder per state serves every modification's report
+    order = max(n_max, m_max) + moment_order(report_ell)
     for family, param in states:
         dist = build_state(family, param, policy)
+        ladder = normal_ladder(dist, order)
         for mod in mods:
             tag = f"{mod.kind.value}{mod.count}"
-            report = evaluate_all(dist, mod, report_ell)
+            report = evaluate_all(ladder, mod, report_ell)
             try:
                 ref = apply_modification(dist, mod, moment_x)
             except UndefinedStateError:

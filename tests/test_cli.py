@@ -476,6 +476,53 @@ def test_selfcheck_unknown_family_is_usage_error(capsys):
     assert code == 1
 
 
+_BAD_TOL = "--tol must be a finite nonnegative number"
+_NO_FAMILY = "--families must name at least one family"
+
+
+@pytest.mark.parametrize("argv,config,message", [
+    # NaN and negative tolerances failed every cell; inf passed even an
+    # undefined-versus-defined mismatch, whose deviation is inf
+    (("--tol", "nan"), None, _BAD_TOL),
+    (("--tol", "-1"), None, _BAD_TOL),
+    (("--tol", "inf"), None, _BAD_TOL),
+    ((), '{"tol": -1}', _BAD_TOL),
+    (("--families", ","), None, _NO_FAMILY),
+    (("--families", " "), None, _NO_FAMILY),
+], ids=["tol-nan", "tol-negative", "tol-inf", "config-tol-negative",
+        "families-comma", "families-blank"])
+def test_selfcheck_bad_tolerance_or_empty_families_exit_1(
+        tmp_path, capsys, argv, config, message):
+    if config is not None:
+        path = tmp_path / "config.json"
+        path.write_text(config, encoding="utf-8")
+        argv = (*argv, "--config", str(path))
+    code, out, err = run_cli(capsys, "selfcheck", *argv)
+    assert code == 1 and out == ""
+    assert err == f"photonstat: error: {message}\n"
+
+
+def test_selfcheck_zero_tolerance_is_valid(capsys):
+    code, out, _ = run_cli(capsys, "selfcheck", "--families", "fock",
+                           "--tol", "0")
+    assert code == 0
+    assert out.endswith("selfcheck PASS\n")
+
+
+def test_selfcheck_loads_no_exact_arithmetic():
+    # every sum of the default suite fits float64, so neither the shortcut
+    # nor the oracle reaches an exact-rational branch or imports fractions
+    code = ("import contextlib, io, sys, photonstat.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    status = photonstat.cli.main(['selfcheck'])\n"
+            "print(status, *sorted({'fractions', 'decimal'} "
+            "& set(sys.modules)))\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=120)
+    assert result.stderr == ""
+    assert result.stdout == "0\n"
+
+
 def test_selfcheck_report_file(tmp_path, capsys):
     target = tmp_path / "report.txt"
     code, _, _ = run_cli(capsys, "selfcheck", "--families", "fock",

@@ -19,6 +19,7 @@ from photonstat import (
     build_squeezed_vacuum,
     build_state,
     build_thermal,
+    evaluate_all,
     ladder_sums_exact,
     mandel_q_added,
     mandel_q_subtracted,
@@ -386,6 +387,64 @@ def test_modified_moment_sequence_matches_scalar():
     for x in range(4):
         assert math.isclose(seq[x], modified_moment(dist, mod, x),
                             rel_tol=1e-14)
+
+
+# ------------------------------------------------ a ladder for the state
+
+_SUITE_MODS = ([StateModification.subtract(n) for n in range(4)]
+               + [StateModification.add(m) for m in range(1, 5)])
+
+
+@pytest.mark.parametrize("ell_max", [1, 2, 3])
+@pytest.mark.parametrize("family,param", [
+    ("coherent", 0.5), ("coherent", 2.0), ("thermal", 1.0), ("squeezed", 0.8),
+    ("fock", 0), ("fock", 1), ("fock", 2), ("fock", 4)])
+def test_evaluate_all_on_a_normal_ladder_is_bit_identical(family, param,
+                                                          ell_max):
+    # one ladder long enough for the largest count serves every
+    # modification, annihilated states included; repr tells every bit apart
+    dist = build_state(family, param)
+    ladder = normal_ladder(dist, 4 + max(2 * ell_max, ell_max + 1, 4))
+    for mod in _SUITE_MODS:
+        want = evaluate_all(dist, mod, ell_max)
+        assert repr(evaluate_all(ladder, mod, ell_max)) == repr(want), mod
+
+
+def test_a_longer_ladder_leaves_unread_entries_unread():
+    # N_2 = 0 without finite support is an underflow, but the identity's
+    # m_0 and m_1 never read it: a fresh ladder of order 0 or 1 lacks it
+    dist = NumberDistribution([1.0, 1e-200], 1e-13)
+    ladder = normal_ladder(dist, 6)
+    identity = StateModification.identity()
+    for x_max in (0, 1):
+        want = modified_moment_sequence(dist, identity, x_max)
+        assert modified_moment_sequence(ladder, identity, x_max) == want
+    with pytest.raises(AccuracyError, match="N_2 underflows"):
+        modified_moment_sequence(ladder, identity, 2)
+
+
+def test_a_ladder_keeps_the_added_norm_overflow_check():
+    # T_200 >= 200! N_0 is beyond float64 on either route, with one message
+    dist = build_coherent(1.0)
+    mod = StateModification.add(200)
+    for source in (dist, normal_ladder(dist, 204)):
+        with pytest.raises(AccuracyError, match=r"^<\(n\+200\)_200> of the "
+                           "base state exceeds the float64 range$"):
+            modified_moment_sequence(source, mod, 4)
+
+
+@pytest.mark.parametrize("ladder,message", [
+    (antinormal_ladder(build_thermal(1.0), 12),
+     "^ladder must be normally ordered$"),
+    (normal_ladder(build_thermal(1.0), 5),
+     r"^ladder covers orders 0\.\.5, need 6$"),
+], ids=["antinormal", "too-short"])
+def test_a_ladder_must_be_normal_and_cover_the_order(ladder, message):
+    mod = StateModification.subtract(2)
+    with pytest.raises(ValueError, match=message):
+        evaluate_all(ladder, mod, 2)
+    with pytest.raises(ValueError, match=message):
+        modified_moment_sequence(ladder, StateModification.add(2), 4)
 
 
 def test_modification_validation():

@@ -1,12 +1,14 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from photonstat import moments
+from photonstat import moments, oracle
 from photonstat import (
+    DEFAULT_SUITE_STATES,
     AccuracyError,
     NumberDistribution,
     StateModification,
@@ -284,6 +286,34 @@ def test_suite_fails_below_float_noise():
     assert not report.passed
 
 
+def test_default_suite_builds_one_ladder_per_state(monkeypatch):
+    # every modification's report reads the state's one normal ladder
+    original = moments.normal_ladder
+    orders = []
+
+    def counted(*args, **kwargs):
+        orders.append(args[1])
+        return original(*args, **kwargs)
+
+    for module in (moments, oracle):
+        if getattr(module, "normal_ladder", None) is original:
+            monkeypatch.setattr(module, "normal_ladder", counted)
+    assert equivalence_suite().passed
+    assert len(DEFAULT_SUITE_STATES) == 13
+    assert orders == [8] * 13
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, -1e-300, math.inf])
+def test_suite_tolerance_must_be_finite_and_nonnegative(tol):
+    with pytest.raises(ValueError, match="^tol must be a finite "
+                       "nonnegative number$"):
+        equivalence_suite((("fock", 1),), tol=tol)
+
+
+def test_suite_zero_tolerance_is_valid():
+    assert equivalence_suite((("fock", 1),), tol=0.0).passed
+
+
 def test_suite_report_text_has_one_record_per_cell():
     report = equivalence_suite((("fock", 1),), n_max=1, m_max=1, x_max=2)
     text = report.to_text()
@@ -344,3 +374,71 @@ def test_entry_points_return_finite_values_or_raise_package_errors(
         _assert_no_inf((*result.moments, result.norm_constant))
     for direct in (direct_moments, direct_power_moments):
         _assert_no_inf(_settled(direct, dist, 8) or ())
+
+
+def _per_entry_sums(weight, probs, top, quantity):
+    """sum_n weight(n, x) p_n for x = 0..top with one weight call per
+    occupied entry per order, in float64 unless a weight leaves it, then
+    in exact rationals rounded once; a sum beyond float64 ends the list
+    with the oracle's message."""
+    sums = []
+    for x in range(top + 1):
+        try:
+            terms = [float(weight(n, x)) * p if p else 0.0
+                     for n, p in enumerate(probs)]
+        except OverflowError:
+            terms = [sum(weight(n, x) * Fraction(p)
+                         for n, p in enumerate(probs))]
+        try:
+            total = math.fsum(terms)
+        except OverflowError:
+            total = math.inf
+        if not math.isfinite(total):
+            return sums + [quantity.format(x) + " exceeds the float64 range"]
+        sums.append(total)
+    return sums
+
+
+# Offsets past n = 170 and orders past 170 give weights beyond float64,
+# which the exact branch meets with subnormal and tiny probabilities.
+@settings(max_examples=150, derandomize=True, database=None, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(_FUZZ_ENTRIES, min_size=1, max_size=12),
+       st.integers(0, 320), st.integers(0, 330))
+@example([5e-324], 300, 250)
+@example([1e-300, 0.0, 5e-324], 298, 250)
+def test_direct_sums_match_per_entry_weights_bit_for_bit(probs, offset, top):
+    dist = NumberDistribution([0.0] * offset + probs)
+    for direct, weight, quantity in (
+            (direct_moments, math.perm, "direct factorial moment m_{}"),
+            (direct_power_moments, pow, "direct raw moment mu_{}")):
+        want = _per_entry_sums(weight, dist.probs, top, quantity)
+        try:
+            got = direct(dist, top)
+        except AccuracyError as exc:
+            got = want[:-1] + [str(exc)]
+        assert repr(got) == repr(want), direct.__name__
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.lists(_FUZZ_ENTRIES, min_size=1, max_size=12),
+       st.integers(0, 6))
+def test_modified_distributions_match_per_entry_weights_bit_for_bit(probs,
+                                                                    count):
+    dist = NumberDistribution(probs)
+    for modify, first in ((oracle_subtract, count), (oracle_add, 0)):
+        raw = [float(math.perm(j + count, count)) * p if p else 0.0
+               for j, p in enumerate(probs[first:])]
+        try:
+            norm = math.fsum(raw)
+        except OverflowError:
+            norm = math.inf
+        if not 0.0 < norm < math.inf:
+            with pytest.raises((AccuracyError, UndefinedStateError)):
+                modify(dist, count, 0)
+            continue
+        result = modify(dist, count, 0)
+        assert result.norm_constant == norm
+        shift = count if modify is oracle_add else 0
+        assert repr(result.dist.probs.tolist()[shift:]) == repr(
+            [w / norm for w in raw]), modify.__name__
