@@ -262,14 +262,15 @@ def _hankel3(seq):
             [float(seq[2]), float(seq[3]), float(seq[4])]]
 
 
-def agarwal_tara(m, mu=None, tol_det=DET_DEGENERACY_TOL):
+def agarwal_tara(m, mu=None):
     """Agarwal-Tara A3 = det(m3) / (det(mu3) - det(m3)).
 
     m3 and mu3 are the 3x3 Hankel matrices of factorial and raw moments of
     orders 0..4; mu defaults to the Stirling conversion of m.  A3 < 0
     witnesses nonclassicality.  When the denominator is smaller than
-    tol_det times the largest cofactor product, the ratio is meaningless
-    and a DegenerateA3 marker carrying both determinants is returned.
+    DET_DEGENERACY_TOL times the largest cofactor product, the ratio is
+    meaningless and a DegenerateA3 marker carrying both determinants is
+    returned.
     """
     if len(m) < 5:
         raise ValueError("need factorial moments up to order 4")
@@ -281,7 +282,7 @@ def agarwal_tara(m, mu=None, tol_det=DET_DEGENERACY_TOL):
     det_mu = _det3(mat_mu)
     denom = det_mu - det_m
     scale = max(_cofactor_scale(mat_m), _cofactor_scale(mat_mu))
-    if abs(denom) <= tol_det * scale:
+    if abs(denom) <= DET_DEGENERACY_TOL * scale:
         return DegenerateA3(det_m=det_m, det_mu=det_mu)
     return det_m / denom
 
@@ -340,7 +341,7 @@ def moment_order(ell_max):
     """Highest factorial-moment order of the modified state that
     evaluate_all reads; its ladder has order count + moment_order(ell_max).
     """
-    return max(2 * ell_max, ell_max + 1, 4)
+    return max(2 * ell_max, 4)
 
 
 def criteria_from_moments(m, mu, ell_max):

@@ -239,9 +239,9 @@ def modified_moment_sequence(dist, mod, x_max):
     least count + x_max (else ValueError).  A distribution gets one normal
     ladder of order count + x_max; a ladder serves as that one would, since
     its entries do not depend on the order built, so one ladder can serve
-    every modification of a state.  Subtraction (and the identity) first
-    applies check_subtracted_norms; addition uses the two positive sums of
-    the module docstring.
+    every modification of a state.  Subtraction (and the identity) applies
+    check_subtracted_norms, then divides N_m..N_{m+x_max} by N_m; addition
+    uses the two positive sums of the module docstring.
     """
     if x_max < 0:
         raise ValueError("x_max must be nonnegative")
@@ -262,8 +262,8 @@ def modified_moment_sequence(dist, mod, x_max):
         ladder = normal_ladder(dist, m + x_max)
     if subtract:
         check_subtracted_norms(ladder, m)
-        return [subtracted_factorial_moment(ladder, m, x)
-                for x in range(x_max + 1)]
+        norm = ladder.values[m]
+        return [value / norm for value in ladder.values[m:m + x_max + 1]]
     normal = _occupied_head(ladder.values)
     if not normal:
         raise UndefinedStateError("the base state has zero norm (N_0 = 0)")

@@ -23,14 +23,14 @@ from .criteria import (
     moment_order,
 )
 from .exceptions import UndefinedStateError
-from .kernels import checked_fsum
+from .kernels import exact_fsum
 from .moments import (
     ModKind,
     StateModification,
     normal_ladder,
     zero_norm_error,
 )
-from .states import DEFAULT_POLICY, NumberDistribution, build_state
+from .states import NumberDistribution, build_state
 
 DEFAULT_SUITE_STATES = (
     ("coherent", 0.5), ("coherent", 1.0), ("coherent", 2.0),
@@ -67,33 +67,16 @@ def _weight_rows(ns, shifts):
         yield row
 
 
-def _weighted(weights, probs, quantity, *args):
-    """[float(w) * p for w, p in zip(weights, probs)], and its fsum; weights
-    are exact integers.  A weight beyond float64 makes the terms exact, so
-    only a sum beyond float64 raises AccuracyError naming
-    quantity.format(*args)."""
-    try:
-        # int * float converts the int to float first, or raises
-        terms = list(map(mul, weights, probs))
-    except OverflowError:
-        from fractions import Fraction  # loaded only when a weight overflows
-        exact = list(map(mul, weights, map(Fraction, probs)))
-        # fsum of the one exact total rounds it, or names its overflow
-        total = checked_fsum((sum(exact),), quantity, *args)
-        return [float(t) for t in exact], total  # each at most the total
-    return terms, checked_fsum(terms, quantity, *args)
-
-
 def direct_moments(dist, x_max):
     """Factorial moments m_0..m_{x_max} by direct summation over the pmf.
 
     Falling-factorial weights (n)_x as exact integer rows, the row of x
-    from that of x - 1, fsum accumulation; falls back to exact rational
-    arithmetic if a weight overflows float64, and raises AccuracyError if
-    the moment does.  Returns a list of floats.
+    from that of x - 1, each summed by kernels.exact_fsum: exact rational
+    arithmetic where a weight or the sum leaves float64, AccuracyError
+    where the moment does.  Returns a list of floats.
     """
     ns, ps = _occupied(dist.probs)
-    return [_weighted(row, ps, "direct factorial moment m_{}", x)[1]
+    return [exact_fsum(row, ps, "direct factorial moment m_{}", x)
             for x, row in enumerate(_weight_rows(ns, range(0, -x_max, -1)))]
 
 
@@ -101,18 +84,26 @@ def direct_power_moments(dist, z_max):
     """Raw moments mu_z = sum_n n^z p_n, the weight row of z that of z - 1
     times n, summed as in direct_moments."""
     ns, ps = _occupied(dist.probs)
-    return [_weighted(row, ps, "direct raw moment mu_{}", z)[1]
+    return [exact_fsum(row, ps, "direct raw moment mu_{}", z)
             for z, row in enumerate(_weight_rows(ns, repeat(0, z_max)))]
 
 
 def _raised(probs, count, quantity):
     """q_j = (j+1)(j+2)...(j+count) p_j / norm for every j of probs, and
-    norm, the raw total, named quantity.format(count); q is left all 0
-    where norm is 0."""
+    norm, the raw total by kernels.exact_fsum, named
+    quantity.format(count); q is left all 0 where norm is 0."""
     ns, ps = _occupied(probs)
     for weights in _weight_rows(ns, range(1, count + 1)):
         pass  # only the last row is needed
-    terms, norm = _weighted(weights, ps, quantity, count)
+    norm = exact_fsum(weights, ps, quantity, count)
+    try:
+        # int * float converts the int to float first, or raises
+        terms = list(map(mul, weights, ps))
+    except OverflowError:
+        # a weight beyond float64: exact_fsum rounds its term once, and
+        # each term is at most the norm
+        terms = [exact_fsum((w,), (p,), quantity, count)
+                 for w, p in zip(weights, ps)]
     q = [0.0] * len(probs)
     if norm > 0.0:
         for j, value in zip(ns, map(truediv, terms, repeat(norm))):
@@ -242,16 +233,17 @@ def _as_float(value):
 
 
 def equivalence_suite(states=DEFAULT_SUITE_STATES, n_max=3, m_max=4, x_max=4,
-                      tol=DEFAULT_TOL, ell_max=2, policy=DEFAULT_POLICY):
+                      tol=DEFAULT_TOL):
     """Compare ladder shortcuts against the brute-force path, cell by cell.
 
     For every (base state, modification) the factorial moments m_0..m_x_max
-    and every criterion are computed along both routes.  Cells record the
-    relative deviation; a cell fails when it exceeds tol, a finite
-    nonnegative number (else ValueError).
+    and every criterion up to order l = 2 are computed along both routes.
+    Cells record the relative deviation; a cell fails when it exceeds tol,
+    a finite nonnegative number (else ValueError).
     """
     if not 0.0 <= tol < math.inf:  # also NaN
         raise ValueError("tol must be a finite nonnegative number")
+    ell_max = 2
     cells = []
     crit_x = moment_order(ell_max)
     moment_x = max(x_max, crit_x)
@@ -262,7 +254,7 @@ def equivalence_suite(states=DEFAULT_SUITE_STATES, n_max=3, m_max=4, x_max=4,
     # one normal ladder per state serves every modification's report
     order = max(n_max, m_max) + moment_order(report_ell)
     for family, param in states:
-        dist = build_state(family, param, policy)
+        dist = build_state(family, param)
         ladder = normal_ladder(dist, order)
         for mod in mods:
             tag = f"{mod.kind.value}{mod.count}"

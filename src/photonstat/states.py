@@ -60,13 +60,18 @@ class CutoffPolicy(namedtuple(
             raise ValueError("eps_tail must be positive")
         if not rel_tol > 0:
             raise ValueError("rel_tol must be positive")
+        # both size lists: ints (not bools) up to sys.maxsize, the longest
+        # a list can be
+        sizes = (("max_cutoff", max_cutoff),
+                 ("max_moment_order", max_moment_order))
+        for name, value in sizes:
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an integer")
         if max_cutoff < 1:
             raise ValueError("max_cutoff must be at least 1")
         if max_moment_order < 0:
             raise ValueError("max_moment_order must be nonnegative")
-        # both size lists, and sys.maxsize is the longest a list can be
-        for name, value in (("max_cutoff", max_cutoff),
-                            ("max_moment_order", max_moment_order)):
+        for name, value in sizes:
             if value > sys.maxsize:
                 raise ValueError(f"{name} must not exceed {sys.maxsize}")
         return super().__new__(cls, eps_tail, rel_tol, max_cutoff,
@@ -119,13 +124,6 @@ class NumberDistribution(namedtuple("NumberDistribution", "probs tail_bound")):
     def mean(self):
         return kernels.checked_fsum((n * p for n, p in enumerate(self.probs)),
                                     "mean photon number")
-
-    def renormalized(self):
-        """Return a copy scaled to unit total probability."""
-        s = self.total()
-        if s <= 0.0:
-            raise ValueError("cannot renormalize a zero distribution")
-        return NumberDistribution([p / s for p in self.probs], self.tail_bound)
 
 
 def _coherent_probs(alpha_sq, cutoff):
@@ -345,21 +343,23 @@ def _as_fock_index(param):
     return n
 
 
-def _build(family, param, policy, renormalize):
+def _build(family, param, policy):
     cutoff = choose_cutoff(family, param, policy)
     pmf, tail = _BUILDERS[family]
-    dist = NumberDistribution(pmf(param, cutoff), tail(param, cutoff))
-    return dist.renormalized() if renormalize else dist
+    probs = pmf(param, cutoff)
+    # positive: no cutoff passes the search with a zero check-order sum
+    total = kernels.checked_fsum(probs, "total probability")
+    return NumberDistribution([p / total for p in probs], tail(param, cutoff))
 
 
-def build_coherent(alpha_sq, policy=DEFAULT_POLICY, renormalize=True):
+def build_coherent(alpha_sq, policy=DEFAULT_POLICY):
     """Coherent state with mean photon number |alpha|^2 (Poissonian)."""
-    return _build("coherent", alpha_sq, policy, renormalize)
+    return _build("coherent", alpha_sq, policy)
 
 
-def build_thermal(nbar, policy=DEFAULT_POLICY, renormalize=True):
+def build_thermal(nbar, policy=DEFAULT_POLICY):
     """Thermal state with mean photon number nbar (geometric pmf)."""
-    return _build("thermal", nbar, policy, renormalize)
+    return _build("thermal", nbar, policy)
 
 
 def build_fock(n):
@@ -370,13 +370,13 @@ def build_fock(n):
     return NumberDistribution(probs, 0.0)
 
 
-def build_squeezed_vacuum(r, policy=DEFAULT_POLICY, renormalize=True):
+def build_squeezed_vacuum(r, policy=DEFAULT_POLICY):
     """Squeezed vacuum with squeezing parameter r (even photon numbers only)."""
-    return _build("squeezed", r, policy, renormalize)
+    return _build("squeezed", r, policy)
 
 
 def build_state(family, param, policy=DEFAULT_POLICY):
     """Construct a base state by family name; see FAMILIES."""
     if family == "fock":
         return build_fock(choose_cutoff(family, param, policy))
-    return _build(family, param, policy, True)
+    return _build(family, param, policy)

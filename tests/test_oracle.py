@@ -208,6 +208,20 @@ def test_subtraction_weight_overflow_falls_back_to_exact():
     assert res.moments == [1.0, 50.0, 2450.0, 117600.0, 5527200.0]
 
 
+def test_only_a_weight_beyond_float64_rounds_its_term_exactly():
+    # one row of weights: 152!/2! fits float64, so its term stays the plain
+    # product float(w) * p; 300!/150! does not, so its term is the exact
+    # product rounded once
+    probs = np.zeros(301)
+    probs[152], probs[300] = 0.3, 1e-300
+    res = oracle_subtract(NumberDistribution(probs), 150)
+    fits, beyond = math.perm(152, 150), math.perm(300, 150)
+    norm = float(fits * Fraction(0.3) + beyond * Fraction(1e-300))
+    assert res.norm_constant == norm
+    assert res.dist.probs[2] == float(fits) * 0.3 / norm
+    assert res.dist.probs[150] == float(beyond * Fraction(1e-300)) / norm
+
+
 # ------------------------------------------------------- ladder duality
 
 @pytest.mark.parametrize("family,build,param", [
@@ -253,14 +267,14 @@ def test_suite_flags_undefined_consistently():
 def test_suite_fails_an_annihilation_only_the_shortcut_sees(monkeypatch):
     # a shortcut that wrongly annihilates thermal(1) under one subtraction
     # fails one undefined cell instead of aborting the suite
-    subtracted = moments.subtracted_factorial_moment
+    checked = moments.check_subtracted_norms
 
-    def annihilating(ladder, n, x):
+    def annihilating(ladder, n):
         if n == 1:
             raise UndefinedStateError("spurious annihilation")
-        return subtracted(ladder, n, x)
+        checked(ladder, n)
 
-    monkeypatch.setattr(moments, "subtracted_factorial_moment", annihilating)
+    monkeypatch.setattr(moments, "check_subtracted_norms", annihilating)
     report = equivalence_suite((("thermal", 1.0),), n_max=1, m_max=1)
     cells = [c for c in report.cells if c.mod == "subtract1"]
     assert [(c.quantity, c.passed) for c in cells] == [("undefined", False)]

@@ -63,6 +63,12 @@ BAD_VALUES = [
      "count must be a nonnegative integer"),
     (MomentLadder([1.0, 1.0], Ordering.NORMAL, build_fock(1)), "values",
      ["x"], "could not convert string to float: 'x'"),
+    (CutoffPolicy(), "max_cutoff", 100.5, "max_cutoff must be an integer"),
+    (CutoffPolicy(), "max_cutoff", True, "max_cutoff must be an integer"),
+    (CutoffPolicy(), "max_moment_order", 12.5,
+     "max_moment_order must be an integer"),
+    (CutoffPolicy(), "max_moment_order", False,
+     "max_moment_order must be an integer"),
 ]
 
 

@@ -24,7 +24,7 @@ from photonstat import (
     antinormal_ladder,
     normal_ladder,
 )
-from photonstat import kernels
+from photonstat import kernels, states
 from photonstat.cli import main
 from photonstat.states import _BUILDERS
 
@@ -122,9 +122,32 @@ def test_normalization(family, param):
 
 
 def test_unnormalized_sum_within_tail_bound():
-    dist = build_coherent(2.0, renormalize=False)
-    total = dist.total()
-    assert 1.0 - dist.tail_bound <= total <= 1.0 + 1e-15
+    pmf, tail = _BUILDERS["coherent"]
+    cutoff = choose_cutoff("coherent", 2.0)
+    total = kernels.checked_fsum(pmf(2.0, cutoff), "total probability")
+    assert 1.0 - tail(2.0, cutoff) <= total <= 1.0 + 1e-15
+
+
+@pytest.mark.parametrize("family,param", [
+    ("coherent", 2.0), ("thermal", 1.3), ("squeezed", 0.6),
+])
+def test_continuous_build_constructs_one_distribution(family, param,
+                                                      monkeypatch):
+    # the pmf is scaled to unit total before the one distribution is made
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return NumberDistribution(*args)
+
+    monkeypatch.setattr(states, "NumberDistribution", counting)
+    dist = build_state(family, param)
+    assert len(made) == 1
+    pmf, _ = _BUILDERS[family]
+    probs = pmf(param, dist.cutoff)
+    total = kernels.checked_fsum(probs, "total probability")
+    assert dist.probs.tobytes() == struct.pack(
+        f"{len(probs)}d", *(p / total for p in probs))
 
 
 def test_tail_bound_meets_policy():
