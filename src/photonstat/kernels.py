@@ -52,12 +52,15 @@ def ladder_sums(probs, order):
     whose weight or sum leaves float64 raises AccuracyError naming N_k.
     Every falling factor on a kept weight is at least 1, so the exact sum
     is then beyond DBL_MAX too, up to a relative band of k * 2**-53.
-    Order 0 is the exactly rounded sum of probs; the cutoff search sums
-    prefixes of its falling-weight row this way.
+    Order 0 is the exactly rounded sum of probs, returned before any
+    photon number is listed; the cutoff search sums prefixes of its
+    falling-weight row this way.
     """
-    ns = list(map(float, compress(range(len(probs)), probs)))
     row = list(map(float, compress(probs, probs)))
     out = [checked_fsum(row, "normal ladder entry N_0")]
+    if not order:
+        return out
+    ns = list(map(float, compress(range(len(probs)), probs)))
     for k in range(1, order + 1):
         if not row:  # every falling weight has vanished: the rest are 0
             out += [0.0] * (order + 1 - k)

@@ -35,6 +35,8 @@ from .states import checked_make
 # log(DBL_MAX) plus a margin far beyond the rounding of lgamma and log
 _LOG_FLOAT64_LIMIT = math.log(sys.float_info.max) + 1.0
 
+_ZERO_BASE = "the base state has zero norm (N_0 = 0)"
+
 
 class Ordering(enum.Enum):
     NORMAL = "normal"
@@ -259,6 +261,12 @@ def modified_moment_sequence(dist, mod, x_max):
         raise AccuracyError(
             f"<(n+{m})_{m}> of the base state exceeds the float64 range")
     if ladder is None:
+        # N_k = 0 past the last occupied n: settle a zero norm before a
+        # ladder of order count + x_max exists
+        if not any(dist.probs[m if subtract else 0:]):
+            if subtract:
+                raise zero_norm_error(dist, m)
+            raise UndefinedStateError(_ZERO_BASE)
         ladder = normal_ladder(dist, m + x_max)
     if subtract:
         check_subtracted_norms(ladder, m)
@@ -266,7 +274,7 @@ def modified_moment_sequence(dist, mod, x_max):
         return [value / norm for value in ladder.values[m:m + x_max + 1]]
     normal = _occupied_head(ladder.values)
     if not normal:
-        raise UndefinedStateError("the base state has zero norm (N_0 = 0)")
+        raise UndefinedStateError(_ZERO_BASE)
     # t[j] = T_{m+j}: no sum reads T_r below r = m, and T_r past
     # r = m + n_last vanishes and is left out
     rows = [_vandermonde_row(r, m)

@@ -22,11 +22,12 @@ from .criteria import (
     evaluate_all,
     moment_order,
 )
-from .exceptions import UndefinedStateError
+from .exceptions import AccuracyError, UndefinedStateError
 from .kernels import exact_fsum
 from .moments import (
     ModKind,
     StateModification,
+    _proves_overflow,
     normal_ladder,
     zero_norm_error,
 )
@@ -93,6 +94,8 @@ def _raised(probs, count, quantity):
     norm, the raw total by kernels.exact_fsum, named
     quantity.format(count); q is left all 0 where norm is 0."""
     ns, ps = _occupied(probs)
+    if not ns:  # norm 0, settled without count empty rows
+        return [0.0] * len(probs), 0.0
     for weights in _weight_rows(ns, range(1, count + 1)):
         pass  # only the last row is needed
     norm = exact_fsum(weights, ps, quantity, count)
@@ -137,8 +140,12 @@ def oracle_add(dist, m, x_max=4):
     """
     if m < 0:
         raise ValueError("m must be nonnegative")
-    q, norm = _raised(dist.probs, m,
-                      "anti-normally ordered norm constant N_{}")
+    quantity = "anti-normally ordered norm constant N_{}"
+    # every raised weight is at least m!, so the norm is at least m! max p:
+    # fail before m multiplications per entry
+    if _proves_overflow(m, max(dist.probs)):
+        raise AccuracyError(quantity.format(m) + " exceeds the float64 range")
+    q, norm = _raised(dist.probs, m, quantity)
     if norm <= 0.0:
         raise UndefinedStateError("the base state has zero norm (N_0 = 0)")
     out = NumberDistribution([0.0] * m + q, 0.0)

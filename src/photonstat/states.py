@@ -12,8 +12,7 @@ import math
 import sys
 from array import array
 from collections import namedtuple
-from itertools import accumulate, compress, repeat
-from operator import mul, sub
+from itertools import accumulate, compress
 
 from . import kernels
 from .exceptions import AccuracyError
@@ -207,18 +206,16 @@ _BUILDERS = {
 
 
 def _falling_weights(probs, order):
-    """p_n * n(n-1)...(n-order+1) for every n, multiplied left to right as
-    in kernels.ladder_sums; entries n < order, and entries with p_n == 0,
-    are 0."""
+    """p_n * n(n-1)...(n-order+1) for every n, one math.prod per occupied
+    n >= order; entries n < order, and entries with p_n == 0, are 0.
+
+    math.prod multiplies its float start by each int factor left to right,
+    as float * int does, so every weight is the product kernels.ladder_sums
+    forms.
+    """
     weights = [0.0] * len(probs)
-    ns = list(compress(range(order, len(probs)), probs[order:]))
-    if not ns:
-        return weights
-    row = [probs[n] for n in ns]
-    for k in range(order):
-        row = list(map(mul, row, map(sub, ns, repeat(k))))
-    for n, w in zip(ns, row):
-        weights[n] = w
+    for n in compress(range(order, len(probs)), probs[order:]):
+        weights[n] = math.prod(range(n, n - order, -1), start=probs[n])
     return weights
 
 
@@ -254,14 +251,23 @@ def _cap_error(family, param, policy):
 def _search(family, param, policy):
     """The cutoff choose_cutoff describes, for a nonnegative parameter.
 
-    Each pmf built yields one row of falling weights at the check order.
-    Every candidate cutoff D from the tail cutoff up to `top` is screened,
-    in increasing order, on prefix sums S of that row (S[D] against
-    S[2D]); a candidate that passes is confirmed by the exactly rounded
-    sums of the same row's prefixes, so the screen never decides.  The
-    first non-finite moment at 2D raises AccuracyError: prefix sums of
+    Each round builds the pmf up to 2 * top + 2 and one row of falling
+    weights at the check order, one product per occupied entry.  Every
+    candidate cutoff D from the tail cutoff up to `top` is screened, in
+    increasing order, on prefix sums S of that row (S[D] against S[2D]);
+    a candidate that passes is confirmed by the exactly rounded sums of
+    the same row's prefixes, so the screen never decides.  The first
+    non-finite moment at 2D raises AccuracyError: prefix sums of
     nonnegative weights only grow, so no larger cutoff can pass.  `top`
     doubles, up to max_cutoff, only when no candidate passes.
+
+    The check order min(K, n_last) needs no pmf entry past 2 * top + 2.
+    The builders' recursions keep a zero, and the odd squeezed entries are
+    0, so a backward scan from there finds n_last wherever it is at most
+    2 * top.  Where n_last lies further out, the order is K, or it exceeds
+    2 * top whatever its exact value: then every weight up to 2 * top is 0
+    and no candidate passes, as at the full n_last.  So the work is
+    bounded by top, however large K is.
     """
     pmf, _ = _BUILDERS[family]
     if param == 0.0:
@@ -269,13 +275,14 @@ def _search(family, param, policy):
     first = _tail_cutoff(family, param, policy)
     top = min(2 * first + policy.max_moment_order, policy.max_cutoff)
     while True:
-        # at least K + 1 entries, so n_last < K only where the pmf underflows
-        probs = pmf(param, max(2 * top, policy.max_moment_order + 1))
-        occupied = list(compress(range(len(probs)), probs))
-        if not occupied:
+        probs = pmf(param, 2 * top + 2)
+        n_last = next((n for n in range(2 * top + 2, -1, -1) if probs[n]),
+                      None)
+        if n_last is None:
             raise AccuracyError(
                 f"{family}({param}) has no nonzero probability in float64")
-        order = min(policy.max_moment_order, occupied[-1])
+        del probs[2 * top + 1:]  # no candidate reads past 2 * top
+        order = min(policy.max_moment_order, n_last)
         weights = _falling_weights(probs, order)
         sums = list(accumulate(weights))
         for cutoff in range(first, top + 1):

@@ -191,6 +191,38 @@ def test_provable_antinormal_overflow_fails_fast():
         "exceeds the float64 range"]
 
 
+def _limit_address_space():
+    # 1 GiB: a list of count entries fails at once instead of filling memory
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    # the pmf is 0 past n = 177, so N_count underflowed
+    (("coherent", "1", "--subtract", str(10 ** 18)), 3,
+     "error: accuracy failure: N_1000000000000000000 underflows float64 "
+     "to 0, but no N_k of a state without finite support vanishes"),
+    # the search's check order is capped at n_last = 1073
+    (("thermal", "1", "--add", str(10 ** 18)), 3,
+     "error: accuracy failure: thermal(1.0): the order-1073 factorial "
+     "moment at cutoff 1074 exceeds the float64 range"),
+    (("fock", "3", "--subtract", str(10 ** 18)), 2,
+     "error: state annihilated: fock(3) does not survive subtract "
+     "1000000000000000000"),
+], ids=["coherent-subtract", "thermal-add", "fock-subtract"])
+def test_huge_counts_exit_at_once_with_one_line(argv, code, message):
+    # no list of count entries is built: the search stops at the occupied
+    # pmf and a subtraction past it is settled before any ladder
+    family, param, *rest = argv
+    cmd = [sys.executable, "-m", "photonstat", "criteria", "--family",
+           family, "--param", param, *rest]
+    result = subprocess.run(cmd, capture_output=True, text=True, timeout=60,
+                            preexec_fn=_limit_address_space)
+    assert result.returncode == code
+    assert "Traceback" not in result.stderr
+    assert result.stderr.splitlines() == [message]
+
+
 # runs `python -m photonstat <argv>` with every import of numpy failing
 _WITHOUT_NUMPY = (
     "import runpy, sys\n"
@@ -641,7 +673,7 @@ def _cli_calls(draw):
             argv += ["--param", draw(st.sampled_from(_FUZZ_PARAMS))]
         mod = draw(st.sampled_from((None, "--add", "--subtract")))
         if mod:
-            argv += [mod, str(draw(st.integers(0, 200)))]
+            argv += [mod, str(draw(st.integers(0, 200) | st.just(10 ** 18)))]
         maybe("--ell-max", range(61))
         maybe("--max-cutoff", (1, 16, 100, 4096))
         maybe("--eps-tail", ("1e-12", "1e-6", "0.5", "1e-300", "-1", "nan"))

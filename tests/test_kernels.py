@@ -182,6 +182,11 @@ PIN_CASES = (
        ("spike-244-245", spike(246, 244, 245), 138),
        ("spike-200-past-zero", spike(201, 3, 200), 205),
        ("spike-1-3-past-support", spike(4, 1, 3), 8)]
+    # a search pmf that underflows before n = K: coherent(1e-30) is 0 past
+    # n = 10, so the search's check order is 10 there; and order 0, where
+    # the weights are the pmf and the ladder is its total alone
+    + [("coherent-1e-30-search", np.array(_BUILDERS["coherent"][0](1e-30, 40)),
+        order) for order in (10, 0)]
 )
 
 

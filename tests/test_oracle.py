@@ -63,6 +63,23 @@ def test_oversubtraction_raises():
         oracle_subtract(build_fock(2), 3)
 
 
+def test_huge_counts_settle_before_any_weight_row(monkeypatch):
+    # N_count is 0 past the last occupied n, and the added norm is at least
+    # count! max p: neither needs the count rows _weight_rows would yield
+    def no_rows(ns, shifts):
+        raise AssertionError("a weight row was built")
+
+    monkeypatch.setattr(oracle, "_weight_rows", no_rows)
+    huge = 10 ** 18
+    with pytest.raises(UndefinedStateError, match=f"^subtracting {huge} "):
+        oracle_subtract(build_fock(2), huge)
+    with pytest.raises(AccuracyError, match=f"^N_{huge} underflows float64"):
+        oracle_subtract(build_coherent(1.0), huge)
+    with pytest.raises(AccuracyError, match="^anti-normally ordered norm "
+                       f"constant N_{huge} exceeds the float64 range$"):
+        oracle_add(build_coherent(1.0), huge)
+
+
 def test_subtract_result_is_normalized():
     res = oracle_subtract(build_squeezed_vacuum(0.8), 2)
     assert abs(res.dist.total() - 1.0) <= 1e-14
@@ -76,7 +93,7 @@ def test_add_vacuum_gives_single_photon():
     assert res.norm_constant == 1.0
 
 
-@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("m", [1, 2, 3, 10 ** 18])
 def test_zero_norm_base_is_undefined_on_both_paths(m):
     # the shortcut and the oracle see the same undefined added state
     dist = NumberDistribution([0.0, 0.0])
@@ -362,15 +379,12 @@ def _assert_no_inf(values):
         values
 
 
-# Counts stay small: a count near 10**18 still allocates in proportion
-# before it fails (a MemoryError), which the bounded-work change to the
-# subtraction and ladder paths is to settle first.
 @settings(max_examples=300, derandomize=True, database=None, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.lists(_FUZZ_ENTRIES, min_size=1, max_size=12),
        st.sampled_from((0.0, 1e-13)),
        st.sampled_from((StateModification.add, StateModification.subtract)),
-       st.integers(0, 6), st.integers(1, 4))
+       st.one_of(st.integers(0, 6), st.just(10 ** 18)), st.integers(1, 4))
 def test_entry_points_return_finite_values_or_raise_package_errors(
         probs, tail_bound, modification, count, ell_max):
     # no builtin OverflowError, ValueError or ZeroDivisionError escapes,

@@ -217,17 +217,22 @@ def _accepts(family, param, cutoff, policy=DEFAULT_POLICY):
             and abs(m_twice - m_here) <= policy.rel_tol * m_twice)
 
 
-@pytest.mark.parametrize("family,param", [
-    (family, param)
+# check orders the CLI reaches: 12 by default, 18 for --add 6 or
+# --subtract 6 at --ell-max 6, and 8 from a config's max_moment_order
+@pytest.mark.parametrize("family,param,order", [
+    pytest.param(family, param, order, id=f"{family}-{param}"
+                 + ("" if order == 12 else f"-K{order}"))
     for family, top in (("coherent", 8.0), ("thermal", 3.0),
                         ("squeezed", 1.2))
     for param in (1e-300, 1e-30, 1e-8, 0.01, 0.05, 0.5, 2.0, top)
+    for order in (8, 12, 18)
 ])
-def test_choose_cutoff_is_smallest_by_linear_scan(family, param):
+def test_choose_cutoff_is_smallest_by_linear_scan(family, param, order):
     # nonzero parameters search 1..max_cutoff; the scan walks it in order
+    policy = CutoffPolicy(max_moment_order=order)
     smallest = next(d for d in itertools.count(1)
-                    if _accepts(family, param, d))
-    assert choose_cutoff(family, param) == smallest
+                    if _accepts(family, param, d, policy))
+    assert choose_cutoff(family, param, policy) == smallest
 
 
 @pytest.mark.parametrize("family,param,cutoff", [
@@ -267,6 +272,39 @@ def test_lee_dh_vanishes_up_to_the_underflowed_pmf(capsys):
     assert code == 0
     for h in range(1, 79):
         assert abs(doc[f"dh{h}"]) <= 1e-12 * doc["mean"] ** (h + 1), h
+
+
+def _cutoff_or_error(family, param, policy):
+    try:
+        return choose_cutoff(family, param, policy)
+    except AccuracyError as exc:
+        # a cap error goes on to name the policy's own K
+        return str(exc).split(" needs cutoff")[0]
+
+
+# pmfs that underflow to 0: a step ratio above 1/2 would hold them at the
+# smallest subnormal for good
+@pytest.mark.parametrize("family,param", [
+    ("coherent", 1.0), ("thermal", 1.0), ("squeezed", 0.5)])
+def test_a_huge_check_order_builds_no_longer_pmf(monkeypatch, family, param):
+    # every order past n_last checks the same moment, so K = 10**18 must
+    # decide as K = n_last does, on pmfs of at most 2 * max_cutoff + 3
+    # entries (asking for K + 2 of them raises MemoryError)
+    pmf, tail = _BUILDERS[family]
+    probs = pmf(param, 2 * DEFAULT_POLICY.max_cutoff)
+    n_last = max(n for n, p in enumerate(probs) if p)
+    assert n_last < DEFAULT_POLICY.max_cutoff
+    sizes = []
+
+    def recording(param, cutoff):
+        sizes.append(cutoff)
+        return pmf(param, cutoff)
+
+    monkeypatch.setitem(_BUILDERS, family, (recording, tail))
+    huge, capped = (_cutoff_or_error(family, param, CutoffPolicy(
+        max_moment_order=order)) for order in (10 ** 18, n_last))
+    assert huge == capped
+    assert max(sizes) <= 2 * DEFAULT_POLICY.max_cutoff + 2
 
 
 def test_search_sums_one_weight_row(monkeypatch):
