@@ -31,8 +31,6 @@ from .moments import (
     modified_moment,
     modified_moment_sequence,
     normal_ladder,
-    reorder_coefficients,
-    subtracted_factorial_moment,
 )
 from .criteria import (
     CriteriaReport,
@@ -42,13 +40,10 @@ from .criteria import (
     evaluate_all,
     lee_dh,
     mandel_q,
-    mandel_q_added,
-    mandel_q_subtracted,
     mu_from_m,
     poisson_central_moment,
     q_ell_central,
     q_ell_normal,
-    stirling2,
 )
 
 __all__ = [
@@ -85,8 +80,6 @@ __all__ = [
     "ladder_sums_exact",
     "lee_dh",
     "mandel_q",
-    "mandel_q_added",
-    "mandel_q_subtracted",
     "modified_moment",
     "modified_moment_sequence",
     "mu_from_m",
@@ -96,8 +89,6 @@ __all__ = [
     "poisson_central_moment",
     "q_ell_central",
     "q_ell_normal",
-    "reorder_coefficients",
-    "stirling2",
 ]
 
 

@@ -26,6 +26,10 @@ from .states import DEFAULT_POLICY, FAMILIES, CutoffPolicy, build_state
 UNDEF = "UNDEF"
 DEGENERATE = "DEGENERATE"
 
+# longest --param-range grid: a sweep keeps every row until it writes
+# them, and 10**5 default rows peak near 180 MB (10**6 would need 1.8 GB)
+MAX_GRID_POINTS = 10 ** 5
+
 
 class _Parser(argparse.ArgumentParser):
     # usage problems exit 1 (not argparse's default 2) with one line
@@ -206,11 +210,10 @@ def _parse_param_range(text, parser):
         parser.error("--param-range values must be finite")
     if step <= 0 or stop < start:
         parser.error("--param-range needs step > 0 and stop >= start")
-    span = (stop - start) / step
-    if not span < sys.maxsize:  # also inf: more points than a list holds
-        parser.error("--param-range has too many points")
-    count = int(math.floor(span + 1e-6)) + 1
-    return tuple(start + i * step for i in range(count))
+    span = (stop - start) / step + 1e-6
+    if not span < MAX_GRID_POINTS:  # also inf
+        parser.error(f"--param-range has more than {MAX_GRID_POINTS} points")
+    return tuple(start + i * step for i in range(math.floor(span) + 1))
 
 
 def _parse_criteria(text, parser):

@@ -2,8 +2,7 @@
 
 Criteria covered:
 
-* Mandel Q (variance vs mean), including the closed forms for subtracted
-  and added states written directly on the normalization ladder.
+* Mandel Q (variance vs mean).
 * Generalized Mandel Q^(l) in both of its circulating forms: the plain
   central-moment form and the normally ordered form.  These coincide at
   l = 1 and genuinely differ for l >= 2 on non-Poissonian states, so both
@@ -11,10 +10,12 @@ Criteria covered:
 * Lee higher-order sub-Poissonian function d_h^(l-1) = m_l - m_1^l.
 * Agarwal-Tara A3 determinant ratio over 3x3 moment matrices.
 
-Raw photon-number moments are always derived from factorial moments via
-Stirling numbers of the second kind, so every criterion is a function of
-the normalization ladder alone.  Undefined values (vacuum mean) are
-reported as NaN plus a flag, never raised, so sweeps survive them.
+Every criterion reads the factorial moments of the modified state, which
+moments.modified_moment_sequence derives from the normalization ladder;
+raw photon-number moments come from them via Stirling numbers of the
+second kind, so every criterion is a function of the ladder alone.
+Undefined values (vacuum mean) are reported as NaN plus a flag, never
+raised, so sweeps survive them.
 """
 
 import math
@@ -26,21 +27,15 @@ from operator import mul
 
 from .exceptions import AccuracyError, UndefinedStateError
 from .kernels import checked_fsum, exact_fsum
-from .moments import (
-    Ordering,
-    StateModification,
-    _check_cover,
-    check_subtracted_norms,
-    modified_moment_sequence,
-)
+from .moments import StateModification, modified_moment_sequence
 
 # |det(mu) - det(m)| below this fraction of the largest cofactor product
 # means the A3 denominator carries no significant digits
 DET_DEGENERACY_TOL = 1e-10
 
 
-# Exact rows S(z, 0..z), grown on demand and shared by stirling2 and
-# mu_from_m; one row per order, whatever the number of states.
+# Exact rows S(z, 0..z) for mu_from_m, grown on demand; one row per
+# order, whatever the number of states.
 # Rows are only appended, under the lock, so a row once read never changes.
 _STIRLING_ROWS = [[1]]
 _STIRLING_LOCK = threading.Lock()
@@ -63,27 +58,17 @@ def _binomial_row(n):
     return tuple(math.comb(n, j) for j in range(n + 1))
 
 
-def stirling2(z, k):
-    """Stirling number of the second kind S(z, k), exact integer."""
-    if k < 0 or z < 0 or k > z:
-        raise ValueError("need 0 <= k <= z")
-    return _stirling_row(z)[k]
-
-
-def mu_from_m(m, z_max=None):
-    """Raw moments mu_z = <n^z> from factorial moments via Stirling weights.
+def mu_from_m(m):
+    """Raw moments mu_z = <n^z> from factorial moments via Stirling weights,
+    one per entry of m.
 
     mu_z = sum_{k=1..z} S(z,k) m_k, exact integer weights summed by
     kernels.exact_fsum.  Returns a list of floats.
     """
-    if z_max is None:
-        z_max = len(m) - 1
-    if len(m) <= z_max:
-        raise ValueError(f"need factorial moments up to order {z_max}")
-    m = [float(v) for v in m[:z_max + 1]]
+    m = [float(v) for v in m]
     return [1.0] + [exact_fsum(_stirling_row(z)[1:], m[1:z + 1],
                                "raw moment <n^{}>", z)
-                    for z in range(1, z_max + 1)]
+                    for z in range(1, len(m))]
 
 
 def mandel_q(m1, m2):
@@ -95,33 +80,6 @@ def mandel_q(m1, m2):
     if m1 == 0.0:
         return math.nan
     return (m2 - m1 * m1) / m1
-
-
-def mandel_q_subtracted(ladder, n):
-    """Mandel Q of the n-photon-subtracted state straight off the ladder:
-    N_{n+2}/N_{n+1} - N_{n+1}/N_n."""
-    _check_cover(ladder, n + 2, Ordering.NORMAL)
-    check_subtracted_norms(ladder, n)
-    v = ladder.values
-    if v[n + 1] <= 0.0:
-        raise UndefinedStateError(
-            f"subtracting {n} photons leaves no state with positive mean")
-    return float(v[n + 2] / v[n + 1] - v[n + 1] / v[n])
-
-
-def mandel_q_added(ladder, m):
-    """Mandel Q of the m-photon-added state straight off the ladder:
-    (N_{m+2} - 4 N_{m+1} + 2 N_m)/(N_{m+1} - N_m) - (N_{m+1} - N_m)/N_m."""
-    _check_cover(ladder, m + 2, Ordering.ANTINORMAL)
-    v = ladder.values
-    if v[m + 1] <= v[m]:
-        raise ValueError(
-            "anti-normal ladder is not strictly increasing at "
-            f"k={m}; corrupted ladder or mean-zero state")
-    mean = (v[m + 1] - v[m]) / v[m]
-    second = checked_fsum((v[m + 2], -4.0 * v[m + 1], 2.0 * v[m]),
-                          "norm times m_2 of the {}-photon-added state", m)
-    return float(second / (v[m + 1] - v[m]) - mean)
 
 
 def lee_dh(m, ell):
@@ -262,20 +220,17 @@ def _hankel3(seq):
             [float(seq[2]), float(seq[3]), float(seq[4])]]
 
 
-def agarwal_tara(m, mu=None):
+def agarwal_tara(m, mu):
     """Agarwal-Tara A3 = det(m3) / (det(mu3) - det(m3)).
 
     m3 and mu3 are the 3x3 Hankel matrices of factorial and raw moments of
-    orders 0..4; mu defaults to the Stirling conversion of m.  A3 < 0
-    witnesses nonclassicality.  When the denominator is smaller than
-    DET_DEGENERACY_TOL times the largest cofactor product, the ratio is
-    meaningless and a DegenerateA3 marker carrying both determinants is
-    returned.
+    orders 0..4.  A3 < 0 witnesses nonclassicality.  When the denominator
+    is smaller than DET_DEGENERACY_TOL times the largest cofactor product,
+    the ratio is meaningless and a DegenerateA3 marker carrying both
+    determinants is returned.
     """
     if len(m) < 5:
         raise ValueError("need factorial moments up to order 4")
-    if mu is None:
-        mu = mu_from_m(m, 4)
     mat_m = _hankel3(m)
     mat_mu = _hankel3(mu)
     det_m = _det3(mat_m)

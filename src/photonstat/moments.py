@@ -18,8 +18,10 @@ is nonnegative, so nothing cancels.
 
 The paper instead reorders a^+x a^x = sum_k (-1)^k k! C(x,k)^2
 a^{x-k} a^+(x-k) and reads the anti-normal ladder <a^k a^+k>; the tests
-check the positive form against that identity (reorder_coefficients on
-antinormal_ladder) in exact rationals.
+check the positive form against that identity in exact rationals.
+
+modified_moment_sequence is the one route from a state to the moments
+every criterion reads.
 """
 
 import enum
@@ -175,15 +177,6 @@ def antinormal_ladder(dist, order):
         Ordering.ANTINORMAL, dist)
 
 
-def _check_cover(ladder, needed, ordering):
-    if ladder.ordering is not ordering:
-        adverb = ordering.value.replace("anti", "anti-") + "ly"
-        raise ValueError(f"ladder must be {adverb} ordered")
-    if ladder.order < needed:
-        raise ValueError(
-            f"ladder covers orders 0..{ladder.order}, need {needed}")
-
-
 def zero_norm_error(dist, n):
     """The error for a zero normal ladder entry N_n of dist: subtraction
     annihilates only a state of finite support (tail_bound 0, as for Fock
@@ -203,28 +196,6 @@ def check_subtracted_norms(ladder, n):
     for k, value in enumerate(ladder.values[n:n + 3], n):
         if value <= 0.0 and (k == n or ladder.base.tail_bound > 0.0):
             raise zero_norm_error(ladder.base, k)
-
-
-def subtracted_factorial_moment(ladder, n, x):
-    """<a^+x a^x> on the n-photon-subtracted state: N_{n+x}/N_n."""
-    if n < 0 or x < 0:
-        raise ValueError("n and x must be nonnegative")
-    _check_cover(ladder, n + x, Ordering.NORMAL)
-    norm = ladder.values[n]
-    if norm <= 0.0:
-        raise zero_norm_error(ladder.base, n)
-    return ladder.values[n + x] / norm
-
-
-def reorder_coefficients(x):
-    """Integer coefficients of a^{x-k} a^+(x-k) in the expansion of a^+x a^x.
-
-    coeff[k] = (-1)^k k! C(x,k)^2 for k = 0..x, exact.
-    """
-    if x < 0:
-        raise ValueError("x must be nonnegative")
-    return [(-1) ** k * math.factorial(k) * math.comb(x, k) ** 2
-            for k in range(x + 1)]
 
 
 def modified_moment(dist, mod, x):
@@ -251,7 +222,11 @@ def modified_moment_sequence(dist, mod, x_max):
     subtract = m == 0 or mod.kind is ModKind.SUBTRACT
     ladder = None
     if isinstance(dist, MomentLadder):
-        _check_cover(dist, m + x_max, Ordering.NORMAL)
+        if dist.ordering is not Ordering.NORMAL:
+            raise ValueError("ladder must be normally ordered")
+        if dist.order < m + x_max:
+            raise ValueError(
+                f"ladder covers orders 0..{dist.order}, need {m + x_max}")
         # the entries past count + x_max, which a fresh ladder lacks, stay
         # unread
         ladder = dist._replace(values=dist.values[:m + x_max + 1])

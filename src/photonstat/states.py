@@ -55,10 +55,11 @@ class CutoffPolicy(namedtuple(
 
     def __new__(cls, eps_tail=1e-12, rel_tol=1e-10, max_cutoff=4096,
                 max_moment_order=12):
-        if not eps_tail > 0:  # also rejects NaN
-            raise ValueError("eps_tail must be positive")
-        if not rel_tol > 0:
-            raise ValueError("rel_tol must be positive")
+        for name, value in (("eps_tail", eps_tail), ("rel_tol", rel_tol)):
+            if not value > 0:  # also rejects NaN
+                raise ValueError(f"{name} must be positive")
+            if value == math.inf:  # JSON output has no infinity
+                raise ValueError(f"{name} must be finite")
         # both size lists: ints (not bools) up to sys.maxsize, the longest
         # a list can be
         sizes = (("max_cutoff", max_cutoff),

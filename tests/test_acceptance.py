@@ -11,6 +11,7 @@ import math
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,7 +21,6 @@ from photonstat import (
     DegenerateA3,
     StateModification,
     UndefinedStateError,
-    antinormal_ladder,
     build_fock,
     build_state,
     build_thermal,
@@ -28,14 +28,11 @@ from photonstat import (
     direct_power_moments,
     equivalence_suite,
     evaluate_all,
+    ladder_sums_exact,
     mandel_q,
-    mandel_q_added,
-    mandel_q_subtracted,
     modified_moment_sequence,
     mu_from_m,
-    normal_ladder,
     oracle_subtract,
-    reorder_coefficients,
 )
 from photonstat.cli import main
 
@@ -46,6 +43,30 @@ def _ok(name):
 
 def _close(a, b, rel, floor=1e-12):
     return abs(a - b) <= max(rel * max(abs(a), abs(b)), floor)
+
+
+# The paper's closed forms, exact on the exact-rational normal ladder of
+# one float pmf
+
+
+def _q_subtracted_ref(normal, n):
+    # Q of the n-photon-subtracted state: N_{n+2}/N_{n+1} - N_{n+1}/N_n
+    return normal[n + 2] / normal[n + 1] - normal[n + 1] / normal[n]
+
+
+def _q_added_ref(normal, m):
+    # Q of the m-photon-added state on the anti-normal ladder
+    # A_k = <a^k a^+k> = sum_j C(k,j)^2 j! N_{k-j}:
+    # (A_{m+2} - 4 A_{m+1} + 2 A_m)/(A_{m+1} - A_m) - (A_{m+1} - A_m)/A_m
+    a0, a1, a2 = (sum(math.comb(k, j) ** 2 * math.factorial(j) * normal[k - j]
+                      for j in range(k + 1)) for k in (m, m + 1, m + 2))
+    return (a2 - 4 * a1 + 2 * a0) / (a1 - a0) - (a1 - a0) / a0
+
+
+def _reorder_coefficients(x):
+    # the paper's a^+x a^x = sum_k coeff[k] a^{x-k} a^+(x-k), exact integers
+    return [(-1) ** k * math.factorial(k) * math.comb(x, k) ** 2
+            for k in range(x + 1)]
 
 
 def test_coherent_nullity():
@@ -74,9 +95,11 @@ def test_thermal_fixed_points():
         dist = build_thermal(nbar)
         report = evaluate_all(dist, ell_max=1)
         assert abs(report.mandel_q - nbar) <= 1e-9
-        ladder = normal_ladder(dist, 5)
+        normal = ladder_sums_exact(dist.probs, 5)
         for n in (1, 2, 3):
-            assert abs(mandel_q_subtracted(ladder, n) - nbar) <= 1e-9
+            q = evaluate_all(dist, StateModification.subtract(n), 1).mandel_q
+            assert abs(q - nbar) <= 1e-9
+            assert abs(_q_subtracted_ref(normal, n) - Fraction(nbar)) <= 1e-9
     # oracle confirmation on a representative point
     sub = oracle_subtract(build_thermal(1.0), 2)
     q_oracle = mandel_q(float(sub.moments[1]), float(sub.moments[2]))
@@ -100,10 +123,11 @@ def test_fock_fixed_points():
 
 
 def test_photon_added_exactness_on_fock_inputs():
-    vac = mandel_q_added(antinormal_ladder(build_fock(0), 3), 1)
-    one = mandel_q_added(antinormal_ladder(build_fock(1), 3), 1)
-    assert abs(vac + 1.0) <= 1e-12  # result state |1>
-    assert abs(one + 1.0) <= 1e-12  # result state |2>
+    for n in (0, 1):  # result states |1> and |2>
+        dist = build_fock(n)
+        q = evaluate_all(dist, StateModification.add(1), ell_max=1).mandel_q
+        assert abs(q + 1.0) <= 1e-12
+        assert _q_added_ref(ladder_sums_exact(dist.probs, 3), 1) == -1
     _ok("photon-added exactness on fock inputs")
 
 
@@ -119,19 +143,20 @@ def test_shortcut_oracle_equivalence():
 
 
 def test_specialization_consistency():
+    # the closed forms straight off the ladder, in exact rationals, against
+    # Q of the modified state's moments
     for family, param in DEFAULT_SUITE_STATES:
         dist = build_state(family, param)
-        nl = normal_ladder(dist, 6)
+        normal = ladder_sums_exact(dist.probs, 6)
         for n in range(4):
-            if nl.values[n] <= 0.0 or nl.values[n + 1] <= 0.0:
+            if normal[n] == 0 or normal[n + 1] == 0:
                 continue
-            direct = mandel_q_subtracted(nl, n)
+            direct = float(_q_subtracted_ref(normal, n))
             m = modified_moment_sequence(dist, StateModification.subtract(n), 2)
             generic = mandel_q(float(m[1]), float(m[2]))
             assert _close(direct, generic, 1e-10), (family, param, n)
-        al = antinormal_ladder(dist, 7)
         for m_add in range(1, 5):
-            direct = mandel_q_added(al, m_add)
+            direct = float(_q_added_ref(normal, m_add))
             m = modified_moment_sequence(dist, StateModification.add(m_add), 2)
             generic = mandel_q(float(m[1]), float(m[2]))
             assert _close(direct, generic, 1e-10), (family, param, m_add)
@@ -159,7 +184,7 @@ def test_reordering_identity_exact():
     for x in range(7):
         lhs = matpow(raise_, x) @ matpow(lower, x)
         rhs = np.zeros((dim, dim), dtype=object)
-        for k, coeff in enumerate(reorder_coefficients(x)):
+        for k, coeff in enumerate(_reorder_coefficients(x)):
             rhs = rhs + coeff * (matpow(lower, x - k) @ matpow(raise_, x - k))
         interior = dim - x
         assert (lhs[:interior, :interior] == rhs[:interior, :interior]).all()
@@ -193,7 +218,7 @@ def test_order_one_coincidence_and_lee_identity():
 def test_stirling_conversion_against_direct_power_sums():
     for family, param in DEFAULT_SUITE_STATES:
         dist = build_state(family, param)
-        converted = mu_from_m(direct_moments(dist, 6), 6)
+        converted = mu_from_m(direct_moments(dist, 6))
         direct = direct_power_moments(dist, 6)
         for z in range(7):
             a, b = float(converted[z]), float(direct[z])

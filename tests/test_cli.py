@@ -16,8 +16,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from photonstat import stirling2
-from photonstat.cli import main
+from photonstat.cli import (
+    MAX_GRID_POINTS,
+    _parse_param_range,
+    build_parser,
+    main,
+)
 from photonstat.criteria import CRITERIA_TOKENS
 from photonstat.states import FAMILIES
 
@@ -160,10 +164,12 @@ def test_fock_4_at_ell_max_100_prints_exact_values(capsys):
     assert code == 0 and err == ""
     doc = json.loads(out)
     n, orders = 4, 200
-    # exact Touchard raw moments sum_k S(z,k) n^k, then the exact binomial
-    # central-moment sums; the factorial moments of Fock(n) are n!/(n-k)!
-    raw = [sum(stirling2(z, k) * n ** k for k in range(z + 1))
-           for z in range(orders + 1)]
+    # exact Poisson raw moments by the Touchard recurrence
+    # T_{z+1} = n sum_k C(z,k) T_k, then the exact binomial central-moment
+    # sums; the factorial moments of Fock(n) are n!/(n-k)!
+    raw = [1]
+    for z in range(orders):
+        raw.append(n * sum(math.comb(z, k) * t for k, t in enumerate(raw)))
     for ell in range(1, 101):
         r = 2 * ell
         o2l = sum(math.comb(r, j) * raw[j] * (-n) ** (r - j)
@@ -221,6 +227,30 @@ def test_huge_counts_exit_at_once_with_one_line(argv, code, message):
     assert result.returncode == code
     assert "Traceback" not in result.stderr
     assert result.stderr.splitlines() == [message]
+
+
+def test_huge_param_range_exits_at_once_with_one_line():
+    # 10**12 + 1 points: the count is refused before any point is built
+    cmd = [sys.executable, "-m", "photonstat", "sweep", "--family", "fock",
+           "--param-range", "0:1e12:1"]
+    result = subprocess.run(cmd, capture_output=True, text=True, timeout=60,
+                            preexec_fn=_limit_address_space)
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        f"photonstat: error: --param-range has more than {MAX_GRID_POINTS} "
+        "points"]
+
+
+def test_param_range_point_limit_is_inclusive(capsys):
+    parser = build_parser()
+    grid = _parse_param_range(f"0:{MAX_GRID_POINTS - 1}:1", parser)
+    assert len(grid) == MAX_GRID_POINTS and grid[-1] == MAX_GRID_POINTS - 1
+    with pytest.raises(SystemExit) as refused:
+        _parse_param_range(f"0:{MAX_GRID_POINTS}:1", parser)
+    assert refused.value.code == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"photonstat: error: --param-range has more than {MAX_GRID_POINTS} "
+        "points"]
 
 
 # runs `python -m photonstat <argv>` with every import of numpy failing
@@ -622,10 +652,18 @@ _HUGE = str(10 ** 26)
     (("selfcheck",), '{"tol": "x"}'),
     (("selfcheck",), '{"tol": [1]}'),
     (("criteria", "--family", "thermal", "--param", "1"), b"\xff{}"),
+    # the policy is echoed in JSON, which has no infinity
+    (("criteria", "--family", "thermal", "--param", "1", "--eps-tail",
+      "inf"), None),
+    (("criteria", "--family", "thermal", "--param", "1"),
+     '{"rel_tol": "inf"}'),
+    (("sweep", "--family", "thermal", "--param", "1"),
+     '{"eps_tail": Infinity}'),
 ], ids=["add", "subtract", "ell-max", "max-cutoff", "param-range",
         "config-ell-max", "config-max-cutoff", "config-ell-max-float",
         "config-criteria", "config-format", "config-tol-text",
-        "config-tol-list", "config-not-utf8"])
+        "config-tol-list", "config-not-utf8", "eps-tail-inf",
+        "config-rel-tol-inf", "config-eps-tail-infinity"])
 def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv,
                                               config):
     if config is not None:
@@ -639,6 +677,13 @@ def test_out_of_range_values_are_usage_errors(tmp_path, capsys, argv,
     assert code == 1 and out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("photonstat: error: ")
+
+
+def _strict_json(text):
+    """text parsed as JSON proper: NaN and Infinity are not JSON."""
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+    return json.loads(text, parse_constant=reject)
 
 
 # ------------------------------------------------------------------ fuzz
@@ -676,7 +721,8 @@ def _cli_calls(draw):
             argv += [mod, str(draw(st.integers(0, 200) | st.just(10 ** 18)))]
         maybe("--ell-max", range(61))
         maybe("--max-cutoff", (1, 16, 100, 4096))
-        maybe("--eps-tail", ("1e-12", "1e-6", "0.5", "1e-300", "-1", "nan"))
+        maybe("--eps-tail", ("1e-12", "1e-6", "0.5", "1e-300", "-1", "nan",
+                             "inf"))
         maybe("--format", ("csv", "json"))
         maybe("--criteria", ("Q", "A3,d_h", ",".join(CRITERIA_TOKENS), "x"))
     config = draw(st.none() | st.dictionaries(
@@ -706,7 +752,9 @@ def test_fuzzed_invocations_exit_with_a_code_and_one_line(call):
         first = _run_in_process(argv)
         elapsed = time.perf_counter() - start
         assert _run_in_process(argv) == first
-    code, _, err = first
+    code, out, err = first
     assert code in range(5)
     assert len(err.splitlines()) <= 1
     assert elapsed < 30, argv
+    if out.startswith("{"):
+        _strict_json(out)

@@ -15,27 +15,25 @@ from hypothesis import strategies as st
 from photonstat import (
     AccuracyError,
     DegenerateA3,
+    ModKind,
     StateModification,
     agarwal_tara,
-    antinormal_ladder,
     build_coherent,
     build_fock,
     build_squeezed_vacuum,
     build_thermal,
     evaluate_all,
+    ladder_sums_exact,
     lee_dh,
     mandel_q,
-    mandel_q_added,
-    mandel_q_subtracted,
     modified_moment_sequence,
     mu_from_m,
     normal_ladder,
     poisson_central_moment,
     q_ell_central,
     q_ell_normal,
-    reorder_coefficients,
-    stirling2,
 )
+from photonstat import criteria
 from photonstat.criteria import _det3, _hankel3
 
 
@@ -54,27 +52,29 @@ def count_set_partitions(z, k):
 
 
 # ----------------------------------------------------------------- stirling
+#
+# mu_from_m on the unit factorial-moment vector e_k (k >= 1) returns
+# mu_0 = 1, then the column S(1..z_max, k) scaled by the unit entry:
+# mu_z = S(z, k) * scale.  A power of two keeps every column entry a normal
+# float, so each one is the correctly rounded S(z, k) * scale.
+
+def _stirling_column(z_max, k, scale=1.0):
+    return mu_from_m([0.0] * k + [scale] + [0.0] * (z_max - k))
+
 
 def test_stirling_base():
-    assert stirling2(0, 0) == 1
-    assert stirling2(4, 2) == 7
+    assert _stirling_column(0, 0) == [1.0]     # S(0, 0) = 1
+    assert _stirling_column(4, 2)[4] == 7.0
 
 
 def test_stirling_brute_force():
-    assert stirling2(5, 3) == count_set_partitions(5, 3) == 25
+    assert _stirling_column(5, 3)[5] == count_set_partitions(5, 3) == 25
 
 
 def test_stirling_row_against_brute_force():
-    for z in range(1, 7):
-        for k in range(1, z + 1):
-            assert stirling2(z, k) == count_set_partitions(z, k)
-
-
-def test_stirling_validation():
-    with pytest.raises(ValueError):
-        stirling2(2, 3)
-    with pytest.raises(ValueError):
-        stirling2(-1, 0)
+    for k in range(1, 7):
+        assert _stirling_column(6, k) == [1.0] + [
+            float(count_set_partitions(z, k)) for z in range(1, 7)]
 
 
 # ------------------------------------------------------------------- mu/m
@@ -132,38 +132,62 @@ def test_mandel_q_vacuum_undefined():
     assert math.isnan(mandel_q(0.0, 0.0))
 
 
+# The paper's closed forms of Q straight off the ladder, as exact
+# references over the exact-rational normal ladder of one float pmf
+
+
+def _q_subtracted_ref(normal, n):
+    # N_{n+2}/N_{n+1} - N_{n+1}/N_n
+    return normal[n + 2] / normal[n + 1] - normal[n + 1] / normal[n]
+
+
+def _q_added_ref(normal, m):
+    # (A_{m+2} - 4 A_{m+1} + 2 A_m)/(A_{m+1} - A_m) - (A_{m+1} - A_m)/A_m on
+    # the anti-normal ladder A_k = <a^k a^+k> = sum_j C(k,j)^2 j! N_{k-j}
+    a0, a1, a2 = (sum(math.comb(k, j) ** 2 * math.factorial(j) * normal[k - j]
+                      for j in range(k + 1)) for k in (m, m + 1, m + 2))
+    return (a2 - 4 * a1 + 2 * a0) / (a1 - a0) - (a1 - a0) / a0
+
+
+def _pinned_q(dist, mod, rel=1e-12):
+    """evaluate_all's Q, checked against the closed form within rel."""
+    normal = ladder_sums_exact(dist.probs, mod.count + 2)
+    if mod.kind is ModKind.ADD:
+        exact = _q_added_ref(normal, mod.count)
+    else:
+        exact = _q_subtracted_ref(normal, mod.count)
+    got = evaluate_all(dist, mod, ell_max=1).mandel_q
+    assert abs(Fraction(got) - exact) <= Fraction(rel) * max(abs(exact), 1), (
+        got, float(exact))
+    return got, exact
+
+
 def test_mandel_q_subtracted_thermal_is_invariant():
     dist = build_thermal(0.8)
-    ladder = normal_ladder(dist, 6)
     for n in range(4):
-        assert math.isclose(mandel_q_subtracted(ladder, n), 0.8,
-                            rel_tol=1e-9)
+        got, _ = _pinned_q(dist, StateModification.subtract(n))
+        assert math.isclose(got, 0.8, rel_tol=1e-9)
 
 
 def test_mandel_q_subtracted_coherent_is_zero():
-    ladder = normal_ladder(build_coherent(1.3), 5)
     for n in range(3):
-        assert abs(mandel_q_subtracted(ladder, n)) <= 1e-12
+        got, exact = _pinned_q(build_coherent(1.3),
+                               StateModification.subtract(n))
+        assert abs(got) <= 1e-12 and abs(exact) <= 1e-12
 
 
 def test_mandel_q_subtracted_fock():
-    ladder = normal_ladder(build_fock(3), 3)
-    assert mandel_q_subtracted(ladder, 1) == -1.0
+    got, exact = _pinned_q(build_fock(3), StateModification.subtract(1))
+    assert got == exact == -1
 
 
 def test_mandel_q_added_examples():
-    assert mandel_q_added(antinormal_ladder(build_fock(0), 3), 1) == -1.0
-    assert mandel_q_added(antinormal_ladder(build_fock(1), 3), 1) == -1.0
-    got = mandel_q_added(antinormal_ladder(build_thermal(1.0), 3), 1)
+    for n in (0, 1):
+        got, exact = _pinned_q(build_fock(n), StateModification.add(1))
+        assert got == exact == -1
+    got, exact = _pinned_q(build_thermal(1.0), StateModification.add(1))
     assert math.isclose(got, 1.0 / 3.0, rel_tol=1e-10)
-
-
-def test_mandel_q_added_rejects_flat_ladder():
-    from photonstat import MomentLadder, Ordering
-    flat = MomentLadder(np.array([1.0, 1.0, 2.0]), Ordering.ANTINORMAL,
-                        build_fock(0))
-    with pytest.raises(ValueError):
-        mandel_q_added(flat, 0)
+    assert abs(exact - Fraction(1, 3)) <= Fraction(1e-10)
 
 
 # -------------------------------------------------------------------- lee
@@ -270,7 +294,7 @@ def test_q_ell_vacuum_undefined():
 def test_a3_coherent_is_zero():
     for lam in (0.5, 1.0, 4.0):
         m = [lam ** x for x in range(5)]
-        value = agarwal_tara(m)
+        value = agarwal_tara(m, mu_from_m(m))
         assert not isinstance(value, DegenerateA3)
         assert abs(value) <= 1e-9
 
@@ -280,11 +304,12 @@ def test_a3_fock2():
     m = [1.0, 2.0, 2.0, 0.0, 0.0]
     assert _det3(_hankel3(m)) == -8.0
     assert _det3(_hankel3(mu_from_m(m))) == 0.0
-    assert agarwal_tara(m) == -1.0
+    assert agarwal_tara(m, mu_from_m(m)) == -1.0
 
 
 def test_a3_fock1_degenerate():
-    value = agarwal_tara([1.0, 1.0, 0.0, 0.0, 0.0])
+    m = [1.0, 1.0, 0.0, 0.0, 0.0]
+    value = agarwal_tara(m, mu_from_m(m))
     assert isinstance(value, DegenerateA3)
     assert value.det_m == 0.0
     assert value.det_mu == 0.0
@@ -293,7 +318,7 @@ def test_a3_fock1_degenerate():
 def test_a3_thermal_value():
     # thermal states are classical: A3 >= 0
     m = [1.0, 1.0, 2.0, 6.0, 24.0]
-    value = agarwal_tara(m)
+    value = agarwal_tara(m, mu_from_m(m))
     assert value >= 0.0
 
 
@@ -420,7 +445,7 @@ def test_order_one_coincidence_random_distributions(weights):
 def _stirling_ref(z, k):
     if z == k:
         return 1
-    if k == 0:
+    if k == 0 or k > z:
         return 0
     return k * _stirling_ref(z - 1, k) + _stirling_ref(z - 1, k - 1)
 
@@ -479,11 +504,6 @@ def _q_central_ref(mu, ell):
     return (central - o2l) / o2l
 
 
-def _reorder_ref(x):
-    return [(-1) ** k * math.factorial(k) * math.comb(x, k) ** 2
-            for k in range(x + 1)]
-
-
 def _added_ref(dist, m, x_max):
     # the two positive sums term by term, each exactly rounded, the second
     # over T_r / T_m; zero ladder entries contribute nothing
@@ -534,10 +554,20 @@ def _moments(mean):
     return [mean ** k if k < 150 else 0.0 for k in range(MAX_ORDER + 1)]
 
 
+def _stirling_scaled(z, k, scale=2.0 ** -600):
+    # S(z, k) * scale correctly rounded, as a unit column entry must be
+    return float(_stirling_ref(z, k) * Fraction(scale))
+
+
 def test_stirling_rows_match_recursion():
+    # the shared rows are exact integers; every S(z, k) with z <= 200 fits
+    # float64 once scaled by 2**-600, so mu_from_m takes its float path
     for z in range(MAX_ORDER + 1):
-        assert [stirling2(z, k) for k in range(z + 1)] == [
+        assert criteria._stirling_row(z) == [
             _stirling_ref(z, k) for k in range(z + 1)]
+    for k in range(1, MAX_ORDER + 1):
+        assert _stirling_column(MAX_ORDER, k, 2.0 ** -600)[1:] == [
+            _stirling_scaled(z, k) for z in range(1, MAX_ORDER + 1)], k
 
 
 def test_poisson_central_moment_matches_exact_interleaved():
@@ -571,24 +601,16 @@ def test_mu_and_q_ell_bit_exact_interleaved():
         assert _agree(_outcome(mu_from_m, m),
                       _outcome(_mu_ref, m, MAX_ORDER)), mean
         # <n^199> overflows at mean 4.0; order 198 serves every l <= 99
-        assert _outcome(mu_from_m, m, MAX_ORDER - 2) == _outcome(
+        head = m[:MAX_ORDER - 1]
+        assert _outcome(mu_from_m, head) == _outcome(
             _mu_ref, m, MAX_ORDER - 2)
-        mu = mu_from_m(m, MAX_ORDER - 2)
+        mu = mu_from_m(head)
         for ell in ELLS:
             assert _agree(_outcome(q_ell_normal, m, ell),
                           _outcome(_q_normal_ref, m, ell)), (mean, ell)
             if 2 * ell < len(mu):
                 assert _agree(_outcome(q_ell_central, mu, ell),
                               _outcome(_q_central_ref, mu, ell)), (mean, ell)
-
-
-def test_reorder_coefficients_bit_exact():
-    for x in range(MAX_ORDER + 1):
-        coeffs = reorder_coefficients(x)
-        assert type(coeffs) is list and coeffs == _reorder_ref(x)
-    # each call returns a fresh list
-    reorder_coefficients(3).append(0)
-    assert reorder_coefficients(3) == _reorder_ref(3)
 
 
 @pytest.mark.parametrize("dist,order", [
@@ -606,27 +628,30 @@ def test_added_factorial_moment_bit_exact(dist, order):
                                                                       x_max)
 
 
-def test_shared_tables_survive_threads():
+def test_shared_tables_survive_threads(monkeypatch):
     # eight threads read the Poisson rows of two means in turn, so the
     # shared row is swapped on nearly every call, and grow the Stirling
-    # rows, all with a tiny switch interval; every thread must get the bits
-    # of a single-threaded run, and an append lost or doubled between a
-    # length check and the append would shift every later Stirling row
+    # rows from S(0, 0) through mu_from_m on unit vectors, all with a tiny
+    # switch interval; every thread must get the bits of a single-threaded
+    # run, and an append lost or doubled between a length check and the
+    # append would shift every later Stirling row
     means = (0.731, 2.0)
     orders = list(range(2, 61, 2))
     want = {(lam, order): poisson_central_moment(lam, order)
             for lam in means for order in orders}
     for (lam, order), value in want.items():
         assert _within(value, _poisson_exact(lam, order)), (lam, order)
-    rows = range(200, 321, 8)
-    want_rows = {z: _stirling_ref(z, z // 2) for z in rows}
+    rows = range(20, 201, 12)
+    want_rows = {z: _stirling_scaled(z, z // 2) for z in rows}
+    monkeypatch.setattr(criteria, "_STIRLING_ROWS", [[1]])
     results = []
 
     def work(seed):
         rng = random.Random(seed)
         got = {(lam, order): poisson_central_moment(lam, order)
                for order in rng.sample(orders, len(orders)) for lam in means}
-        got_rows = {z: stirling2(z, z // 2) for z in rng.sample(rows, 16)}
+        got_rows = {z: _stirling_column(z, z // 2, 2.0 ** -600)[z]
+                    for z in rng.sample(rows, len(rows))}
         results.append((got, got_rows))
 
     poisson_central_moment(means[0], 2)    # a fresh row, still short

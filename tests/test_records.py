@@ -69,6 +69,9 @@ BAD_VALUES = [
      "max_moment_order must be an integer"),
     (CutoffPolicy(), "max_moment_order", False,
      "max_moment_order must be an integer"),
+    (CutoffPolicy(), "eps_tail", math.inf, "eps_tail must be finite"),
+    (CutoffPolicy(), "rel_tol", math.inf, "rel_tol must be finite"),
+    (CutoffPolicy(), "eps_tail", -math.inf, "eps_tail must be positive"),
 ]
 
 
@@ -119,6 +122,62 @@ def test_criteria_report_maps_are_not_shared():
     second = CriteriaReport(math.nan, math.nan)
     assert first.lee_dh == {} and first.lee_dh is not second.lee_dh
     assert first.q_ell_normal is not first.q_ell_central
+
+
+# every public name; adding or dropping one is an API change
+PUBLIC_NAMES = [
+    "AccuracyError",
+    "CriteriaReport",
+    "CutoffPolicy",
+    "DEFAULT_POLICY",
+    "DEFAULT_SUITE_STATES",
+    "DegenerateA3",
+    "EquivalenceCell",
+    "EquivalenceReport",
+    "FAMILIES",
+    "ModKind",
+    "MomentLadder",
+    "NumberDistribution",
+    "OracleResult",
+    "Ordering",
+    "PhotonStatError",
+    "StateModification",
+    "UndefinedStateError",
+    "agarwal_tara",
+    "antinormal_ladder",
+    "build_coherent",
+    "build_fock",
+    "build_squeezed_vacuum",
+    "build_state",
+    "build_thermal",
+    "choose_cutoff",
+    "criteria_from_moments",
+    "direct_moments",
+    "direct_power_moments",
+    "equivalence_suite",
+    "evaluate_all",
+    "ladder_sums_exact",
+    "lee_dh",
+    "mandel_q",
+    "modified_moment",
+    "modified_moment_sequence",
+    "mu_from_m",
+    "normal_ladder",
+    "oracle_add",
+    "oracle_subtract",
+    "poisson_central_moment",
+    "q_ell_central",
+    "q_ell_normal",
+]
+
+
+def test_public_names_are_pinned():
+    assert photonstat.__all__ == PUBLIC_NAMES == sorted(PUBLIC_NAMES)
+    # and the package binds no other public function or class
+    bound = {name for name, value in vars(photonstat).items()
+             if not name.startswith("_") and callable(value)
+             and getattr(value, "__module__", "").startswith("photonstat")}
+    assert bound <= set(PUBLIC_NAMES)
 
 
 def test_star_import_binds_every_public_name():
