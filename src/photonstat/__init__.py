@@ -14,11 +14,7 @@ from .states import (
     FAMILIES,
     CutoffPolicy,
     NumberDistribution,
-    build_coherent,
-    build_fock,
-    build_squeezed_vacuum,
     build_state,
-    build_thermal,
     choose_cutoff,
 )
 from .moments import (
@@ -66,11 +62,7 @@ __all__ = [
     "UndefinedStateError",
     "agarwal_tara",
     "antinormal_ladder",
-    "build_coherent",
-    "build_fock",
-    "build_squeezed_vacuum",
     "build_state",
-    "build_thermal",
     "choose_cutoff",
     "criteria_from_moments",
     "direct_moments",

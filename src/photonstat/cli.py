@@ -30,6 +30,11 @@ DEGENERATE = "DEGENERATE"
 # them, and 10**5 default rows peak near 180 MB (10**6 would need 1.8 GB)
 MAX_GRID_POINTS = 10 ** 5
 
+# highest --ell-max: the shared Stirling table keeps every row up to
+# 2 * ell_max, and at 500 a vacuum report peaks near 210 MB in about 3 s
+# (700 needs 570 MB, and 1000 runs out of 1 GiB)
+MAX_ELL_MAX = 500
+
 
 class _Parser(argparse.ArgumentParser):
     # usage problems exit 1 (not argparse's default 2) with one line
@@ -273,6 +278,8 @@ def _ell_max_from(args, config, parser):
     ell_max = _resolved(args, config, "ell_max", 3, parser)
     if ell_max < 1:
         parser.error("--ell-max must be at least 1")
+    if ell_max > MAX_ELL_MAX:
+        parser.error(f"--ell-max must be at most {MAX_ELL_MAX}")
     return ell_max
 
 

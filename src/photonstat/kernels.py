@@ -24,9 +24,12 @@ def checked_fsum(terms, quantity, *args):
 
 def exact_fsum(coeffs, values, quantity, *args):
     """sum(c * v) over the sequences coeffs, of exact nonnegative integers,
-    and values, of nonnegative floats, exactly rounded.  Where a term or
-    the float sum leaves float64, the sum is redone in exact rationals and
-    rounded once by checked_fsum, which raises only if it is beyond DBL_MAX.
+    and values, of nonnegative floats, within a relative error below
+    3 * 2**-53: each product c * v rounds once (twice where c > 2**53, as
+    float(c) rounds first) and math.fsum rounds their sum once.  Where a
+    term or the float sum leaves float64, the sum is redone in exact
+    rationals and rounded once by checked_fsum, so only that branch is
+    exactly rounded; it raises only if the sum is beyond DBL_MAX.
     """
     try:
         total = math.fsum(map(mul, coeffs, values))

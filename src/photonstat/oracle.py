@@ -196,17 +196,13 @@ class EquivalenceReport:
     def worst(self):
         return max(self.cells, key=lambda c: c.rel_dev)
 
-    @property
-    def max_rel_dev(self):
-        return self.worst.rel_dev
-
     def failures(self):
         return [c for c in self.cells if not c.passed]
 
     def to_text(self):
         lines = ["photonstat equivalence report",
                  f"cells={len(self.cells)} "
-                 f"worst_rel_dev={self.max_rel_dev:.6e} "
+                 f"worst_rel_dev={self.worst.rel_dev:.6e} "
                  f"result={'PASS' if self.passed else 'FAIL'}", ""]
         lines.extend(c.line() for c in self.cells)
         return "\n".join(lines) + "\n"

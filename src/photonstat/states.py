@@ -88,7 +88,7 @@ class NumberDistribution(namedtuple("NumberDistribution", "probs tail_bound")):
 
     probs[n] is the probability of n photons, n = 0..cutoff.  tail_bound is
     an upper bound on the probability mass omitted by the truncation
-    (relative to the untruncated state the builder targeted; 0 for states
+    (relative to the untruncated state build_state targeted; 0 for states
     with finite support).  probs is given as any sequence of numbers and
     kept as a read-only float64 memoryview.
     """
@@ -120,10 +120,6 @@ class NumberDistribution(namedtuple("NumberDistribution", "probs tail_bound")):
 
     def total(self):
         return kernels.checked_fsum(self.probs, "total probability")
-
-    def mean(self):
-        return kernels.checked_fsum((n * p for n, p in enumerate(self.probs)),
-                                    "mean photon number")
 
 
 def _coherent_probs(alpha_sq, cutoff):
@@ -351,40 +347,23 @@ def _as_fock_index(param):
     return n
 
 
-def _build(family, param, policy):
+def build_state(family, param, policy=DEFAULT_POLICY):
+    """Construct a base state by family name; see FAMILIES.
+
+    param is |alpha|^2 (coherent, Poissonian), nbar (thermal, geometric),
+    n (fock) or the squeezing r (squeezed vacuum, even photon numbers
+    only).  The cutoff is choose_cutoff's under policy, so a Fock index
+    above max_cutoff raises AccuracyError too.  A Fock state is p_n = 1
+    with zero tail; the other pmfs are normalized to their exactly rounded
+    total, with the closed-form tail bound at the cutoff.
+    """
     cutoff = choose_cutoff(family, param, policy)
+    if family == "fock":
+        probs = [0.0] * (cutoff + 1)
+        probs[cutoff] = 1.0
+        return NumberDistribution(probs, 0.0)
     pmf, tail = _BUILDERS[family]
     probs = pmf(param, cutoff)
     # positive: no cutoff passes the search with a zero check-order sum
     total = kernels.checked_fsum(probs, "total probability")
     return NumberDistribution([p / total for p in probs], tail(param, cutoff))
-
-
-def build_coherent(alpha_sq, policy=DEFAULT_POLICY):
-    """Coherent state with mean photon number |alpha|^2 (Poissonian)."""
-    return _build("coherent", alpha_sq, policy)
-
-
-def build_thermal(nbar, policy=DEFAULT_POLICY):
-    """Thermal state with mean photon number nbar (geometric pmf)."""
-    return _build("thermal", nbar, policy)
-
-
-def build_fock(n):
-    """Number state |n>: p_n = 1, finite support, zero tail."""
-    n = _as_fock_index(n)
-    probs = [0.0] * (n + 1)
-    probs[n] = 1.0
-    return NumberDistribution(probs, 0.0)
-
-
-def build_squeezed_vacuum(r, policy=DEFAULT_POLICY):
-    """Squeezed vacuum with squeezing parameter r (even photon numbers only)."""
-    return _build("squeezed", r, policy)
-
-
-def build_state(family, param, policy=DEFAULT_POLICY):
-    """Construct a base state by family name; see FAMILIES."""
-    if family == "fock":
-        return build_fock(choose_cutoff(family, param, policy))
-    return _build(family, param, policy)

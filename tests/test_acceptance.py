@@ -21,9 +21,7 @@ from photonstat import (
     DegenerateA3,
     StateModification,
     UndefinedStateError,
-    build_fock,
     build_state,
-    build_thermal,
     direct_moments,
     direct_power_moments,
     equivalence_suite,
@@ -92,7 +90,7 @@ def test_coherent_nullity():
 def test_thermal_fixed_points():
     for i in range(1, 21):
         nbar = i / 10.0
-        dist = build_thermal(nbar)
+        dist = build_state("thermal", nbar)
         report = evaluate_all(dist, ell_max=1)
         assert abs(report.mandel_q - nbar) <= 1e-9
         normal = ladder_sums_exact(dist.probs, 5)
@@ -101,7 +99,7 @@ def test_thermal_fixed_points():
             assert abs(q - nbar) <= 1e-9
             assert abs(_q_subtracted_ref(normal, n) - Fraction(nbar)) <= 1e-9
     # oracle confirmation on a representative point
-    sub = oracle_subtract(build_thermal(1.0), 2)
+    sub = oracle_subtract(build_state("thermal", 1.0), 2)
     q_oracle = mandel_q(float(sub.moments[1]), float(sub.moments[2]))
     assert abs(q_oracle - 1.0) <= 1e-9
     _ok("thermal fixed points")
@@ -109,22 +107,22 @@ def test_thermal_fixed_points():
 
 def test_fock_fixed_points():
     for n in range(1, 7):
-        report = evaluate_all(build_fock(n), ell_max=1)
+        report = evaluate_all(build_state("fock", n), ell_max=1)
         assert abs(report.mandel_q + 1.0) <= 1e-12
-    two = evaluate_all(build_fock(2), ell_max=2)
+    two = evaluate_all(build_state("fock", 2), ell_max=2)
     assert abs(two.a3 + 1.0) <= 1e-10
-    one = evaluate_all(build_fock(1), ell_max=2)
+    one = evaluate_all(build_state("fock", 1), ell_max=2)
     assert isinstance(one.a3, DegenerateA3)
     for n in range(7):
         with pytest.raises(UndefinedStateError):
-            modified_moment_sequence(build_fock(n),
+            modified_moment_sequence(build_state("fock", n),
                                      StateModification.subtract(n + 1), 1)
     _ok("fock fixed points")
 
 
 def test_photon_added_exactness_on_fock_inputs():
     for n in (0, 1):  # result states |1> and |2>
-        dist = build_fock(n)
+        dist = build_state("fock", n)
         q = evaluate_all(dist, StateModification.add(1), ell_max=1).mandel_q
         assert abs(q + 1.0) <= 1e-12
         assert _q_added_ref(ladder_sums_exact(dist.probs, 3), 1) == -1
@@ -139,7 +137,7 @@ def test_shortcut_oracle_equivalence():
     assert report.passed, [c.line() for c in report.failures()][:10]
     assert elapsed < 60.0, f"equivalence suite took {elapsed:.1f}s"
     _ok(f"shortcut-oracle equivalence ({len(report.cells)} cells, "
-        f"worst {report.max_rel_dev:.2e}, {elapsed:.1f}s)")
+        f"worst {report.worst.rel_dev:.2e}, {elapsed:.1f}s)")
 
 
 def test_specialization_consistency():
@@ -209,7 +207,7 @@ def test_order_one_coincidence_and_lee_identity():
             checked += 1
     assert checked > 50
     # documented divergence of the two generalized forms at l = 2 on |1>
-    report = evaluate_all(build_fock(1), ell_max=2)
+    report = evaluate_all(build_state("fock", 1), ell_max=2)
     assert abs(report.q_ell_central[2] - (-1.0)) <= 1e-10
     assert abs(report.q_ell_normal[2] - (-0.75)) <= 1e-10
     _ok(f"order-1 coincidence and Lee identity ({checked} states)")

@@ -17,7 +17,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from photonstat.cli import (
+    MAX_ELL_MAX,
     MAX_GRID_POINTS,
+    _ell_max_from,
     _parse_param_range,
     build_parser,
     main,
@@ -251,6 +253,37 @@ def test_param_range_point_limit_is_inclusive(capsys):
     assert capsys.readouterr().err.splitlines() == [
         f"photonstat: error: --param-range has more than {MAX_GRID_POINTS} "
         "points"]
+
+
+@pytest.mark.parametrize("ell_max", [MAX_ELL_MAX + 1, 10 ** 17],
+                         ids=["cap-plus-one", "huge"])
+def test_huge_ell_max_exits_at_once_with_one_line(ell_max):
+    # refused before any state is built: the Stirling rows up to
+    # 2 * ell_max would otherwise fill the address space
+    cmd = [sys.executable, "-m", "photonstat", "criteria", "--family",
+           "coherent", "--param", "1", "--ell-max", str(ell_max)]
+    result = subprocess.run(cmd, capture_output=True, text=True, timeout=60,
+                            preexec_fn=_limit_address_space)
+    assert result.returncode == 1
+    assert result.stderr.splitlines() == [
+        f"photonstat: error: --ell-max must be at most {MAX_ELL_MAX}"]
+
+
+def test_ell_max_limit_is_inclusive(capsys):
+    parser = build_parser()
+    args = parser.parse_args(["criteria", "--family", "fock", "--param", "0",
+                              "--ell-max", str(MAX_ELL_MAX)])
+    assert _ell_max_from(args, {}, parser) == MAX_ELL_MAX
+    args.ell_max = None
+    assert _ell_max_from(args, {"ell_max": MAX_ELL_MAX}, parser) == MAX_ELL_MAX
+    for given, config in ((MAX_ELL_MAX + 1, {}),
+                          (None, {"ell_max": MAX_ELL_MAX + 1})):
+        args.ell_max = given
+        with pytest.raises(SystemExit) as refused:
+            _ell_max_from(args, config, parser)
+        assert refused.value.code == 1
+        assert capsys.readouterr().err.splitlines() == [
+            f"photonstat: error: --ell-max must be at most {MAX_ELL_MAX}"]
 
 
 # runs `python -m photonstat <argv>` with every import of numpy failing

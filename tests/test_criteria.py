@@ -18,10 +18,7 @@ from photonstat import (
     ModKind,
     StateModification,
     agarwal_tara,
-    build_coherent,
-    build_fock,
-    build_squeezed_vacuum,
-    build_thermal,
+    build_state,
     evaluate_all,
     ladder_sums_exact,
     lee_dh,
@@ -163,7 +160,7 @@ def _pinned_q(dist, mod, rel=1e-12):
 
 
 def test_mandel_q_subtracted_thermal_is_invariant():
-    dist = build_thermal(0.8)
+    dist = build_state("thermal", 0.8)
     for n in range(4):
         got, _ = _pinned_q(dist, StateModification.subtract(n))
         assert math.isclose(got, 0.8, rel_tol=1e-9)
@@ -171,21 +168,24 @@ def test_mandel_q_subtracted_thermal_is_invariant():
 
 def test_mandel_q_subtracted_coherent_is_zero():
     for n in range(3):
-        got, exact = _pinned_q(build_coherent(1.3),
+        got, exact = _pinned_q(build_state("coherent", 1.3),
                                StateModification.subtract(n))
         assert abs(got) <= 1e-12 and abs(exact) <= 1e-12
 
 
 def test_mandel_q_subtracted_fock():
-    got, exact = _pinned_q(build_fock(3), StateModification.subtract(1))
+    got, exact = _pinned_q(build_state("fock", 3),
+                           StateModification.subtract(1))
     assert got == exact == -1
 
 
 def test_mandel_q_added_examples():
     for n in (0, 1):
-        got, exact = _pinned_q(build_fock(n), StateModification.add(1))
+        got, exact = _pinned_q(build_state("fock", n),
+                               StateModification.add(1))
         assert got == exact == -1
-    got, exact = _pinned_q(build_thermal(1.0), StateModification.add(1))
+    got, exact = _pinned_q(build_state("thermal", 1.0),
+                           StateModification.add(1))
     assert math.isclose(got, 1.0 / 3.0, rel_tol=1e-10)
     assert abs(exact - Fraction(1, 3)) <= Fraction(1e-10)
 
@@ -259,8 +259,8 @@ def test_poisson_central_moment_validation():
 # ---------------------------------------------------------- generalized Q
 
 def test_q_ell_order_one_equals_mandel():
-    for dist in (build_thermal(0.9), build_coherent(2.0),
-                 build_squeezed_vacuum(0.6)):
+    for dist in (build_state("thermal", 0.9), build_state("coherent", 2.0),
+                 build_state("squeezed", 0.6)):
         ladder = normal_ladder(dist, 2).values
         m = list(ladder)
         mu = mu_from_m(m)
@@ -324,8 +324,8 @@ def test_a3_thermal_value():
 
 def test_det3_matches_elimination_routine():
     rng = np.random.default_rng(7)
-    for dist in (build_thermal(1.5), build_coherent(2.5),
-                 build_squeezed_vacuum(0.8)):
+    for dist in (build_state("thermal", 1.5), build_state("coherent", 2.5),
+                 build_state("squeezed", 0.8)):
         m = list(normal_ladder(dist, 4).values)
         for seq in (m, list(mu_from_m(m))):
             mat = _hankel3(seq)
@@ -342,8 +342,8 @@ def test_det3_matches_elimination_routine():
 # ------------------------------------------------------------ evaluate_all
 
 def test_evaluate_all_coherent_null():
-    report = evaluate_all(build_coherent(1.0), StateModification.subtract(1),
-                          ell_max=2)
+    report = evaluate_all(build_state("coherent", 1.0),
+                          StateModification.subtract(1), ell_max=2)
     assert abs(report.mandel_q) <= 1e-9
     for value in (*report.q_ell_normal.values(),
                   *report.q_ell_central.values(),
@@ -354,43 +354,44 @@ def test_evaluate_all_coherent_null():
 
 
 def test_evaluate_all_oversubtraction_flagged():
-    report = evaluate_all(build_fock(2), StateModification.subtract(3))
+    report = evaluate_all(build_state("fock", 2),
+                          StateModification.subtract(3))
     assert report.undefined
     assert math.isnan(report.mean)
     assert math.isnan(report.mandel_q)
 
 
 def test_evaluate_all_thermal_added():
-    report = evaluate_all(build_thermal(1.0), StateModification.add(1),
-                          ell_max=1)
+    report = evaluate_all(build_state("thermal", 1.0),
+                          StateModification.add(1), ell_max=1)
     assert math.isclose(report.mandel_q, 1.0 / 3.0, rel_tol=1e-9)
     assert math.isclose(report.mean, 3.0, rel_tol=1e-10)
 
 
 def test_evaluate_all_vacuum_flags_undefined_mean():
-    report = evaluate_all(build_fock(0))
+    report = evaluate_all(build_state("fock", 0))
     assert "undefined_mean" in report.flags
     assert math.isnan(report.mandel_q)
     assert all(math.isnan(v) for v in report.q_ell_normal.values())
 
 
 def test_evaluate_all_fock1_a3_degenerate_flag():
-    report = evaluate_all(build_fock(1))
+    report = evaluate_all(build_state("fock", 1))
     assert isinstance(report.a3, DegenerateA3)
     assert "a3_degenerate" in report.flags
 
 
 def test_evaluate_all_lee_identity():
-    for dist in (build_thermal(1.3), build_coherent(0.7),
-                 build_squeezed_vacuum(0.5)):
+    for dist in (build_state("thermal", 1.3), build_state("coherent", 0.7),
+                 build_state("squeezed", 0.5)):
         report = evaluate_all(dist)
         assert math.isclose(report.lee_dh[1],
                             report.mean * report.mandel_q, rel_tol=1e-12)
 
 
 def test_evaluate_all_order_one_coincidence():
-    for dist in (build_thermal(1.3), build_fock(3),
-                 build_squeezed_vacuum(0.5)):
+    for dist in (build_state("thermal", 1.3), build_state("fock", 3),
+                 build_state("squeezed", 0.5)):
         report = evaluate_all(dist)
         assert math.isclose(report.q_ell_normal[1], report.mandel_q,
                             rel_tol=1e-12)
@@ -399,7 +400,7 @@ def test_evaluate_all_order_one_coincidence():
 
 
 def test_evaluate_all_report_shape():
-    report = evaluate_all(build_thermal(0.5), ell_max=3)
+    report = evaluate_all(build_state("thermal", 0.5), ell_max=3)
     assert sorted(report.q_ell_normal) == [1, 2, 3]
     assert sorted(report.q_ell_central) == [1, 2, 3]
     assert sorted(report.lee_dh) == [1, 2, 3]
@@ -407,7 +408,7 @@ def test_evaluate_all_report_shape():
 
 def test_fock_states_are_maximally_sub_poissonian():
     for n in range(1, 7):
-        report = evaluate_all(build_fock(n), ell_max=3)
+        report = evaluate_all(build_state("fock", n), ell_max=3)
         assert abs(report.mandel_q + 1.0) <= 1e-12
         for ell in range(2, n + 1):
             if ell - 1 in report.lee_dh:
@@ -614,10 +615,11 @@ def test_mu_and_q_ell_bit_exact_interleaved():
 
 
 @pytest.mark.parametrize("dist,order", [
-    (build_thermal(0.7), 40), (build_coherent(2.0), 40), (build_fock(5), 40),
+    (build_state("thermal", 0.7), 40), (build_state("coherent", 2.0), 40),
+    (build_state("fock", 5), 40),
     # N_148 = (200)_148 fits in float64, but T_148 = (200+m)_148 does not
     # for m >= 3
-    (build_fock(200), 148),
+    (build_state("fock", 200), 148),
 ], ids=["thermal", "coherent", "fock5", "fock200-overflow"])
 def test_added_factorial_moment_bit_exact(dist, order):
     for m in (0, 1, 3, 6):
@@ -677,8 +679,8 @@ def test_cancellation_flags_survive_threads():
     # has none, at a tiny switch interval; each report must carry its
     # single-threaded flags, and the process-wide warnings state must be
     # left as it was
-    cases = ((build_fock(0), StateModification.add(1)),
-             (build_thermal(1.0), StateModification.subtract(1)))
+    cases = ((build_state("fock", 0), StateModification.add(1)),
+             (build_state("thermal", 1.0), StateModification.subtract(1)))
     want = [evaluate_all(dist, mod).flags for dist, mod in cases]
     assert want == [("a3_degenerate",), ()]
     filters, hook = list(warnings.filters), warnings.showwarning

@@ -233,3 +233,32 @@ def test_falling_weights_match_numpy_bit_for_bit(name, probs, order):
     # the cutoff screen's running sums, cumsum against accumulate
     with np.errstate(over="ignore"):
         assert hexes(accumulate(got)) == hexes(np.cumsum(want))
+
+
+_PRODUCT_TERMS = st.lists(
+    st.tuples(st.integers(0, 10 ** 30), st.just(0.0) | st.floats(1e-50, 1e50)),
+    min_size=1, max_size=8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_PRODUCT_TERMS)
+def test_exact_fsum_error_is_below_three_unit_roundoffs(terms):
+    # each product c * v rounds once, twice where c > 2**53, before
+    # math.fsum rounds the sum: not always the correctly rounded sum, but
+    # for nonnegative terms within a relative 3 * 2**-53 of it
+    coeffs, values = zip(*terms)
+    got = Fraction(kernels.exact_fsum(coeffs, values, "test sum"))
+    exact = sum(c * Fraction(v) for c, v in terms)
+    assert got == exact or abs(got - exact) < Fraction(3, 2 ** 53) * exact
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(10 ** 309, 10 ** 400), st.floats(0.0, 1e-100),
+       _PRODUCT_TERMS)
+def test_exact_fsum_overflow_branch_is_correctly_rounded(big, tiny, terms):
+    # float(big) overflows, so the sum is redone in exact rationals and
+    # rounded once: int / int is correctly rounded
+    coeffs, values = zip((big, tiny), *terms)
+    exact = sum(c * Fraction(v) for c, v in zip(coeffs, values))
+    got = kernels.exact_fsum(coeffs, values, "test sum")
+    assert got == exact.numerator / exact.denominator

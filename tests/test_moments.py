@@ -14,11 +14,7 @@ from photonstat import (
     StateModification,
     UndefinedStateError,
     antinormal_ladder,
-    build_coherent,
-    build_fock,
-    build_squeezed_vacuum,
     build_state,
-    build_thermal,
     evaluate_all,
     ladder_sums_exact,
     modified_moment,
@@ -48,20 +44,20 @@ def brute_falling_moment(dist, k):
 # ---------------------------------------------------------------- ladders
 
 def test_normal_ladder_fock():
-    ladder = normal_ladder(build_fock(2), 4)
+    ladder = normal_ladder(build_state("fock", 2), 4)
     np.testing.assert_array_equal(ladder.values, [1.0, 2.0, 2.0, 0.0, 0.0])
     assert ladder.ordering is Ordering.NORMAL
 
 
 def test_normal_ladder_coherent():
-    ladder = normal_ladder(build_coherent(1.0), 3)
+    ladder = normal_ladder(build_state("coherent", 1.0), 3)
     np.testing.assert_allclose(ladder.values, [1.0, 1.0, 1.0, 1.0],
                                rtol=1e-10)
 
 
 def test_normal_ladder_thermal():
     # analytic k! nbar^k, cross-checked against the direct pmf sum
-    dist = build_thermal(0.5)
+    dist = build_state("thermal", 0.5)
     ladder = normal_ladder(dist, 3)
     np.testing.assert_allclose(ladder.values, [1.0, 0.5, 0.5, 0.75],
                                rtol=1e-10)
@@ -70,30 +66,31 @@ def test_normal_ladder_thermal():
 
 
 def test_antinormal_ladder_vacuum():
-    ladder = antinormal_ladder(build_fock(0), 3)
+    ladder = antinormal_ladder(build_state("fock", 0), 3)
     np.testing.assert_array_equal(ladder.values, [1.0, 1.0, 2.0, 6.0])
     assert ladder.ordering is Ordering.ANTINORMAL
 
 
 def test_antinormal_ladder_fock1():
-    ladder = antinormal_ladder(build_fock(1), 2)
+    ladder = antinormal_ladder(build_state("fock", 1), 2)
     np.testing.assert_array_equal(ladder.values, [1.0, 2.0, 6.0])
 
 
 def test_antinormal_ladder_coherent_commutator_shift():
-    ladder = antinormal_ladder(build_coherent(1.0), 1)
+    ladder = antinormal_ladder(build_state("coherent", 1.0), 1)
     assert math.isclose(ladder.values[1], 2.0, rel_tol=1e-12)
 
 
 def test_antinormal_ladder_monotone():
-    for dist in (build_fock(0), build_thermal(1.0), build_coherent(0.5)):
+    for dist in (build_state("fock", 0), build_state("thermal", 1.0),
+                 build_state("coherent", 0.5)):
         values = antinormal_ladder(dist, 6).values
         assert np.all(np.diff(values) >= 0)
         assert np.all(np.diff(values[1:]) > 0)
 
 
 def test_ladder_unit_norm_head():
-    for dist in (build_thermal(2.0), build_coherent(3.0)):
+    for dist in (build_state("thermal", 2.0), build_state("coherent", 3.0)):
         assert abs(normal_ladder(dist, 2).values[0] - 1.0) <= 1e-13
 
 
@@ -104,7 +101,7 @@ def _exact_antinormal(probs, order):
 
 
 def test_ladder_float_matches_exact_rational():
-    dist = build_thermal(1.2)
+    dist = build_state("thermal", 1.2)
     for ladder, exact in ((normal_ladder, ladder_sums_exact),
                           (antinormal_ladder, _exact_antinormal)):
         got = ladder(dist, 8).values
@@ -123,7 +120,7 @@ def test_ladder_overflow_raises():
 def test_provable_antinormal_overflow_raises_before_any_sum(monkeypatch):
     # N_k >= k! * N_0, so log(200000!) alone proves N_200000 overflows:
     # neither the kernel nor the exact fallback may run
-    dist = build_coherent(1.0)
+    dist = build_state("coherent", 1.0)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a ladder was summed although it must overflow")
@@ -137,57 +134,57 @@ def test_provable_antinormal_overflow_raises_before_any_sum(monkeypatch):
 
 def test_antinormal_overflow_bound_is_not_premature():
     # the vacuum has N_k = k!: 170! fits in float64, 171! does not
-    values = antinormal_ladder(build_fock(0), 170).values
+    values = antinormal_ladder(build_state("fock", 0), 170).values
     assert all(math.isclose(v, math.factorial(k), rel_tol=1e-12)
                for k, v in enumerate(values))
     with pytest.raises(AccuracyError, match="anti-normal"):
-        antinormal_ladder(build_fock(0), 171)
+        antinormal_ladder(build_state("fock", 0), 171)
     # Fock(1) has N_k = (k+1)!: the bound 170! does not prove N_170 = 171!
     # overflows, so the positive sum must find it
     with pytest.raises(AccuracyError, match="anti-normal"):
-        antinormal_ladder(build_fock(1), 170)
+        antinormal_ladder(build_state("fock", 1), 170)
 
 
 # ----------------------------------------------------- subtracted moments
 
 def test_subtracted_moment_coherent_is_eigenstate():
-    ladder = normal_ladder(build_coherent(2.0), 6)
+    ladder = normal_ladder(build_state("coherent", 2.0), 6)
     for n in range(3):
         for x, got in enumerate(_subtracted(ladder, n, 3)):
             assert math.isclose(got, 2.0 ** x, rel_tol=1e-10)
 
 
 def test_subtracted_moment_fock():
-    ladder = normal_ladder(build_fock(2), 3)
+    ladder = normal_ladder(build_state("fock", 2), 3)
     assert _subtracted(ladder, 1, 1)[1] == 1.0
 
 
 def test_subtracted_moment_thermal():
     # subtracting one photon from a thermal state doubles the mean
-    ladder = normal_ladder(build_thermal(0.5), 2)
+    ladder = normal_ladder(build_state("thermal", 0.5), 2)
     assert math.isclose(_subtracted(ladder, 1, 1)[1], 1.0, rel_tol=1e-10)
 
 
 def test_subtracted_moment_order_zero_is_one():
-    ladder = normal_ladder(build_thermal(1.0), 3)
+    ladder = normal_ladder(build_state("thermal", 1.0), 3)
     assert _subtracted(ladder, 2, 0) == [1.0]
 
 
 def test_oversubtraction_is_undefined():
-    ladder = normal_ladder(build_fock(2), 4)
+    ladder = normal_ladder(build_state("fock", 2), 4)
     with pytest.raises(UndefinedStateError):
         _subtracted(ladder, 3, 1)
 
 
 @pytest.mark.parametrize("dist,n,error", [
     # finite support: the subtraction really annihilates the state
-    (build_fock(2), 3, UndefinedStateError),
-    (build_coherent(0.0), 1, UndefinedStateError),
-    (build_thermal(0.0), 2, UndefinedStateError),
+    (build_state("fock", 2), 3, UndefinedStateError),
+    (build_state("coherent", 0.0), 1, UndefinedStateError),
+    (build_state("thermal", 0.0), 2, UndefinedStateError),
     # unbounded support: N_n only underflows float64
-    (build_coherent(1e-300), 2, AccuracyError),
-    (build_thermal(1e-300), 2, AccuracyError),
-    (build_squeezed_vacuum(1e-200), 2, AccuracyError),
+    (build_state("coherent", 1e-300), 2, AccuracyError),
+    (build_state("thermal", 1e-300), 2, AccuracyError),
+    (build_state("squeezed", 1e-200), 2, AccuracyError),
 ], ids=["fock2", "coherent0", "thermal0", "coherent1e-300",
         "thermal1e-300", "squeezed1e-200"])
 def test_zero_norm_is_annihilation_only_for_finite_support(dist, n, error):
@@ -210,7 +207,7 @@ def test_zero_norm_is_annihilation_only_for_finite_support(dist, n, error):
 ])
 def test_underflowed_mean_entries_are_accuracy_failures(param, n, k):
     # the mean and Q of a subtracted coherent state read N_{n+1}, N_{n+2}
-    dist = build_coherent(param)
+    dist = build_state("coherent", param)
     ladder = normal_ladder(dist, n + 4)
     assert ladder.values[n] > 0.0 and ladder.values[k] == 0.0
     for source in (dist, ladder):
@@ -223,7 +220,7 @@ def test_underflowed_mean_entries_are_accuracy_failures(param, n, k):
 
 def test_zero_mean_entries_of_finite_support_are_a_zero_mean():
     # Fock(2) less 2 photons is the vacuum: N_3 = N_4 = 0 is exact
-    dist = build_fock(2)
+    dist = build_state("fock", 2)
     m = _subtracted(dist, 2, 4)
     assert m == [1.0, 0.0, 0.0, 0.0, 0.0]
     report = evaluate_all(normal_ladder(dist, 6),
@@ -233,13 +230,13 @@ def test_zero_mean_entries_of_finite_support_are_a_zero_mean():
 
 
 def test_subtracted_moment_requires_normal_ordering():
-    ladder = antinormal_ladder(build_fock(1), 3)
+    ladder = antinormal_ladder(build_state("fock", 1), 3)
     with pytest.raises(ValueError, match="^ladder must be normally ordered$"):
         _subtracted(ladder, 1, 1)
 
 
 def test_ladder_coverage_checked():
-    ladder = normal_ladder(build_fock(3), 2)
+    ladder = normal_ladder(build_state("fock", 3), 2)
     with pytest.raises(ValueError,
                        match=r"^ladder covers orders 0\.\.2, need 3$"):
         _subtracted(ladder, 1, 2)
@@ -289,22 +286,25 @@ def test_reordering_identity_exact_on_truncated_basis(x):
 # --------------------------------------------------------- added moments
 
 def test_added_moment_vacuum():
-    assert modified_moment(build_fock(0), StateModification.add(1), 1) == 1.0
+    assert modified_moment(build_state("fock", 0), StateModification.add(1),
+                           1) == 1.0
 
 
 def test_added_moment_fock1():
-    assert modified_moment(build_fock(1), StateModification.add(1), 1) == 2.0
+    assert modified_moment(build_state("fock", 1), StateModification.add(1),
+                           1) == 2.0
 
 
 def test_added_moment_thermal():
     assert math.isclose(
-        modified_moment(build_thermal(1.0), StateModification.add(1), 1),
+        modified_moment(build_state("thermal", 1.0),
+                        StateModification.add(1), 1),
         3.0, rel_tol=1e-10)
 
 
 def test_added_moment_order_zero_is_one():
-    assert modified_moment(build_thermal(0.7), StateModification.add(4),
-                           0) == 1.0
+    assert modified_moment(build_state("thermal", 0.7),
+                           StateModification.add(4), 0) == 1.0
 
 
 def _exact_added(dist, m, x_max):
@@ -371,7 +371,7 @@ def test_added_state_of_a_zero_distribution_is_undefined():
 # ------------------------------------------------------------- dispatcher
 
 def test_modified_moment_identity_count():
-    dist = build_thermal(1.0)
+    dist = build_state("thermal", 1.0)
     for kind in (StateModification.subtract(0), StateModification.add(0)):
         assert math.isclose(modified_moment(dist, kind, 2), 2.0,
                             rel_tol=1e-10)
@@ -379,15 +379,18 @@ def test_modified_moment_identity_count():
 
 def test_modified_moment_examples():
     assert math.isclose(
-        modified_moment(build_coherent(1.0), StateModification.subtract(2), 3),
+        modified_moment(build_state("coherent", 1.0),
+                        StateModification.subtract(2), 3),
         1.0, rel_tol=1e-10)
     with pytest.raises(UndefinedStateError):
-        modified_moment(build_fock(2), StateModification.subtract(3), 1)
-    assert modified_moment(build_fock(0), StateModification.add(2), 2) == 2.0
+        modified_moment(build_state("fock", 2),
+                        StateModification.subtract(3), 1)
+    assert modified_moment(build_state("fock", 0), StateModification.add(2),
+                           2) == 2.0
 
 
 def test_modified_moment_sequence_matches_scalar():
-    dist = build_thermal(0.8)
+    dist = build_state("thermal", 0.8)
     mod = StateModification.add(2)
     seq = modified_moment_sequence(dist, mod, 3)
     for x in range(4):
@@ -431,7 +434,7 @@ def test_a_longer_ladder_leaves_unread_entries_unread():
 
 def test_a_ladder_keeps_the_added_norm_overflow_check():
     # T_200 >= 200! N_0 is beyond float64 on either route, with one message
-    dist = build_coherent(1.0)
+    dist = build_state("coherent", 1.0)
     mod = StateModification.add(200)
     for source in (dist, normal_ladder(dist, 204)):
         with pytest.raises(AccuracyError, match=r"^<\(n\+200\)_200> of the "
@@ -440,9 +443,9 @@ def test_a_ladder_keeps_the_added_norm_overflow_check():
 
 
 @pytest.mark.parametrize("ladder,message", [
-    (antinormal_ladder(build_thermal(1.0), 12),
+    (antinormal_ladder(build_state("thermal", 1.0), 12),
      "^ladder must be normally ordered$"),
-    (normal_ladder(build_thermal(1.0), 5),
+    (normal_ladder(build_state("thermal", 1.0), 5),
      r"^ladder covers orders 0\.\.5, need 6$"),
 ], ids=["antinormal", "too-short"])
 def test_a_ladder_must_be_normal_and_cover_the_order(ladder, message):
@@ -466,6 +469,6 @@ def test_modification_validation():
        st.integers(min_value=0, max_value=5))
 def test_coherent_moments_invariant_under_subtraction(alpha_sq, n, x):
     # coherent states are annihilation-operator eigenstates
-    ladder = normal_ladder(build_coherent(alpha_sq), n + x)
+    ladder = normal_ladder(build_state("coherent", alpha_sq), n + x)
     got = _subtracted(ladder, n, x)[x]
     assert math.isclose(got, alpha_sq ** x, rel_tol=1e-9)

@@ -5,7 +5,9 @@ pickle and copy; the package's oracle names load on first use."""
 import copy
 import math
 import pickle
+import re
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,8 +20,7 @@ from photonstat import (
     MomentLadder,
     Ordering,
     StateModification,
-    build_fock,
-    build_thermal,
+    build_state,
     evaluate_all,
     normal_ladder,
 )
@@ -27,7 +28,7 @@ from photonstat import (
 
 def _records():
     """One instance of each of the nine records."""
-    dist = build_thermal(1.0)
+    dist = build_state("thermal", 1.0)
     report = photonstat.equivalence_suite(states=(("thermal", 1.0),))
     return [
         CutoffPolicy(eps_tail=1e-9),
@@ -51,18 +52,19 @@ BAD_VALUES = [
      "max_moment_order must be nonnegative"),
     (CutoffPolicy(), "max_cutoff", sys.maxsize + 1,
      f"max_cutoff must not exceed {sys.maxsize}"),
-    (build_fock(1), "probs", [], "probs must be nonempty"),
-    (build_fock(1), "probs", [[1.0]],
+    (build_state("fock", 1), "probs", [], "probs must be nonempty"),
+    (build_state("fock", 1), "probs", [[1.0]],
      "probs must be a 1-d sequence of numbers"),
-    (build_fock(1), "probs", [0.5, -0.1],
+    (build_state("fock", 1), "probs", [0.5, -0.1],
      "probabilities must be finite and nonnegative"),
-    (build_fock(1), "tail_bound", 1.0, "tail_bound must lie in [0, 1)"),
+    (build_state("fock", 1), "tail_bound", 1.0,
+     "tail_bound must lie in [0, 1)"),
     (StateModification.add(1), "count", -1,
      "count must be a nonnegative integer"),
     (StateModification.add(1), "count", 1.0,
      "count must be a nonnegative integer"),
-    (MomentLadder([1.0, 1.0], Ordering.NORMAL, build_fock(1)), "values",
-     ["x"], "could not convert string to float: 'x'"),
+    (MomentLadder([1.0, 1.0], Ordering.NORMAL, build_state("fock", 1)),
+     "values", ["x"], "could not convert string to float: 'x'"),
     (CutoffPolicy(), "max_cutoff", 100.5, "max_cutoff must be an integer"),
     (CutoffPolicy(), "max_cutoff", True, "max_cutoff must be an integer"),
     (CutoffPolicy(), "max_moment_order", 12.5,
@@ -87,7 +89,7 @@ def test_constructor_and_replace_reject_alike(record, field, bad, message):
 
 
 def test_replace_converts_like_the_constructor():
-    dist = build_fock(1)._replace(probs=[0.25, 0.75])
+    dist = build_state("fock", 1)._replace(probs=[0.25, 0.75])
     assert isinstance(dist.probs, memoryview) and dist.probs.readonly
     ladder = normal_ladder(dist, 2)._replace(values=[1, 2])
     assert ladder.values == (1.0, 2.0) and ladder.values[1] == 2.0
@@ -145,11 +147,7 @@ PUBLIC_NAMES = [
     "UndefinedStateError",
     "agarwal_tara",
     "antinormal_ladder",
-    "build_coherent",
-    "build_fock",
-    "build_squeezed_vacuum",
     "build_state",
-    "build_thermal",
     "choose_cutoff",
     "criteria_from_moments",
     "direct_moments",
@@ -178,6 +176,20 @@ def test_public_names_are_pinned():
              if not name.startswith("_") and callable(value)
              and getattr(value, "__module__", "").startswith("photonstat")}
     assert bound <= set(PUBLIC_NAMES)
+
+
+def test_readme_examples_run(capsys):
+    # the library section's two blocks, the second reusing the first's
+    # names, run as written against the public names
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```$",
+                        readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert len(blocks) == 2
+    namespace = {}
+    for block in blocks:
+        exec(compile(block, str(readme), "exec"), namespace)
+    assert capsys.readouterr().out.splitlines()[-1] == "True"
+    assert len(namespace["reports"]) == 5
 
 
 def test_star_import_binds_every_public_name():

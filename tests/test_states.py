@@ -15,13 +15,10 @@ from photonstat import (
     CutoffPolicy,
     DEFAULT_POLICY,
     NumberDistribution,
-    build_coherent,
-    build_fock,
-    build_squeezed_vacuum,
     build_state,
-    build_thermal,
     choose_cutoff,
     antinormal_ladder,
+    direct_moments,
     normal_ladder,
 )
 from photonstat import kernels, states
@@ -43,63 +40,65 @@ def _check_order(family, param, policy):
 
 
 def test_coherent_vacuum_limit():
-    dist = build_coherent(0.0)
+    dist = build_state("coherent", 0.0)
     assert dist.cutoff == 0
     assert dist.probs[0] == 1.0
     assert dist.tail_bound == 0.0
 
 
 def test_coherent_ground_probability():
-    dist = build_coherent(1.0)
+    dist = build_state("coherent", 1.0)
     assert math.isclose(dist.probs[0], math.exp(-1), rel_tol=1e-13)
 
 
 def test_coherent_mean():
-    dist = build_coherent(2.0)
-    assert math.isclose(dist.mean(), 2.0, rel_tol=DEFAULT_POLICY.rel_tol)
+    dist = build_state("coherent", 2.0)
+    assert math.isclose(direct_moments(dist, 1)[1], 2.0,
+                        rel_tol=DEFAULT_POLICY.rel_tol)
 
 
 def test_thermal_vacuum_limit():
-    dist = build_thermal(0.0)
+    dist = build_state("thermal", 0.0)
     assert dist.cutoff == 0
     assert dist.probs[0] == 1.0
 
 
 def test_thermal_geometric_weights():
-    dist = build_thermal(1.0)
+    dist = build_state("thermal", 1.0)
     assert math.isclose(dist.probs[0], 0.5, rel_tol=1e-13)
     assert math.isclose(dist.probs[1], 0.25, rel_tol=1e-13)
 
 
 def test_thermal_mean():
-    dist = build_thermal(0.5)
-    assert math.isclose(dist.mean(), 0.5, rel_tol=DEFAULT_POLICY.rel_tol)
+    dist = build_state("thermal", 0.5)
+    assert math.isclose(direct_moments(dist, 1)[1], 0.5,
+                        rel_tol=DEFAULT_POLICY.rel_tol)
 
 
 @pytest.mark.parametrize("n", [0, 2, 5])
 def test_fock_distribution(n):
-    dist = build_fock(n)
+    dist = build_state("fock", n)
     assert dist.cutoff == n
     assert dist.probs[n] == 1.0
     assert dist.tail_bound == 0.0
-    assert dist.mean() == n
+    assert direct_moments(dist, 1)[1] == n
 
 
 def test_squeezed_vacuum_limit():
-    dist = build_squeezed_vacuum(0.0)
+    dist = build_state("squeezed", 0.0)
     assert dist.cutoff == 0
     assert dist.probs[0] == 1.0
 
 
 def test_squeezed_odd_entries_vanish():
-    dist = build_squeezed_vacuum(0.7)
+    dist = build_state("squeezed", 0.7)
     assert all(p == 0.0 for p in dist.probs[1::2])
 
 
 def test_squeezed_mean_matches_brute_force():
     # frozen from sum(n * p_n) at a very large cutoff: sinh(0.5)^2
-    dist = build_squeezed_vacuum(0.5)
-    assert math.isclose(dist.mean(), 0.2715403174076219,
+    dist = build_state("squeezed", 0.5)
+    assert math.isclose(direct_moments(dist, 1)[1], 0.2715403174076219,
                         rel_tol=DEFAULT_POLICY.rel_tol)
 
 
@@ -110,7 +109,8 @@ def test_squeezed_mean_matches_brute_force():
 ])
 def test_mean_consistency(family, param, mean):
     dist = build_state(family, param)
-    assert math.isclose(dist.mean(), mean, rel_tol=DEFAULT_POLICY.rel_tol)
+    assert math.isclose(direct_moments(dist, 1)[1], mean,
+                        rel_tol=DEFAULT_POLICY.rel_tol)
 
 
 @pytest.mark.parametrize("family,param", [
@@ -402,7 +402,7 @@ def test_fock_index_honours_max_cutoff():
 def test_cutoff_cap_raises_accuracy_error():
     policy = CutoffPolicy(max_cutoff=16)
     with pytest.raises(AccuracyError):
-        build_thermal(5.0, policy)
+        build_state("thermal", 5.0, policy)
 
 
 @pytest.mark.parametrize("family,param,order", [
@@ -433,11 +433,11 @@ def test_coherent_745_still_has_a_cutoff():
 
 def test_invalid_inputs():
     with pytest.raises(ValueError):
-        build_fock(-1)
+        build_state("fock", -1)
     with pytest.raises(ValueError):
-        build_fock(2.5)
+        build_state("fock", 2.5)
     with pytest.raises(ValueError):
-        build_thermal(-0.1)
+        build_state("thermal", -0.1)
     with pytest.raises(ValueError):
         build_state("cat", 1.0)
     with pytest.raises(ValueError):
@@ -449,7 +449,7 @@ def test_invalid_inputs():
 
 
 def test_distribution_is_immutable():
-    dist = build_coherent(1.0)
+    dist = build_state("coherent", 1.0)
     before = dist.probs[0]
     # probs is a read-only memoryview, which refuses writes with TypeError
     with pytest.raises(TypeError):
@@ -458,7 +458,7 @@ def test_distribution_is_immutable():
 
 
 def test_distribution_pickles_and_copies():
-    dist = build_squeezed_vacuum(0.8)
+    dist = build_state("squeezed", 0.8)
     ladder = antinormal_ladder(dist, 4)
     for twin in (pickle.loads(pickle.dumps(dist)), copy.deepcopy(dist)):
         assert twin == dist and twin.probs.readonly
@@ -494,15 +494,16 @@ def test_probs_is_a_read_only_float64_sequence():
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=0.0, max_value=8.0))
 def test_coherent_properties_random_amplitude(alpha_sq):
-    dist = build_coherent(alpha_sq)
+    dist = build_state("coherent", alpha_sq)
     assert abs(dist.total() - 1.0) <= 1e-14
-    assert math.isclose(dist.mean(), alpha_sq,
+    assert math.isclose(direct_moments(dist, 1)[1], alpha_sq,
                         rel_tol=1e-9, abs_tol=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.floats(min_value=0.0, max_value=4.0))
 def test_thermal_properties_random_occupation(nbar):
-    dist = build_thermal(nbar)
+    dist = build_state("thermal", nbar)
     assert abs(dist.total() - 1.0) <= 1e-14
-    assert math.isclose(dist.mean(), nbar, rel_tol=1e-9, abs_tol=1e-12)
+    assert math.isclose(direct_moments(dist, 1)[1], nbar,
+                        rel_tol=1e-9, abs_tol=1e-12)
