@@ -21,7 +21,13 @@ from .criteria import (
 )
 from .exceptions import AccuracyError, UndefinedStateError
 from .moments import StateModification
-from .states import DEFAULT_POLICY, FAMILIES, CutoffPolicy, build_state
+from .states import (
+    DEFAULT_POLICY,
+    FAMILIES,
+    CutoffPolicy,
+    build_state,
+    checked_param,
+)
 
 UNDEF = "UNDEF"
 DEGENERATE = "DEGENERATE"
@@ -29,11 +35,6 @@ DEGENERATE = "DEGENERATE"
 # longest --param-range grid: a sweep keeps every row until it writes
 # them, and 10**5 default rows peak near 180 MB (10**6 would need 1.8 GB)
 MAX_GRID_POINTS = 10 ** 5
-
-# highest --ell-max: the shared Stirling table keeps every row up to
-# 2 * ell_max, and at 500 a vacuum report peaks near 210 MB in about 3 s
-# (700 needs 570 MB, and 1000 runs out of 1 GiB)
-MAX_ELL_MAX = 500
 
 
 class _Parser(argparse.ArgumentParser):
@@ -263,24 +264,12 @@ def _resolved(args, config, key, fallback, parser):
 def _policy_from(args, config, parser, ladder_order):
     """The cutoff policy, its check order raised (never lowered) to the
     ladder order the report will read."""
-    try:
-        policy = CutoffPolicy(**{
-            key: _resolved(args, config, key, default, parser)
-            for key, default in DEFAULT_POLICY._asdict().items()})
-        if ladder_order > policy.max_moment_order:
-            policy = policy._replace(max_moment_order=ladder_order)
-    except ValueError as exc:
-        parser.error(str(exc))
+    policy = CutoffPolicy(**{
+        key: _resolved(args, config, key, default, parser)
+        for key, default in DEFAULT_POLICY._asdict().items()})
+    if ladder_order > policy.max_moment_order:
+        policy = policy._replace(max_moment_order=ladder_order)
     return policy
-
-
-def _ell_max_from(args, config, parser):
-    ell_max = _resolved(args, config, "ell_max", 3, parser)
-    if ell_max < 1:
-        parser.error("--ell-max must be at least 1")
-    if ell_max > MAX_ELL_MAX:
-        parser.error(f"--ell-max must be at most {MAX_ELL_MAX}")
-    return ell_max
 
 
 def _modification_from(args, parser):
@@ -291,17 +280,6 @@ def _modification_from(args, parser):
     if args.subtract is not None:
         return StateModification.subtract(args.subtract)
     return StateModification.identity()
-
-
-def _check_params(family, params, parser):
-    for param in params:
-        if not math.isfinite(param):
-            parser.error(f"{family} parameter must be finite")
-        if param < 0:
-            parser.error(f"{family} parameter must be nonnegative")
-        if family == "fock" and int(param) != param:
-            parser.error("fock parameters must be nonnegative integers")
-    return tuple(int(p) if family == "fock" else p for p in params)
 
 
 def _nonneg_int(text):
@@ -372,23 +350,23 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-
-    try:
         config = _load_config(getattr(args, "config", None), parser)
         if args.command in ("criteria", "sweep"):
             mod = _modification_from(args, parser)
-            ell_max = _ell_max_from(args, config, parser)
-            policy = _policy_from(args, config, parser,
-                                  mod.count + moment_order(ell_max))
             sweep = args.command == "sweep"
-            grid = tuple(args.param or ()) if sweep else (args.param,)
-            if sweep and args.param_range:
-                grid += _parse_param_range(args.param_range, parser)
-            if not grid:
-                parser.error("sweep needs --param or --param-range")
-            grid = _check_params(args.family, grid, parser)
+            # the library owns these rules: its ValueError is a usage error
+            try:
+                ell_max = _resolved(args, config, "ell_max", 3, parser)
+                policy = _policy_from(args, config, parser,
+                                      mod.count + moment_order(ell_max))
+                grid = tuple(args.param or ()) if sweep else (args.param,)
+                if sweep and args.param_range:
+                    grid += _parse_param_range(args.param_range, parser)
+                if not grid:
+                    parser.error("sweep needs --param or --param-range")
+                grid = tuple(checked_param(args.family, p) for p in grid)
+            except ValueError as exc:
+                parser.error(str(exc))
             selection = _parse_criteria(
                 _resolved(args, config, "criteria", ",".join(CRITERIA_TOKENS),
                           parser), parser)

@@ -34,6 +34,31 @@ from .moments import StateModification, modified_moment_sequence
 DET_DEGENERACY_TOL = 1e-10
 
 
+# highest ell_max: the Stirling table below keeps every row up to
+# moment_order(ell_max), and at 500 a vacuum report peaks near 210 MB in
+# about 3 s (700 needs 570 MB, and 1000 runs out of 1 GiB)
+MAX_ELL_MAX = 500
+
+
+def moment_order(ell_max):
+    """Highest factorial-moment order of the modified state that
+    evaluate_all reads; its ladder has order count + moment_order(ell_max).
+    ValueError unless 1 <= ell_max <= MAX_ELL_MAX.
+    """
+    if ell_max < 1:
+        raise ValueError("ell_max must be at least 1")
+    if ell_max > MAX_ELL_MAX:
+        raise ValueError(f"ell_max must be at most {MAX_ELL_MAX}")
+    return max(2 * ell_max, 4)
+
+
+def _refuse_past_cap(order):
+    # no shared table grows past the orders a report at the cap reads
+    if order > moment_order(MAX_ELL_MAX):
+        raise ValueError(f"moment order {order} exceeds that of ell_max "
+                         f"{MAX_ELL_MAX}")
+
+
 # Exact rows S(z, 0..z) for mu_from_m, grown on demand; one row per
 # order, whatever the number of states.
 # Rows are only appended, under the lock, so a row once read never changes.
@@ -44,6 +69,7 @@ _STIRLING_LOCK = threading.Lock()
 def _stirling_row(z):
     rows = _STIRLING_ROWS
     if len(rows) <= z:
+        _refuse_past_cap(z)
         with _STIRLING_LOCK:
             while len(rows) <= z:
                 prev = rows[-1]
@@ -55,6 +81,7 @@ def _stirling_row(z):
 @lru_cache(maxsize=None)
 def _binomial_row(n):
     """C(n, j) for j = 0..n, exact."""
+    _refuse_past_cap(n)
     return tuple(math.comb(n, j) for j in range(n + 1))
 
 
@@ -63,9 +90,11 @@ def mu_from_m(m):
     one per entry of m.
 
     mu_z = sum_{k=1..z} S(z,k) m_k, exact integer weights summed by
-    kernels.exact_fsum.  Returns a list of floats.
+    kernels.exact_fsum.  Returns a list of floats; ValueError past order
+    moment_order(MAX_ELL_MAX).
     """
     m = [float(v) for v in m]
+    _stirling_row(len(m) - 1)  # grows every row read below, or raises
     return [1.0] + [exact_fsum(_stirling_row(z)[1:], m[1:z + 1],
                                "raw moment <n^{}>", z)
                     for z in range(1, len(m))]
@@ -108,6 +137,7 @@ def _poisson_row(lam, order):
     if last != lam:
         row = (1.0, 0.0)
     if len(row) <= order:
+        _refuse_past_cap(order)
         row = list(row)
         for r in range(len(row) - 1, order):
             # every term is positive, so nothing cancels
@@ -292,13 +322,6 @@ class CriteriaReport(namedtuple(
                 for name, value in columns[token].items()}
 
 
-def moment_order(ell_max):
-    """Highest factorial-moment order of the modified state that
-    evaluate_all reads; its ladder has order count + moment_order(ell_max).
-    """
-    return max(2 * ell_max, 4)
-
-
 def criteria_from_moments(m, mu, ell_max):
     """Every criterion up to order ell_max from one state's moments.
 
@@ -336,10 +359,9 @@ def evaluate_all(dist, mod=None, ell_max=3):
     or, as in modified_moment_sequence, a normal ladder of it covering that
     order, which several calls may share.  Degenerate or undefined
     entries populate flags instead of raising, so parameter sweeps always
-    get a report back.
+    get a report back.  An ell_max that moment_order refuses raises its
+    ValueError before any ladder is built.
     """
-    if ell_max < 1:
-        raise ValueError("ell_max must be at least 1")
     if mod is None:
         mod = StateModification.identity()
     try:

@@ -177,16 +177,10 @@ class EquivalenceCell(namedtuple(
                 f"rel_dev={self.rel_dev:.3e} {status}")
 
 
-class EquivalenceReport:
+class EquivalenceReport(namedtuple("EquivalenceReport", "cells")):
     """Every cell of one equivalence_suite run; cells is a list."""
 
-    def __init__(self, cells):
-        self.cells = cells
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.cells == other.cells
+    __slots__ = ()
 
     @property
     def passed(self):

@@ -320,31 +320,35 @@ def choose_cutoff(family, param, policy=DEFAULT_POLICY):
 
     Raises AccuracyError when no cutoff up to policy.max_cutoff works, or
     when the check-order moment at 2D exceeds the float64 range before
-    any cutoff passes, and ValueError for a negative or non-finite
-    parameter or an unknown family.
+    any cutoff passes, and ValueError where checked_param does.
     """
+    param = checked_param(family, param)
     if family == "fock":
-        n = _as_fock_index(param)
-        if n > policy.max_cutoff:
+        if param > policy.max_cutoff:
             raise AccuracyError(
-                f"fock index {n} exceeds max_cutoff {policy.max_cutoff}")
-        return n
-    if family not in _BUILDERS:
-        raise ValueError(f"unknown state family {family!r}")
-    if not math.isfinite(param):
-        raise ValueError(f"{family} parameter must be finite")
-    if param < 0:
-        raise ValueError(f"{family} parameter must be nonnegative")
+                f"fock index {param} exceeds max_cutoff {policy.max_cutoff}")
+        return param
     return _search(family, param, policy)
 
 
-def _as_fock_index(param):
+def checked_param(family, param):
+    """param as build_state takes it for family: a Fock index as an int.
+
+    Raises ValueError for a family not in FAMILIES, a non-finite or
+    negative parameter, or a Fock index that is not an integer.
+    """
+    if family not in FAMILIES:
+        raise ValueError(f"unknown state family {family!r}")
     if not math.isfinite(param):
-        raise ValueError("fock parameter must be finite")
-    n = int(param)
-    if n != param or n < 0:
-        raise ValueError("fock parameter must be a nonnegative integer")
-    return n
+        raise ValueError(f"{family} parameter must be finite")
+    if family == "fock":
+        n = int(param)
+        if n != param or n < 0:
+            raise ValueError("fock parameter must be a nonnegative integer")
+        return n
+    if param < 0:
+        raise ValueError(f"{family} parameter must be nonnegative")
+    return param
 
 
 def build_state(family, param, policy=DEFAULT_POLICY):

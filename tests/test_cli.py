@@ -16,15 +16,14 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from photonstat import cli
 from photonstat.cli import (
-    MAX_ELL_MAX,
     MAX_GRID_POINTS,
-    _ell_max_from,
     _parse_param_range,
     build_parser,
     main,
 )
-from photonstat.criteria import CRITERIA_TOKENS
+from photonstat.criteria import CRITERIA_TOKENS, MAX_ELL_MAX, moment_order
 from photonstat.states import FAMILIES
 
 
@@ -266,24 +265,58 @@ def test_huge_ell_max_exits_at_once_with_one_line(ell_max):
                             preexec_fn=_limit_address_space)
     assert result.returncode == 1
     assert result.stderr.splitlines() == [
-        f"photonstat: error: --ell-max must be at most {MAX_ELL_MAX}"]
+        f"photonstat: error: ell_max must be at most {MAX_ELL_MAX}"]
 
 
-def test_ell_max_limit_is_inclusive(capsys):
-    parser = build_parser()
-    args = parser.parse_args(["criteria", "--family", "fock", "--param", "0",
-                              "--ell-max", str(MAX_ELL_MAX)])
-    assert _ell_max_from(args, {}, parser) == MAX_ELL_MAX
-    args.ell_max = None
-    assert _ell_max_from(args, {"ell_max": MAX_ELL_MAX}, parser) == MAX_ELL_MAX
-    for given, config in ((MAX_ELL_MAX + 1, {}),
-                          (None, {"ell_max": MAX_ELL_MAX + 1})):
-        args.ell_max = given
-        with pytest.raises(SystemExit) as refused:
-            _ell_max_from(args, config, parser)
-        assert refused.value.code == 1
-        assert capsys.readouterr().err.splitlines() == [
-            f"photonstat: error: --ell-max must be at most {MAX_ELL_MAX}"]
+def test_ell_max_limit_is_inclusive(tmp_path, monkeypatch, capsys):
+    assert moment_order(MAX_ELL_MAX) == 2 * MAX_ELL_MAX
+    with pytest.raises(ValueError,
+                       match=f"^ell_max must be at most {MAX_ELL_MAX}$"):
+        moment_order(MAX_ELL_MAX + 1)
+    # main hands the cap on, as a flag or a config value, and refuses one
+    # more; the report itself is not built
+    reached = []
+
+    def report(family, param, mod, ell_max, *rest):
+        reached.append(ell_max)
+        return 0
+    monkeypatch.setattr(cli, "cmd_criteria", report)
+    config = tmp_path / "config.json"
+    for ell_max, want in ((MAX_ELL_MAX, 0), (MAX_ELL_MAX + 1, 1)):
+        config.write_text(json.dumps({"ell_max": ell_max}), encoding="utf-8")
+        for extra in (("--ell-max", str(ell_max)), ("--config", str(config))):
+            code, out, err = run_cli(capsys, "criteria", "--family", "fock",
+                                     "--param", "0", *extra)
+            assert code == want and out == ""
+            assert err == ("" if want == 0 else "photonstat: error: ell_max "
+                           f"must be at most {MAX_ELL_MAX}\n")
+    assert reached == [MAX_ELL_MAX, MAX_ELL_MAX]
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("criteria", "--family", "fock", "--param", "-1"),
+     "fock parameter must be a nonnegative integer"),
+    # the second point is refused before the first is built
+    (("sweep", "--family", "fock", "--param", "1", "--param", "2.5"),
+     "fock parameter must be a nonnegative integer"),
+    (("sweep", "--family", "fock", "--param-range", "0:1:0.5"),
+     "fock parameter must be a nonnegative integer"),
+    (("criteria", "--family", "thermal", "--param", "-1"),
+     "thermal parameter must be nonnegative"),
+    (("criteria", "--family", "squeezed", "--param", "nan"),
+     "squeezed parameter must be finite"),
+    (("criteria", "--family", "thermal", "--param", "1", "--ell-max", "0"),
+     "ell_max must be at least 1"),
+], ids=["fock-negative", "sweep-fock-fraction", "fock-range-fraction",
+        "thermal-negative", "squeezed-nan", "ell-max-zero"])
+def test_library_input_errors_exit_1_with_its_line(monkeypatch, capsys, argv,
+                                                   message):
+    def refuse(*args):
+        raise AssertionError("a state was built")
+    monkeypatch.setattr(cli, "build_state", refuse)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"photonstat: error: {message}\n"
 
 
 # runs `python -m photonstat <argv>` with every import of numpy failing

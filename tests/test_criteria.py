@@ -1,5 +1,6 @@
 import math
 import random
+import subprocess
 import sys
 import threading
 import warnings
@@ -404,6 +405,55 @@ def test_evaluate_all_report_shape():
     assert sorted(report.q_ell_normal) == [1, 2, 3]
     assert sorted(report.q_ell_central) == [1, 2, 3]
     assert sorted(report.lee_dh) == [1, 2, 3]
+
+
+@pytest.mark.parametrize("ell_max,message", [
+    (0, "ell_max must be at least 1"),
+    (criteria.MAX_ELL_MAX + 1,
+     f"ell_max must be at most {criteria.MAX_ELL_MAX}"),
+    (10 ** 17, f"ell_max must be at most {criteria.MAX_ELL_MAX}"),
+], ids=["zero", "cap-plus-one", "huge"])
+def test_evaluate_all_refuses_ell_max_outside_the_cap(ell_max, message):
+    # moment_order refuses it before any ladder or Stirling row is built
+    dist = build_state("fock", 0)
+    rows = len(criteria._STIRLING_ROWS)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        evaluate_all(dist, ell_max=ell_max)
+    assert len(criteria._STIRLING_ROWS) == rows
+
+
+def _limit_address_space():
+    # 1 GiB: a table grown far past the cap fails instead of filling memory
+    import resource
+    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
+
+
+@pytest.mark.parametrize("call", [
+    "mu_from_m([1.0] + [0.0] * 2000)",
+    "poisson_central_moment(1e-300, 2000)",
+], ids=["mu_from_m", "poisson_central_moment"])
+def test_orders_past_the_cap_raise_before_any_table_grows(call):
+    # without the cap, the Stirling rows up to order 2000 run out of 1 GiB
+    # and the Poisson row at a tiny mean takes minutes
+    code = (
+        "from photonstat import criteria\n"
+        "from photonstat.criteria import mu_from_m, poisson_central_moment\n"
+        "def tables():\n"
+        "    return (len(criteria._STIRLING_ROWS), criteria._poisson_last,\n"
+        "            criteria._binomial_row.cache_info().currsize)\n"
+        "before = tables()\n"
+        "try:\n"
+        f"    {call}\n"
+        "except ValueError as exc:\n"
+        "    print(exc)\n"
+        "print(tables() == before)\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=60,
+                            preexec_fn=_limit_address_space)
+    assert result.stderr == ""
+    assert result.stdout.splitlines() == [
+        f"moment order 2000 exceeds that of ell_max {criteria.MAX_ELL_MAX}",
+        "True"]
 
 
 def test_fock_states_are_maximally_sub_poissonian():

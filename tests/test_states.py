@@ -23,7 +23,7 @@ from photonstat import (
 )
 from photonstat import kernels, states
 from photonstat.cli import main
-from photonstat.states import _BUILDERS
+from photonstat.states import _BUILDERS, checked_param
 
 
 def _factorial_moment(probs, order):
@@ -446,6 +446,29 @@ def test_invalid_inputs():
         CutoffPolicy(eps_tail=math.nan)
     with pytest.raises(ValueError):
         CutoffPolicy(rel_tol=math.nan)
+
+
+@pytest.mark.parametrize("family,param,message", [
+    ("cat", 1.0, "unknown state family 'cat'"),
+    ("coherent", math.inf, "coherent parameter must be finite"),
+    ("fock", math.nan, "fock parameter must be finite"),
+    ("thermal", -0.1, "thermal parameter must be nonnegative"),
+    ("fock", -1.0, "fock parameter must be a nonnegative integer"),
+    ("fock", 2.5, "fock parameter must be a nonnegative integer"),
+])
+def test_checked_param_is_the_rule_build_state_applies(family, param,
+                                                      message):
+    pattern = f"^{message}$"
+    with pytest.raises(ValueError, match=pattern):
+        checked_param(family, param)
+    with pytest.raises(ValueError, match=pattern):
+        build_state(family, param)
+
+
+def test_checked_param_returns_a_fock_index_as_an_int():
+    assert type(checked_param("fock", 3.0)) is int
+    assert checked_param("fock", 3.0) == 3
+    assert checked_param("thermal", 0.5) == 0.5
 
 
 def test_distribution_is_immutable():
