@@ -85,15 +85,20 @@ def _csv_table(rows):
 
 def _emit(document, out_path):
     """Write document (text, or a dict as indented JSON) to out_path or,
-    without one, to stdout."""
+    without one, to stdout.  A file that cannot be written exits 1."""
     if isinstance(document, dict):
         import json  # only JSON documents and config files need it
         document = json.dumps(document, indent=2) + "\n"
-    if out_path:
+    if not out_path:
+        sys.stdout.write(document)
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as handle:
             handle.write(document)
-    else:
-        sys.stdout.write(document)
+    except OSError as exc:
+        print(f"photonstat: error: cannot write {out_path}: "
+              f"{exc.strerror or exc}", file=sys.stderr)
+        raise SystemExit(1) from None
 
 
 # ---------------------------------------------------------------- criteria
@@ -203,37 +208,39 @@ def cmd_selfcheck(states, tol, out_path=None):
 
 
 # ----------------------------------------------------------------- parsing
+# each helper raises ValueError(message) for an input it refuses
 
-def _parse_param_range(text, parser):
+def _parse_param_range(text):
     parts = text.split(":")
     if len(parts) != 3:
-        parser.error("--param-range must look like start:stop:step")
+        raise ValueError("--param-range must look like start:stop:step")
     try:
         start, stop, step = (float(p) for p in parts)
     except ValueError:
-        parser.error("--param-range values must be numeric")
+        raise ValueError("--param-range values must be numeric") from None
     if not all(math.isfinite(v) for v in (start, stop, step)):
-        parser.error("--param-range values must be finite")
+        raise ValueError("--param-range values must be finite")
     if step <= 0 or stop < start:
-        parser.error("--param-range needs step > 0 and stop >= start")
+        raise ValueError("--param-range needs step > 0 and stop >= start")
     span = (stop - start) / step + 1e-6
     if not span < MAX_GRID_POINTS:  # also inf
-        parser.error(f"--param-range has more than {MAX_GRID_POINTS} points")
+        raise ValueError(
+            f"--param-range has more than {MAX_GRID_POINTS} points")
     return tuple(start + i * step for i in range(math.floor(span) + 1))
 
 
-def _parse_criteria(text, parser):
+def _parse_criteria(text):
     tokens = tuple(tok.strip() for tok in text.split(",") if tok.strip())
     for tok in tokens:
         if tok not in CRITERIA_TOKENS:
-            parser.error(f"unknown criterion {tok!r}; choose from "
-                         + ", ".join(CRITERIA_TOKENS))
+            raise ValueError(f"unknown criterion {tok!r}; choose from "
+                             + ", ".join(CRITERIA_TOKENS))
     if not tokens:
-        parser.error("--criteria must select at least one criterion")
+        raise ValueError("--criteria must select at least one criterion")
     return tokens
 
 
-def _load_config(path, parser):
+def _load_config(path):
     if not path:
         return {}
     import json
@@ -241,13 +248,13 @@ def _load_config(path, parser):
         with open(path, encoding="utf-8") as handle:
             config = json.load(handle)
     except (OSError, ValueError) as exc:  # ValueError: bad JSON or UTF-8
-        parser.error(f"cannot read config file {path}: {exc}")
+        raise ValueError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(config, dict):
-        parser.error(f"config file {path} must hold a JSON object")
+        raise ValueError(f"config file {path} must hold a JSON object")
     return config
 
 
-def _resolved(args, config, key, fallback, parser):
+def _resolved(args, config, key, fallback):
     """The flag's value, else the config file's read as the flag's text
     would be (by the type of fallback), else fallback."""
     value = getattr(args, key, None)
@@ -258,35 +265,67 @@ def _resolved(args, config, key, fallback, parser):
     try:
         return type(fallback)(str(config[key]))
     except ValueError:
-        parser.error(f"config {key}: invalid value {config[key]!r}")
+        raise ValueError(
+            f"config {key}: invalid value {config[key]!r}") from None
 
 
-def _policy_from(args, config, parser, ladder_order):
+def _policy_from(args, config, ladder_order):
     """The cutoff policy, its check order raised (never lowered) to the
     ladder order the report will read."""
     policy = CutoffPolicy(**{
-        key: _resolved(args, config, key, default, parser)
+        key: _resolved(args, config, key, default)
         for key, default in DEFAULT_POLICY._asdict().items()})
     if ladder_order > policy.max_moment_order:
         policy = policy._replace(max_moment_order=ladder_order)
     return policy
 
 
-def _modification_from(args, parser):
+def _modification_from(args):
     if args.subtract is not None and args.add is not None:
-        parser.error("--subtract and --add are mutually exclusive")
+        raise ValueError("--subtract and --add are mutually exclusive")
     if args.add is not None:
         return StateModification.add(args.add)
-    if args.subtract is not None:
-        return StateModification.subtract(args.subtract)
-    return StateModification.identity()
+    return StateModification.subtract(args.subtract or 0)
 
 
-def _nonneg_int(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError("must be nonnegative")
-    return value
+def _request(args):
+    """The command to run and its arguments, from the parsed flags and the
+    config file.  Where the library owns a rule, its check is called."""
+    config = _load_config(args.config)
+    if args.command == "selfcheck":
+        from . import oracle  # selfcheck, the one command that runs it
+        tol = oracle.checked_tol(
+            _resolved(args, config, "tol", oracle.DEFAULT_TOL))
+        states = oracle.DEFAULT_SUITE_STATES  # every family has states
+        if args.families is not None:
+            wanted = {tok.strip() for tok in args.families.split(",")
+                      if tok.strip()}
+            if not wanted:
+                raise ValueError("--families must name at least one family")
+            unknown = wanted - set(FAMILIES)
+            if unknown:
+                raise ValueError(
+                    f"unknown families: {', '.join(sorted(unknown))}")
+            states = tuple(s for s in states if s[0] in wanted)
+        return cmd_selfcheck, (states, tol, args.out)
+    mod = _modification_from(args)
+    sweep = args.command == "sweep"
+    ell_max = _resolved(args, config, "ell_max", 3)
+    policy = _policy_from(args, config, mod.count + moment_order(ell_max))
+    grid = tuple(args.param or ()) if sweep else (args.param,)
+    if sweep and args.param_range:
+        grid += _parse_param_range(args.param_range)
+    if not grid:
+        raise ValueError("sweep needs --param or --param-range")
+    grid = tuple(checked_param(args.family, p) for p in grid)
+    selection = _parse_criteria(
+        _resolved(args, config, "criteria", ",".join(CRITERIA_TOKENS)))
+    fmt = _resolved(args, config, "format", "csv" if sweep else "json")
+    if fmt not in ("csv", "json"):
+        raise ValueError(f"invalid format {fmt!r} (choose from 'csv', 'json')")
+    command = cmd_sweep if sweep else cmd_criteria
+    return command, (args.family, grid if sweep else grid[0], mod, ell_max,
+                     selection, fmt, policy, args.out)
 
 
 def build_parser():
@@ -299,15 +338,15 @@ def build_parser():
 
     def add_common(p, with_mod=True):
         if with_mod:
-            p.add_argument("--subtract", type=_nonneg_int, metavar="N",
+            p.add_argument("--subtract", type=int, metavar="N",
                            help="number of photons to subtract")
-            p.add_argument("--add", type=_nonneg_int, metavar="M",
+            p.add_argument("--add", type=int, metavar="M",
                            help="number of photons to add")
             p.add_argument("--ell-max", type=int, dest="ell_max",
                            help="highest generalized-Mandel order (default 3)")
             p.add_argument("--criteria", help="comma list from: "
                            + ",".join(CRITERIA_TOKENS))
-            p.add_argument("--format", choices=("csv", "json"))
+            p.add_argument("--format", metavar="{csv,json}")
             p.add_argument("--eps-tail", type=float, dest="eps_tail",
                            help="tail-mass bound for the cutoff "
                                 f"(default {DEFAULT_POLICY.eps_tail})")
@@ -350,53 +389,11 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        config = _load_config(getattr(args, "config", None), parser)
-        if args.command in ("criteria", "sweep"):
-            mod = _modification_from(args, parser)
-            sweep = args.command == "sweep"
-            # the library owns these rules: its ValueError is a usage error
-            try:
-                ell_max = _resolved(args, config, "ell_max", 3, parser)
-                policy = _policy_from(args, config, parser,
-                                      mod.count + moment_order(ell_max))
-                grid = tuple(args.param or ()) if sweep else (args.param,)
-                if sweep and args.param_range:
-                    grid += _parse_param_range(args.param_range, parser)
-                if not grid:
-                    parser.error("sweep needs --param or --param-range")
-                grid = tuple(checked_param(args.family, p) for p in grid)
-            except ValueError as exc:
-                parser.error(str(exc))
-            selection = _parse_criteria(
-                _resolved(args, config, "criteria", ",".join(CRITERIA_TOKENS),
-                          parser), parser)
-            fmt = _resolved(args, config, "format", "csv" if sweep else "json",
-                            parser)
-            if fmt not in ("csv", "json"):
-                parser.error(f"config format: invalid choice: {fmt!r} "
-                             "(choose from 'csv', 'json')")
-            if sweep:
-                return cmd_sweep(args.family, grid, mod, ell_max, selection,
-                                 fmt, policy, args.out)
-            return cmd_criteria(args.family, grid[0], mod, ell_max,
-                                selection, fmt, policy, args.out)
-        from . import oracle  # selfcheck, the one command that runs it
-        tol = _resolved(args, config, "tol", oracle.DEFAULT_TOL, parser)
-        if not 0.0 <= tol < math.inf:  # also NaN
-            parser.error("--tol must be a finite nonnegative number")
-        states = oracle.DEFAULT_SUITE_STATES
-        if args.families is not None:
-            wanted = {tok.strip() for tok in args.families.split(",")
-                      if tok.strip()}
-            if not wanted:
-                parser.error("--families must name at least one family")
-            unknown = wanted - set(FAMILIES)
-            if unknown:
-                parser.error(f"unknown families: {', '.join(sorted(unknown))}")
-            states = tuple(s for s in states if s[0] in wanted)
-            if not states:
-                parser.error("no suite states match --families")
-        return cmd_selfcheck(states, tol, args.out)
+        try:
+            command, request = _request(args)
+        except ValueError as exc:  # an input the program refuses
+            parser.error(str(exc))
+        return command(*request)
     except SystemExit as exc:
         return int(exc.code or 0)
     except UndefinedStateError as exc:

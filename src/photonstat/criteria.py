@@ -94,6 +94,8 @@ def mu_from_m(m):
     moment_order(MAX_ELL_MAX).
     """
     m = [float(v) for v in m]
+    if not m:
+        return []
     _stirling_row(len(m) - 1)  # grows every row read below, or raises
     return [1.0] + [exact_fsum(_stirling_row(z)[1:], m[1:z + 1],
                                "raw moment <n^{}>", z)
@@ -111,6 +113,12 @@ def mandel_q(m1, m2):
     return (m2 - m1 * m1) / m1
 
 
+def _need(seq, order, kind="factorial"):
+    # the argument rule of every criterion that reads moments up to order
+    if len(seq) <= order:
+        raise ValueError(f"need {kind} moments up to order {order}")
+
+
 def lee_dh(m, ell):
     """Lee function d_h^(ell-1) = m_ell - m_1^ell for ell >= 2.
 
@@ -118,8 +126,7 @@ def lee_dh(m, ell):
     """
     if ell < 2:
         raise ValueError("ell must be at least 2")
-    if len(m) <= ell:
-        raise ValueError(f"need factorial moments up to order {ell}")
+    _need(m, ell)
     return float(m[ell] - float(m[1]) ** ell)
 
 
@@ -164,7 +171,7 @@ def poisson_central_moment(lam, order):
     """
     if order < 2 or order % 2 != 0:
         raise ValueError("order must be an even integer >= 2")
-    if lam < 0:
+    if not lam >= 0:  # also NaN
         raise ValueError("lam must be nonnegative")
     return _poisson_row(lam, order)[order]
 
@@ -187,8 +194,7 @@ def q_ell_normal(m, ell):
     """
     if ell < 1:
         raise ValueError("ell must be positive")
-    if len(m) <= 2 * ell:
-        raise ValueError(f"need factorial moments up to order {2 * ell}")
+    _need(m, 2 * ell)
     m1 = float(m[1])
     if m1 == 0.0:
         return math.nan
@@ -206,8 +212,7 @@ def q_ell_central(mu, ell):
     """
     if ell < 1:
         raise ValueError("ell must be positive")
-    if len(mu) <= 2 * ell:
-        raise ValueError(f"need raw moments up to order {2 * ell}")
+    _need(mu, 2 * ell, "raw")
     mu1 = float(mu[1])
     if mu1 == 0.0:
         return math.nan
@@ -259,8 +264,8 @@ def agarwal_tara(m, mu):
     the ratio is meaningless and a DegenerateA3 marker carrying both
     determinants is returned.
     """
-    if len(m) < 5:
-        raise ValueError("need factorial moments up to order 4")
+    _need(m, 4)
+    _need(mu, 4, "raw")
     mat_m = _hankel3(m)
     mat_mu = _hankel3(mu)
     det_m = _det3(mat_m)

@@ -229,17 +229,28 @@ def _as_float(value):
     return float(value)
 
 
+def checked_tol(tol):
+    """tol as equivalence_suite takes it: a finite nonnegative number (0
+    asks for exact agreement).  Raises ValueError otherwise."""
+    if not 0.0 <= tol < math.inf:  # also NaN
+        raise ValueError("tol must be a finite nonnegative number")
+    return tol
+
+
 def equivalence_suite(states=DEFAULT_SUITE_STATES, n_max=3, m_max=4, x_max=4,
                       tol=DEFAULT_TOL):
     """Compare ladder shortcuts against the brute-force path, cell by cell.
 
     For every (base state, modification) the factorial moments m_0..m_x_max
     and every criterion up to order l = 2 are computed along both routes.
-    Cells record the relative deviation; a cell fails when it exceeds tol,
-    a finite nonnegative number (else ValueError).
+    Cells record the relative deviation; a cell fails when it exceeds tol.
+    Raises ValueError, before any state is built, for a tol checked_tol
+    refuses or an empty states.
     """
-    if not 0.0 <= tol < math.inf:  # also NaN
-        raise ValueError("tol must be a finite nonnegative number")
+    tol = checked_tol(tol)
+    states = tuple(states)
+    if not states:
+        raise ValueError("states must name at least one base state")
     ell_max = 2
     cells = []
     crit_x = moment_order(ell_max)

@@ -220,12 +220,15 @@ def _tail_cutoff(family, param, policy):
     """Smallest cutoff in 1..max_cutoff whose tail bound meets eps_tail.
 
     Bisects on the closed-form bound alone, which is nonincreasing in the
-    cutoff.
+    cutoff.  AccuracyError, naming the bound at max_cutoff, if none does.
     """
     _, tail = _BUILDERS[family]
     lo, hi = 0, policy.max_cutoff
-    if tail(param, hi) > policy.eps_tail:
-        raise _cap_error(family, param, policy)
+    best = tail(param, hi)
+    if best > policy.eps_tail:
+        raise AccuracyError(
+            f"{family}({param}) needs cutoff > {policy.max_cutoff}: tail "
+            f"bound {best:.3e} vs eps_tail {policy.eps_tail:.3e}")
     while hi - lo > 1:
         mid = (lo + hi) // 2
         if tail(param, mid) <= policy.eps_tail:
@@ -233,16 +236,6 @@ def _tail_cutoff(family, param, policy):
         else:
             lo = mid
     return hi
-
-
-def _cap_error(family, param, policy):
-    _, tail = _BUILDERS[family]
-    best = tail(param, policy.max_cutoff)
-    return AccuracyError(
-        f"{family}({param}) needs cutoff > {policy.max_cutoff}: "
-        f"tail bound {best:.3e} vs eps_tail {policy.eps_tail:.3e}, "
-        f"or moment order {policy.max_moment_order} not converged "
-        f"to rel_tol {policy.rel_tol:.1e}")
 
 
 def _search(family, param, policy):
@@ -279,7 +272,10 @@ def _search(family, param, policy):
             raise AccuracyError(
                 f"{family}({param}) has no nonzero probability in float64")
         del probs[2 * top + 1:]  # no candidate reads past 2 * top
-        order = min(policy.max_moment_order, n_last)
+        # an n_last past 2 * top is not known exactly: the order is then
+        # K, or exceeds 2 * top as K does, and either row is the same
+        order = (policy.max_moment_order if n_last > 2 * top
+                 else min(policy.max_moment_order, n_last))
         weights = _falling_weights(probs, order)
         sums = list(accumulate(weights))
         for cutoff in range(first, top + 1):
@@ -303,7 +299,10 @@ def _search(family, param, policy):
             if abs(twice - here) <= policy.rel_tol * twice:
                 return cutoff
         if top == policy.max_cutoff:
-            raise _cap_error(family, param, policy)
+            raise AccuracyError(
+                f"{family}({param}) needs cutoff > {policy.max_cutoff}: the "
+                f"order-{order} factorial moment did not converge to "
+                f"rel_tol {policy.rel_tol:.1e}")
         first, top = top + 1, min(2 * top, policy.max_cutoff)
 
 

@@ -20,7 +20,6 @@ from photonstat import cli
 from photonstat.cli import (
     MAX_GRID_POINTS,
     _parse_param_range,
-    build_parser,
     main,
 )
 from photonstat.criteria import CRITERIA_TOKENS, MAX_ELL_MAX, moment_order
@@ -216,7 +215,14 @@ def _limit_address_space():
     (("fock", "3", "--subtract", str(10 ** 18)), 2,
      "error: state annihilated: fock(3) does not survive subtract "
      "1000000000000000000"),
-], ids=["coherent-subtract", "thermal-add", "fock-subtract"])
+    # the pmf never reaches 0 (its step ratio is above 1/2), so the check
+    # order stays K, and only that moment fails: the tail bound is met
+    (("squeezed", "1", "--subtract", str(10 ** 18)), 3,
+     "error: accuracy failure: squeezed(1.0) needs cutoff > 4096: the "
+     "order-1000000000000000006 factorial moment did not converge to "
+     "rel_tol 1.0e-10"),
+], ids=["coherent-subtract", "thermal-add", "fock-subtract",
+        "squeezed-subtract"])
 def test_huge_counts_exit_at_once_with_one_line(argv, code, message):
     # no list of count entries is built: the search stops at the occupied
     # pmf and a subtraction past it is settled before any ladder
@@ -242,16 +248,12 @@ def test_huge_param_range_exits_at_once_with_one_line():
         "points"]
 
 
-def test_param_range_point_limit_is_inclusive(capsys):
-    parser = build_parser()
-    grid = _parse_param_range(f"0:{MAX_GRID_POINTS - 1}:1", parser)
+def test_param_range_point_limit_is_inclusive():
+    grid = _parse_param_range(f"0:{MAX_GRID_POINTS - 1}:1")
     assert len(grid) == MAX_GRID_POINTS and grid[-1] == MAX_GRID_POINTS - 1
-    with pytest.raises(SystemExit) as refused:
-        _parse_param_range(f"0:{MAX_GRID_POINTS}:1", parser)
-    assert refused.value.code == 1
-    assert capsys.readouterr().err.splitlines() == [
-        f"photonstat: error: --param-range has more than {MAX_GRID_POINTS} "
-        "points"]
+    with pytest.raises(ValueError, match=f"^--param-range has more than "
+                       f"{MAX_GRID_POINTS} points$"):
+        _parse_param_range(f"0:{MAX_GRID_POINTS}:1")
 
 
 @pytest.mark.parametrize("ell_max", [MAX_ELL_MAX + 1, 10 ** 17],
@@ -307,8 +309,13 @@ def test_ell_max_limit_is_inclusive(tmp_path, monkeypatch, capsys):
      "squeezed parameter must be finite"),
     (("criteria", "--family", "thermal", "--param", "1", "--ell-max", "0"),
      "ell_max must be at least 1"),
+    (("criteria", "--family", "fock", "--param", "1", "--subtract", "-1"),
+     "count must be a nonnegative integer"),
+    (("sweep", "--family", "fock", "--param", "1", "--add", "-2"),
+     "count must be a nonnegative integer"),
 ], ids=["fock-negative", "sweep-fock-fraction", "fock-range-fraction",
-        "thermal-negative", "squeezed-nan", "ell-max-zero"])
+        "thermal-negative", "squeezed-nan", "ell-max-zero",
+        "subtract-negative", "add-negative"])
 def test_library_input_errors_exit_1_with_its_line(monkeypatch, capsys, argv,
                                                    message):
     def refuse(*args):
@@ -317,6 +324,49 @@ def test_library_input_errors_exit_1_with_its_line(monkeypatch, capsys, argv,
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err == f"photonstat: error: {message}\n"
+
+
+def test_a_count_must_be_an_int(capsys):
+    code, out, err = run_cli(capsys, "criteria", "--family", "fock",
+                             "--param", "1", "--subtract", "1e5")
+    assert code == 1 and out == ""
+    assert err == ("photonstat criteria: error: argument --subtract: "
+                   "invalid int value: '1e5'\n")
+
+
+def test_format_flag_and_config_value_share_one_check(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text('{"format": "xml"}', encoding="utf-8")
+    for command in ("criteria", "sweep"):
+        for extra in (("--format", "xml"), ("--config", str(config))):
+            assert run_cli(capsys, command, "--family", "fock", "--param",
+                           "1", *extra) == (
+                1, "", "photonstat: error: invalid format 'xml' (choose "
+                "from 'csv', 'json')\n")
+
+
+def test_a_value_error_while_computing_is_no_usage_error(monkeypatch):
+    # only resolving the request maps ValueError to exit 1: a fault in the
+    # computation must surface, not pose as a refused input
+    def broken(*args):
+        raise ValueError("internal")
+    monkeypatch.setattr(cli, "evaluate_all", broken)
+    with pytest.raises(ValueError, match="^internal$"):
+        main(["criteria", "--family", "fock", "--param", "1"])
+
+
+@pytest.mark.parametrize("argv", [
+    ("criteria", "--family", "coherent", "--param", "1"),
+    ("sweep", "--family", "coherent", "--param", "1"),
+    ("selfcheck", "--families", "fock"),
+], ids=["criteria", "sweep", "selfcheck"])
+def test_unwritable_out_exits_1_with_one_line(tmp_path, capsys, argv):
+    for target, reason in ((tmp_path, "Is a directory"),
+                           (tmp_path / "missing" / "x",
+                            "No such file or directory")):
+        code, _, err = run_cli(capsys, *argv, "--out", str(target))
+        assert code == 1
+        assert err == f"photonstat: error: cannot write {target}: {reason}\n"
 
 
 # runs `python -m photonstat <argv>` with every import of numpy failing
@@ -604,7 +654,7 @@ def test_selfcheck_unknown_family_is_usage_error(capsys):
     assert code == 1
 
 
-_BAD_TOL = "--tol must be a finite nonnegative number"
+_BAD_TOL = "tol must be a finite nonnegative number"
 _NO_FAMILY = "--families must name at least one family"
 
 

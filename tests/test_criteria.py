@@ -83,6 +83,10 @@ def test_mu_from_m_coherent():
     assert mu[2] == 2.0
 
 
+def test_mu_from_m_of_no_moments_is_empty():
+    assert mu_from_m([]) == []
+
+
 def test_mu_from_m_fock2():
     mu = mu_from_m([1, 2, 2, 0, 0])
     np.testing.assert_array_equal(mu, [1, 2, 4, 8, 16])
@@ -212,6 +216,22 @@ def test_lee_dh_validation():
         lee_dh([1, 1, 2], 1)
 
 
+_M4 = [1.0, 1.0, 2.0, 6.0, 24.0]
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: lee_dh(_M4[:3], 3), "need factorial moments up to order 3"),
+    (lambda: q_ell_normal(_M4, 3), "need factorial moments up to order 6"),
+    (lambda: q_ell_central(_M4, 3), "need raw moments up to order 6"),
+    (lambda: agarwal_tara(_M4[:4], _M4),
+     "need factorial moments up to order 4"),
+    (lambda: agarwal_tara(_M4, _M4[:4]), "need raw moments up to order 4"),
+], ids=["lee", "q-normal", "q-central", "a3-m", "a3-mu"])
+def test_short_moment_sequences_are_refused_by_one_rule(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 # --------------------------------------------------- poisson central moments
 
 def test_poisson_central_moment_variance():
@@ -253,8 +273,9 @@ def test_poisson_central_moment_validation():
         poisson_central_moment(1.0, 3)
     with pytest.raises(ValueError):
         poisson_central_moment(1.0, 0)
-    with pytest.raises(ValueError):
-        poisson_central_moment(-1.0, 2)
+    for lam in (-1.0, math.nan):
+        with pytest.raises(ValueError, match="^lam must be nonnegative$"):
+            poisson_central_moment(lam, 2)
 
 
 # ---------------------------------------------------------- generalized Q

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from photonstat import moments, oracle
 from photonstat import (
     DEFAULT_SUITE_STATES,
+    FAMILIES,
     AccuracyError,
     NumberDistribution,
     StateModification,
@@ -336,6 +337,22 @@ def test_suite_tolerance_must_be_finite_and_nonnegative(tol):
     with pytest.raises(ValueError, match="^tol must be a finite "
                        "nonnegative number$"):
         equivalence_suite((("fock", 1),), tol=tol)
+
+
+def test_empty_suite_is_refused_before_any_state_is_built(monkeypatch):
+    # an empty suite would pass with no cell, and its text would fail
+    def refuse(*args):
+        raise AssertionError("a state was built")
+    monkeypatch.setattr(oracle, "build_state", refuse)
+    for states in ((), iter(())):
+        with pytest.raises(ValueError, match="^states must name at least "
+                           "one base state$"):
+            equivalence_suite(states)
+
+
+def test_default_suite_covers_every_family():
+    # so every nonempty selfcheck --families list selects a state
+    assert {family for family, _ in DEFAULT_SUITE_STATES} == set(FAMILIES)
 
 
 def test_suite_zero_tolerance_is_valid():

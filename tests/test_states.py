@@ -405,6 +405,22 @@ def test_cutoff_cap_raises_accuracy_error():
         build_state("thermal", 5.0, policy)
 
 
+@pytest.mark.parametrize("param,order,reason", [
+    # tanh(25)**2 rounds to 1.0, so no tail bound below 1 is computable
+    (25.0, 12, "tail bound 1.000e+00 vs eps_tail 1.000e-12"),
+    # the tail bound is met, but the pmf never reaches 0, so the check
+    # order stays K and its moment is 0 at every cutoff
+    (1.0, 10 ** 18 + 6, "the order-1000000000000000006 factorial moment "
+     "did not converge to rel_tol 1.0e-10"),
+], ids=["tail", "moment"])
+def test_cap_error_names_the_condition_that_failed(param, order, reason):
+    policy = CutoffPolicy(max_moment_order=order)
+    with pytest.raises(AccuracyError) as refused:
+        choose_cutoff("squeezed", param, policy)
+    assert str(refused.value) == (
+        f"squeezed({param}) needs cutoff > 4096: {reason}")
+
+
 @pytest.mark.parametrize("family,param,order", [
     pytest.param(family, param, 12, id=f"{family}-{param}")
     for family, param in (("squeezed", 19.5), ("squeezed", 25.0),
