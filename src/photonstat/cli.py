@@ -9,6 +9,8 @@ import argparse
 import csv
 import io
 import math
+import os
+import stat
 import sys
 
 from . import __version__
@@ -38,9 +40,10 @@ MAX_GRID_POINTS = 10 ** 5
 
 
 class _Parser(argparse.ArgumentParser):
-    # usage problems exit 1 (not argparse's default 2) with one line
+    # usage problems exit 1 (not argparse's default 2) with one line, under
+    # one prefix whichever subcommand's parser found them
     def error(self, message):
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
+        print(f"photonstat: error: {message}", file=sys.stderr)
         raise SystemExit(1)
 
 
@@ -64,6 +67,8 @@ def _json_cell(value):
 
 def _render(value):
     """Full round-trip decimal rendering; tokens for undefined/degenerate."""
+    if type(value) is float:  # nearly every cell
+        return UNDEF if math.isnan(value) else repr(value)
     if isinstance(value, str):
         return value
     cell = _json_cell(value)
@@ -81,6 +86,30 @@ def _csv_table(rows):
     for row in rows:
         writer.writerow([_render(value) for value in row.values()])
     return buf.getvalue()
+
+
+def _claim_out(path):
+    """Check while resolving that --out can be written: open path, creating
+    it if missing and never truncating it.  Returns path if this call
+    created it (to be removed if the run never writes it), else None;
+    ValueError naming the reason if it cannot be opened.  A named pipe is
+    not opened, as closing it would end its reader's input."""
+    if not path:
+        return None
+    try:
+        try:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            created = path
+        except FileExistsError:
+            if stat.S_ISFIFO(os.stat(path).st_mode):
+                return None
+            fd = os.open(path, os.O_WRONLY)
+            created = None
+    except OSError as exc:
+        raise ValueError(
+            f"cannot write {path}: {exc.strerror or exc}") from None
+    os.close(fd)
+    return created
 
 
 def _emit(document, out_path):
@@ -387,13 +416,18 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    created = None  # an --out file this run made and has not written yet
     try:
         args = parser.parse_args(argv)
         try:
+            # first, so an --out that cannot be written costs no work
+            created = _claim_out(args.out)
             command, request = _request(args)
         except ValueError as exc:  # an input the program refuses
             parser.error(str(exc))
-        return command(*request)
+        status = command(*request)
+        created = None  # every command that returns has written its --out
+        return status
     except SystemExit as exc:
         return int(exc.code or 0)
     except UndefinedStateError as exc:
@@ -402,6 +436,12 @@ def main(argv=None):
     except AccuracyError as exc:
         print(f"error: accuracy failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if created:
+            try:
+                os.remove(created)
+            except OSError:
+                pass
 
 
 def entry():

@@ -22,7 +22,6 @@ import math
 import threading
 from collections import namedtuple
 from functools import lru_cache
-from itertools import repeat
 from operator import mul
 
 from .exceptions import AccuracyError, UndefinedStateError
@@ -130,35 +129,64 @@ def lee_dh(m, ell):
     return float(m[ell] - float(m[1]) ** ell)
 
 
-# O_0..O_r(lam) of the last mean asked for: one report reads one mean, so
-# a sweep replaces the row instead of accumulating rows.  The row is an
-# immutable tuple swapped in by one assignment, so concurrent readers see
-# either the old row or the new one, never a row being grown.
-_poisson_last = (0.0, (1.0, 0.0))
+# (lam, O_0..O_r(lam), (-lam)^0..(-lam)^e) of the last mean asked for: a
+# report reads one mean for both Q^(l) forms and every l, so a sweep
+# replaces the record instead of accumulating records.  It is an immutable
+# tuple swapped in by one assignment, so concurrent readers see either the
+# old record or the new one, never one being grown.
+_mean_last = (0.0, (1.0, 0.0), (1.0,))
+
+
+def _mean_record(lam):
+    record = _mean_last
+    if record[0] == lam:        # 3, 3.0, -0.0 and 0.0 share one record
+        return record
+    return (float(lam) + 0.0, (1.0, 0.0), (1.0,))
 
 
 def _poisson_row(lam, order):
-    global _poisson_last
-    lam = float(lam) + 0.0      # 3, 3.0, -0.0 and 0.0 share one row
-    last, row = _poisson_last
-    if last != lam:
-        row = (1.0, 0.0)
+    # grown to order and, while in range, on to the record's top power
+    global _mean_last
+    lam, row, powers = _mean_record(lam)
     if len(row) <= order:
         _refuse_past_cap(order)
         row = list(row)
-        for r in range(len(row) - 1, order):
-            # every term is positive, so nothing cancels
-            value = lam * exact_fsum(
-                _binomial_row(r), row[:r],
-                "Poisson reference moment O_{}({!r})", r + 1, lam)
-            if math.isinf(value):
-                raise AccuracyError(
-                    f"Poisson reference moment O_{r + 1}({lam!r}) exceeds "
-                    "the float64 range")
-            row.append(value)
+        try:
+            for r in range(len(row) - 1, max(order, len(powers) - 1)):
+                # every term is positive, so nothing cancels
+                value = lam * exact_fsum(
+                    _binomial_row(r), row[:r],
+                    "Poisson reference moment O_{}({!r})", r + 1, lam)
+                if math.isinf(value):
+                    raise AccuracyError(
+                        f"Poisson reference moment O_{r + 1}({lam!r}) "
+                        "exceeds the float64 range")
+                row.append(value)
+        except AccuracyError:
+            if len(row) <= order:
+                raise
         row = tuple(row)
-        _poisson_last = (lam, row)
+        _mean_last = (lam, row, powers)
     return row
+
+
+def _neg_powers(lam, order, top):
+    # (-lam)^e by pow for e = 0..top (capped; top >= order), so every order
+    # at this mean reads one table; a power beyond float64 is inf, and a
+    # sum reading it raises as it did when pow raised
+    global _mean_last
+    lam, row, powers = _mean_record(lam)
+    if len(powers) <= order:
+        _refuse_past_cap(order)
+        powers = []
+        for e in range(min(top, moment_order(MAX_ELL_MAX)) + 1):
+            try:
+                powers.append(pow(-lam, e))
+            except OverflowError:
+                powers.append(math.inf)
+        powers = tuple(powers)
+        _mean_last = (lam, row, powers)
+    return powers
 
 
 def poisson_central_moment(lam, order):
@@ -180,7 +208,7 @@ def _binomial_sum(mean, seq, order, quantity):
     # sum_j C(order,j) (-mean)^(order-j) seq_j, the central-moment expansion
     return checked_fsum(
         map(mul, map(mul, _binomial_row(order),
-                     map(pow, repeat(-mean), range(order, -1, -1))),
+                     _neg_powers(mean, order, len(seq) - 1)[order::-1]),
             map(float, seq)),
         quantity, order)
 
@@ -312,19 +340,29 @@ class CriteriaReport(namedtuple(
 
         Entries the report lacks (an undefined state) are NaN.
         """
-        ells = range(1, ell_max + 1)
-        columns = {
-            "Q": {"Q": self.mandel_q},
-            "Q_ell_normal": {f"Q{ell}_normal": self.q_ell_normal.get(
-                ell, math.nan) for ell in ells},
-            "Q_ell_central": {f"Q{ell}_central": self.q_ell_central.get(
-                ell, math.nan) for ell in ells},
-            "d_h": {f"dh{h}": self.lee_dh.get(h, math.nan) for h in ells},
-            "A3": {"A3": self.a3},
-        }
-        return {name: value
-                for token in CRITERIA_TOKENS if token in selection
-                for name, value in columns[token].items()}
+        try:
+            plan = _column_plan(ell_max, selection)
+        except TypeError:  # an unhashable selection, such as a list
+            plan = _column_plan(ell_max, tuple(selection))
+        nan = math.nan
+        return {name: self[field] if key is None else
+                self[field].get(key, nan) for name, field, key in plan}
+
+
+@lru_cache(maxsize=64)
+def _column_plan(ell_max, selection):
+    # (name, report field index, map key or None) per column, built once
+    # per sweep instead of once per row
+    ells = range(1, ell_max + 1)
+    columns = {
+        "Q": [("Q", 1, None)],
+        "Q_ell_normal": [(f"Q{ell}_normal", 2, ell) for ell in ells],
+        "Q_ell_central": [(f"Q{ell}_central", 3, ell) for ell in ells],
+        "d_h": [(f"dh{h}", 4, h) for h in ells],
+        "A3": [("A3", 5, None)],
+    }
+    return tuple(column for token in CRITERIA_TOKENS if token in selection
+                 for column in columns[token])
 
 
 def criteria_from_moments(m, mu, ell_max):

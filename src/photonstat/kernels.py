@@ -57,13 +57,24 @@ def ladder_sums(probs, order):
     is then beyond DBL_MAX too, up to a relative band of k * 2**-53.
     Order 0 is the exactly rounded sum of probs, returned before any
     photon number is listed; the cutoff search sums prefixes of its
-    falling-weight row this way.
+    falling-weight row this way.  A pmf with one occupied n (a number
+    state) takes each weight as its order's sum, as the fsum of one finite
+    float is that float, with no per-order row.
     """
     row = list(map(float, compress(probs, probs)))
     out = [checked_fsum(row, "normal ladder entry N_0")]
     if not order:
         return out
     ns = list(map(float, compress(range(len(probs)), probs)))
+    if len(ns) == 1:  # a number state: each N_k is its one weight
+        weight, n = row[0], ns[0]
+        for k in range(1, min(order, int(n)) + 1):
+            weight *= n + float(1 - k)
+            if not math.isfinite(weight):
+                raise AccuracyError(
+                    f"normal ladder entry N_{k} exceeds the float64 range")
+            out.append(weight)
+        return out + [0.0] * (order + 1 - len(out))
     for k in range(1, order + 1):
         if not row:  # every falling weight has vanished: the rest are 0
             out += [0.0] * (order + 1 - k)

@@ -22,8 +22,16 @@ from photonstat.cli import (
     _parse_param_range,
     main,
 )
-from photonstat.criteria import CRITERIA_TOKENS, MAX_ELL_MAX, moment_order
-from photonstat.states import FAMILIES
+from photonstat import AccuracyError, __version__
+from photonstat.criteria import (
+    CRITERIA_TOKENS,
+    MAX_ELL_MAX,
+    CriteriaReport,
+    DegenerateA3,
+    evaluate_all,
+    moment_order,
+)
+from photonstat.states import FAMILIES, build_state
 
 
 def run_cli(capsys, *argv):
@@ -330,7 +338,7 @@ def test_a_count_must_be_an_int(capsys):
     code, out, err = run_cli(capsys, "criteria", "--family", "fock",
                              "--param", "1", "--subtract", "1e5")
     assert code == 1 and out == ""
-    assert err == ("photonstat criteria: error: argument --subtract: "
+    assert err == ("photonstat: error: argument --subtract: "
                    "invalid int value: '1e5'\n")
 
 
@@ -367,6 +375,74 @@ def test_unwritable_out_exits_1_with_one_line(tmp_path, capsys, argv):
         code, _, err = run_cli(capsys, *argv, "--out", str(target))
         assert code == 1
         assert err == f"photonstat: error: cannot write {target}: {reason}\n"
+
+
+def test_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    # --out is opened first while resolving: a 10**5-point sweep builds no
+    # grid point, and selfcheck prints no summary before the error
+    def refuse(*args):
+        raise AssertionError("a state was built")
+    monkeypatch.setattr(cli, "build_state", refuse)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "sweep", "--family", "fock",
+                             "--param-range", f"0:{MAX_GRID_POINTS - 1}:1",
+                             "--out", str(tmp_path))
+    assert time.perf_counter() - start < 0.2
+    assert (code, out) == (1, "")
+    assert err == f"photonstat: error: cannot write {tmp_path}: " \
+                  "Is a directory\n"
+    target = tmp_path / "missing" / "x"
+    assert run_cli(capsys, "selfcheck", "--families", "fock", "--out",
+                   str(target)) == (1, "", f"photonstat: error: cannot "
+                                    f"write {target}: No such file or "
+                                    "directory\n")
+
+
+@pytest.mark.parametrize("argv,status", [
+    (("criteria", "--family", "fock", "--param", "1", "--ell-max", "0"), 1),
+    (("criteria", "--family", "fock", "--param", "0", "--subtract", "1"), 2),
+    (("criteria", "--family", "coherent", "--param", "1e-300",
+      "--subtract", "2"), 3),
+], ids=["usage", "annihilated", "underflow"])
+def test_a_failed_run_leaves_out_as_it_was(tmp_path, capsys, argv, status):
+    # an existing file keeps its bytes, and a file the run created is
+    # removed again
+    existing = tmp_path / "existing"
+    existing.write_bytes(b"kept\x00bytes\n")
+    assert run_cli(capsys, *argv, "--out", str(existing))[0] == status
+    assert existing.read_bytes() == b"kept\x00bytes\n"
+    fresh = tmp_path / "fresh"
+    assert run_cli(capsys, *argv, "--out", str(fresh))[0] == status
+    assert not fresh.exists()
+
+
+def test_out_replaces_a_longer_file(tmp_path, capsys):
+    target = tmp_path / "table.csv"
+    target.write_text("x" * 100000, encoding="utf-8")
+    argv = ("sweep", "--family", "thermal", "--param", "1")
+    assert run_cli(capsys, *argv, "--out", str(target)) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == run_cli(capsys, *argv)[1]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_out_may_be_a_named_pipe(tmp_path, capsys):
+    # the reader gets the whole document: resolving does not open and
+    # close the pipe, which would end the reader's input long before the
+    # rows, here about 0.1 s of work, are written
+    pipe = tmp_path / "pipe"
+    os.mkfifo(pipe)
+    argv = ("sweep", "--family", "fock", "--param-range", "0:200:1",
+            "--add", "6", "--ell-max", "6")
+    proc = subprocess.Popen([sys.executable, "-m", "photonstat", *argv,
+                             "--out", str(pipe)])
+    try:
+        with open(pipe, encoding="utf-8") as reader:
+            got = reader.read()
+        assert proc.wait(timeout=30) == 0
+    finally:
+        proc.kill()
+        proc.wait()
+    assert got == run_cli(capsys, *argv)[1]
 
 
 # runs `python -m photonstat <argv>` with every import of numpy failing
@@ -622,6 +698,106 @@ def test_sweep_byte_identical_across_processes():
     second = subprocess.run(cmd, capture_output=True, check=True)
     assert first.stdout == second.stdout
     assert first.stdout.decode().startswith("param,mean,Q")
+
+
+# Test-local copies of the cell naming and rendering that the cached
+# column plan and the float-first checks replaced; every sweep must print
+# the same bytes through them.
+
+def _old_cells(report, ell_max, selection):
+    ells = range(1, ell_max + 1)
+    columns = {
+        "Q": {"Q": report.mandel_q},
+        "Q_ell_normal": {f"Q{ell}_normal": report.q_ell_normal.get(
+            ell, math.nan) for ell in ells},
+        "Q_ell_central": {f"Q{ell}_central": report.q_ell_central.get(
+            ell, math.nan) for ell in ells},
+        "d_h": {f"dh{h}": report.lee_dh.get(h, math.nan) for h in ells},
+        "A3": {"A3": report.a3},
+    }
+    return {name: value
+            for token in CRITERIA_TOKENS if token in selection
+            for name, value in columns[token].items()}
+
+
+def _old_json_cell(value):
+    if isinstance(value, DegenerateA3):
+        return cli.DEGENERATE
+    if isinstance(value, int):
+        return value
+    value = float(value)
+    if math.isnan(value):
+        return cli.UNDEF
+    return value
+
+
+def _old_render(value):
+    if isinstance(value, str):
+        return value
+    cell = _old_json_cell(value)
+    return cell if isinstance(cell, str) else repr(cell)
+
+
+def _old_row(param, report, selection, ell_max):
+    return {"param": param, "mean": report.mean,
+            **_old_cells(report, ell_max, selection),
+            "flags": ";".join(report.flags)}
+
+
+def _old_sweep_document(family, grid, mod, ell_max, selection, fmt, policy,
+                        out_path):
+    rows = []
+    for param in grid:
+        try:
+            report = evaluate_all(build_state(family, param, policy), mod,
+                                  ell_max)
+        except AccuracyError:
+            report = CriteriaReport(math.nan, math.nan,
+                                    flags=("accuracy_failure",))
+        rows.append(_old_row(param, report, selection, ell_max))
+    if fmt == "csv":
+        buf = io.StringIO()
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(rows[0])
+        for row in rows:
+            writer.writerow([_old_render(value) for value in row.values()])
+        return buf.getvalue()
+    doc = {"tool": "photonstat", "version": __version__, "command": "sweep",
+           "sweep": {"family": family, "params": list(grid),
+                     "modification": {"kind": mod.kind.value,
+                                      "count": mod.count},
+                     "ell_max": ell_max, "criteria": list(selection),
+                     "format": fmt, "policy": policy._asdict()},
+           "rows": [{k: v if k == "flags" else _old_json_cell(v)
+                     for k, v in row.items()} for row in rows]}
+    return json.dumps(doc, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("sweep,token", [
+    # a3_degenerate rows (fock 0 and 1 plus one photon)
+    (("--family", "fock", "--param-range", "0:8:1", "--add", "1",
+      "--ell-max", "4"), "DEGENERATE"),
+    # an undefined row (fock 0 less one photon) among defined ones
+    (("--family", "fock", "--param", "0", "--param", "1", "--param", "5",
+      "--subtract", "1"), "UNDEF"),
+    # an accuracy_failure row (N_2 underflows)
+    (("--family", "coherent", "--param", "1", "--param", "1e-300",
+      "--subtract", "2", "--ell-max", "2"), "UNDEF"),
+    (("--family", "thermal", "--param-range", "0.1:1.3:0.4", "--add", "2"),
+     ""),
+], ids=["fock-add", "fock-undefined", "coherent-underflow", "thermal"])
+def test_sweep_bytes_match_the_per_row_rendering(capsys, sweep, token):
+    assert token in run_cli(capsys, "sweep", *sweep)[1]
+    for criteria in (None, "Q", "A3,Q", "Q_ell_central,d_h",
+                     "d_h,Q_ell_normal"):
+        for fmt in ("csv", "json"):
+            argv = ["sweep", *sweep, "--format", fmt]
+            if criteria:
+                argv += ["--criteria", criteria]
+            _, request = cli._request(cli.build_parser().parse_args(argv))
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and err == ""
+            assert out == _old_sweep_document(*request), argv
 
 
 def test_sweep_out_file(tmp_path, capsys):

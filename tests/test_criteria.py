@@ -460,7 +460,7 @@ def test_orders_past_the_cap_raise_before_any_table_grows(call):
         "from photonstat import criteria\n"
         "from photonstat.criteria import mu_from_m, poisson_central_moment\n"
         "def tables():\n"
-        "    return (len(criteria._STIRLING_ROWS), criteria._poisson_last,\n"
+        "    return (len(criteria._STIRLING_ROWS), criteria._mean_last,\n"
         "            criteria._binomial_row.cache_info().currsize)\n"
         "before = tables()\n"
         "try:\n"
@@ -683,6 +683,20 @@ def test_mu_and_q_ell_bit_exact_interleaved():
             if 2 * ell < len(mu):
                 assert _agree(_outcome(q_ell_central, mu, ell),
                               _outcome(_q_central_ref, mu, ell)), (mean, ell)
+    # the mean changes at every step, and each step reads sequences cut to
+    # one order and then to a higher or a lower one: a power table or
+    # Poisson row kept from another mean, or too short for its order,
+    # changes the bits
+    mus = {mean: mu_from_m(_moments(mean)[:MAX_ORDER - 1]) for mean in MEANS}
+    for first, second in ((3, 20), (99, 1), (2, 50), (98, 7)):
+        for mean in MEANS:
+            m, mu = _moments(mean), mus[mean]
+            for ell in (first, second):
+                cut = 2 * ell + 1
+                assert _agree(_outcome(q_ell_normal, m[:cut], ell),
+                              _outcome(_q_normal_ref, m, ell)), (mean, ell)
+                assert _agree(_outcome(q_ell_central, mu[:cut], ell),
+                              _outcome(_q_central_ref, mu, ell)), (mean, ell)
 
 
 @pytest.mark.parametrize("dist,order", [
@@ -743,6 +757,43 @@ def test_shared_tables_survive_threads(monkeypatch):
     assert len(results) == 8
     for got, got_rows in results:
         assert got == want and got_rows == want_rows
+
+
+def test_mean_record_survives_threads():
+    # eight threads read both Q^(l) forms at two means in random order,
+    # over sequences cut to each order, so the shared per-mean record is
+    # replaced or grown on nearly every call, all with a tiny switch
+    # interval; every thread must get the bits of a single-threaded run
+    seqs = {mean: (_moments(mean), mu_from_m(_moments(mean)[:41]))
+            for mean in (0.731, 2.0)}
+    cases = [(mean, ell) for mean in seqs for ell in range(1, 21)]
+
+    def bits(mean, ell):
+        m, mu = seqs[mean]
+        return (q_ell_normal(m[:2 * ell + 1], ell).hex(),
+                q_ell_central(mu[:2 * ell + 1], ell).hex())
+    want = {case: bits(*case) for case in cases}
+    results = []
+
+    def work(seed):
+        rng = random.Random(seed)
+        for _ in range(5):
+            results.append(all(bits(*case) == want[case]
+                               for case in rng.sample(cases, len(cases))))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(seed,))
+                   for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(results) == 40 and all(results)
 
 
 def test_cancellation_flags_survive_threads():

@@ -187,6 +187,11 @@ PIN_CASES = (
     # the weights are the pmf and the ladder is its total alone
     + [("coherent-1e-30-search", np.array(_BUILDERS["coherent"][0](1e-30, 40)),
         order) for order in (10, 0)]
+    # one occupied n, as in every number state, below, at and past the
+    # support and up to order 18, and one whose (1000)_k leaves float64
+    + [(f"one-entry-{n}", spike(n + 1, n), order)
+       for n in (0, 1, 17, 206) for order in (0, 1, 2, 16, 17, 18)]
+    + [("one-entry-1000-overflow", spike(1001, 1000), 120)]
 )
 
 
