@@ -122,9 +122,18 @@ def _proves_overflow(k, total):
 
 
 def normal_ladder(dist, order):
-    """N_k = <a^+k a^k> of the base state for k = 0..order."""
+    """N_k = <a^+k a^k> of the base state for k = 0..order.
+
+    Raises AccuracyError for an order above dist.checked_order: no check
+    bounds the truncation error of the cutoff's higher entries.
+    """
     if order < 0:
         raise ValueError("ladder order must be nonnegative")
+    if dist.checked_order is not None and order > dist.checked_order:
+        raise AccuracyError(
+            f"ladder order {order} exceeds order {dist.checked_order}, the "
+            "order the cutoff was checked at; build the state with "
+            f"max_moment_order >= {order}")
     return MomentLadder(kernels.ladder_sums(dist.probs, order),
                         Ordering.NORMAL, dist)
 

@@ -31,7 +31,7 @@ from .moments import (
     normal_ladder,
     zero_norm_error,
 )
-from .states import NumberDistribution, build_state
+from .states import DEFAULT_POLICY, NumberDistribution, build_state
 
 DEFAULT_SUITE_STATES = (
     ("coherent", 0.5), ("coherent", 1.0), ("coherent", 2.0),
@@ -259,10 +259,13 @@ def equivalence_suite(states=DEFAULT_SUITE_STATES, n_max=3, m_max=4, x_max=4,
     report_ell = max(ell_max, (x_max + 1) // 2)
     mods = [StateModification.subtract(n) for n in range(n_max + 1)]
     mods += [StateModification.add(m) for m in range(1, m_max + 1)]
-    # one normal ladder per state serves every modification's report
+    # one normal ladder per state serves every modification's report; its
+    # cutoff is checked at that order at least
     order = max(n_max, m_max) + moment_order(report_ell)
+    policy = DEFAULT_POLICY._replace(
+        max_moment_order=max(DEFAULT_POLICY.max_moment_order, order))
     for family, param in states:
-        dist = build_state(family, param)
+        dist = build_state(family, param, policy)
         ladder = normal_ladder(dist, order)
         for mod in mods:
             tag = f"{mod.kind.value}{mod.count}"

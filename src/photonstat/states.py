@@ -45,10 +45,12 @@ class CutoffPolicy(namedtuple(
     max_cutoff: hard cap on the cutoff (exceeding it raises AccuracyError).
     max_moment_order: factorial-moment order used in the convergence check,
         capped at the last occupied n of the float64 pmf (every higher
-        order vanishes).  It is a floor: set it at least as high as the
-        largest ladder order you will request.  The CLI raises it to the
-        ladder order of each request (count + criteria.moment_order(ell_max)),
-        never lowers it.
+        order vanishes).  build_state records it as the distribution's
+        checked_order, and normal_ladder refuses a higher order with
+        AccuracyError, so set it at least as high as the largest ladder
+        order you will request.  The CLI and equivalence_suite raise it to
+        the ladder order they read (for the CLI, count +
+        criteria.moment_order(ell_max)), never lower it.
     """
 
     __slots__ = ()
@@ -83,19 +85,24 @@ class CutoffPolicy(namedtuple(
 DEFAULT_POLICY = CutoffPolicy()
 
 
-class NumberDistribution(namedtuple("NumberDistribution", "probs tail_bound")):
+class NumberDistribution(namedtuple(
+        "NumberDistribution", "probs tail_bound checked_order")):
     """Truncated photon-number distribution with a guaranteed tail bound.
 
     probs[n] is the probability of n photons, n = 0..cutoff.  tail_bound is
     an upper bound on the probability mass omitted by the truncation
     (relative to the untruncated state build_state targeted; 0 for states
     with finite support).  probs is given as any sequence of numbers and
-    kept as a read-only float64 memoryview.
+    kept as a read-only float64 memoryview.  checked_order is the
+    factorial-moment order the cutoff was checked at (build_state's
+    policy.max_moment_order), the highest normal ladder order
+    normal_ladder will read; None where no such check bounds the
+    truncation: finite support, or a distribution built by hand.
     """
 
     __slots__ = ()
 
-    def __new__(cls, probs, tail_bound=0.0):
+    def __new__(cls, probs, tail_bound=0.0, checked_order=None):
         try:
             probs = _frozen(probs)
         except TypeError:
@@ -106,13 +113,18 @@ class NumberDistribution(namedtuple("NumberDistribution", "probs tail_bound")):
             raise ValueError("probabilities must be finite and nonnegative")
         if not (0.0 <= tail_bound < 1.0):
             raise ValueError("tail_bound must lie in [0, 1)")
-        return super().__new__(cls, probs, tail_bound)
+        if checked_order is not None and (type(checked_order) is not int
+                                          or checked_order < 0):
+            raise ValueError(
+                "checked_order must be None or a nonnegative integer")
+        return super().__new__(cls, probs, tail_bound, checked_order)
 
     _make = classmethod(checked_make)
 
     def __reduce__(self):
         # a memoryview cannot be pickled or copied; its values can
-        return NumberDistribution, (self.probs.tolist(), self.tail_bound)
+        return NumberDistribution, (self.probs.tolist(), self.tail_bound,
+                                    self.checked_order)
 
     @property
     def cutoff(self):
@@ -358,7 +370,8 @@ def build_state(family, param, policy=DEFAULT_POLICY):
     only).  The cutoff is choose_cutoff's under policy, so a Fock index
     above max_cutoff raises AccuracyError too.  A Fock state is p_n = 1
     with zero tail; the other pmfs are normalized to their exactly rounded
-    total, with the closed-form tail bound at the cutoff.
+    total, with the closed-form tail bound at the cutoff and
+    policy.max_moment_order as checked_order where that bound is not 0.
     """
     cutoff = choose_cutoff(family, param, policy)
     if family == "fock":
@@ -369,4 +382,7 @@ def build_state(family, param, policy=DEFAULT_POLICY):
     probs = pmf(param, cutoff)
     # positive: no cutoff passes the search with a zero check-order sum
     total = kernels.checked_fsum(probs, "total probability")
-    return NumberDistribution([p / total for p in probs], tail(param, cutoff))
+    tail_bound = tail(param, cutoff)
+    # the vacuum (param 0) has finite support, and no search checked it
+    return NumberDistribution([p / total for p in probs], tail_bound,
+                              policy.max_moment_order if tail_bound else None)

@@ -1,5 +1,7 @@
+import atexit
 import contextlib
 import csv
+import gc
 import importlib
 import io
 import json
@@ -564,10 +566,99 @@ def test_console_script_target_runs(monkeypatch, capsys):
     entry = getattr(importlib.import_module(module), name)
     monkeypatch.setattr(sys, "argv",
                         ["photonstat", "selfcheck", "--families", "fock"])
-    with pytest.raises(SystemExit) as exc:
-        entry()
+    try:
+        with pytest.raises(SystemExit) as exc:
+            entry()
+    finally:
+        atexit.unregister(gc.freeze)  # leave this process's exit as it was
     assert exc.value.code == 0
     assert "selfcheck PASS" in capsys.readouterr().out
+
+
+# registered before the package loads, so it runs after every handler the
+# call registers (atexit runs handlers last in, first out); it counts the
+# gc.freeze calls and reads the permanent generation's size
+_SENTINEL = """
+import atexit, gc, sys
+freezes = []
+def counting_freeze(freeze=gc.freeze):
+    freezes.append(1)
+    freeze()
+gc.freeze = counting_freeze
+atexit.register(lambda: print(
+    f"{len(freezes)} freezes, freeze count {gc.get_freeze_count()}",
+    file=sys.stderr))
+"""
+_ARGV = ["criteria", "--family", "fock", "--param", "1"]
+_ENTRY = (f"sys.argv = ['photonstat', *{_ARGV!r}]\n"
+          "from photonstat.cli import entry\n")
+
+
+@pytest.mark.parametrize("call,freezes", [
+    # the console script's target, and python -m photonstat
+    (_ENTRY + "entry()", 1),
+    (_ENTRY + "try:\n    entry()\nexcept SystemExit:\n    pass\nentry()",
+     1),
+    (f"sys.argv = ['photonstat', *{_ARGV!r}]\nimport runpy\n"
+     "runpy.run_module('photonstat', run_name='__main__', alter_sys=True)",
+     1),
+    # a library caller keeps an ordinary collector to the end
+    (f"import photonstat.cli\nphotonstat.cli.main({_ARGV!r})", 0),
+], ids=["entry", "entry-twice", "python-m", "main"])
+def test_only_the_entry_point_freezes_the_heap_at_exit(call, freezes):
+    result = subprocess.run([sys.executable, "-c", _SENTINEL + call],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert '"Q": -1.0' in result.stdout
+    *_, last = result.stderr.splitlines()
+    count, _, frozen = last.partition(" freezes, freeze count ")
+    assert int(count) == freezes, result.stderr
+    assert (int(frozen) > 0) is (freezes == 1), result.stderr
+
+
+class _ExitHandlers(list):
+    """atexit's register and unregister, on a list."""
+
+    register = list.append
+
+    def unregister(self, func):
+        self[:] = [f for f in self if f != func]
+
+
+def test_entry_registers_one_exit_handler(monkeypatch):
+    # a stand-in for atexit leaves this process's exit as it is
+    handlers = _ExitHandlers()
+    monkeypatch.setattr(cli, "atexit", handlers)
+    monkeypatch.setattr(sys, "argv", ["photonstat", *_ARGV])
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exc:
+            cli.entry()
+        assert exc.value.code == 0
+    assert handlers == [gc.freeze]
+    assert gc.get_freeze_count() == 0  # the freeze waits for exit
+
+
+@pytest.mark.parametrize("argv,code", [
+    (("sweep", "--family", "coherent", "--param", "0.5", "--param", "2",
+      "--subtract", "2"), 0),
+    (("sweep", "--family", "coherent", "--param", "0.5", "--param", "2",
+      "--subtract", "2", "--format", "json"), 0),
+    (("criteria", "--family", "fock", "--param", "1", "--subtract", "1e5"),
+     1),
+    (("criteria", "--family", "fock", "--param", "1", "--subtract", "2"), 2),
+    (("criteria", "--family", "coherent", "--param", "1e-100",
+      "--subtract", "2"), 3),
+    (("selfcheck", "--tol", "0"), 4),
+], ids=["sweep-csv", "sweep-json", "usage", "undefined", "accuracy",
+        "selfcheck-fail"])
+def test_the_console_path_prints_what_main_prints(argv, code, capsys):
+    result = subprocess.run([sys.executable, "-m", "photonstat", *argv],
+                            capture_output=True, timeout=60)
+    assert main(list(argv)) == code
+    captured = capsys.readouterr()
+    assert result.returncode == code
+    assert result.stdout == captured.out.encode()
+    assert result.stderr == captured.err.encode()
 
 
 # ------------------------------------------------------------------- sweep

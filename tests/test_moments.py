@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from photonstat import moments
 from photonstat import (
     AccuracyError,
+    CutoffPolicy,
     NumberDistribution,
     Ordering,
     StateModification,
@@ -332,7 +333,7 @@ def _exact_added(dist, m, x_max):
 def test_added_moments_match_exact_rationals(family, param, m, x_max):
     # the small-parameter states are where an alternating reordering sum
     # loses every digit; exact zeros (past a Fock state's n) stay exact
-    dist = build_state(family, param)
+    dist = build_state(family, param, CutoffPolicy(max_moment_order=m + x_max))
     got = modified_moment_sequence(dist, StateModification.add(m), x_max)
     assert type(got) is list
     for x, (g, w) in enumerate(zip(got, _exact_added(dist, m, x_max))):
@@ -432,9 +433,33 @@ def test_a_longer_ladder_leaves_unread_entries_unread():
         modified_moment_sequence(ladder, identity, 2)
 
 
+@pytest.mark.parametrize("family,param", [("thermal", 7.9),
+                                          ("squeezed", 1.2)])
+def test_no_ladder_reads_past_the_order_the_cutoff_was_checked_at(family,
+                                                                   param):
+    # adding 6 photons at ell_max 6 reads N_0..N_18; a cutoff checked at
+    # order 12 left those entries off by up to 1.7e-6 relative, unflagged
+    dist = build_state(family, param)
+    mod = StateModification.add(6)
+    message = (r"^ladder order 18 exceeds order 12, the order the cutoff was "
+               r"checked at; build the state with max_moment_order >= 18$")
+    for call in (lambda: evaluate_all(dist, mod, 6),
+                 lambda: modified_moment_sequence(dist, mod, 12),
+                 lambda: normal_ladder(dist, 18),
+                 lambda: antinormal_ladder(dist, 18)):
+        with pytest.raises(AccuracyError, match=message):
+            call()
+    assert normal_ladder(dist, 12).order == 12
+    checked = build_state(family, param, CutoffPolicy(max_moment_order=18))
+    report = evaluate_all(checked, mod, 6)
+    assert math.isfinite(report.mean) and report.flags == ()
+    assert list(report.moments) == modified_moment_sequence(
+        normal_ladder(checked, 18), mod, 12)
+
+
 def test_a_ladder_keeps_the_added_norm_overflow_check():
     # T_200 >= 200! N_0 is beyond float64 on either route, with one message
-    dist = build_state("coherent", 1.0)
+    dist = build_state("coherent", 1.0, CutoffPolicy(max_moment_order=204))
     mod = StateModification.add(200)
     for source in (dist, normal_ladder(dist, 204)):
         with pytest.raises(AccuracyError, match=r"^<\(n\+200\)_200> of the "

@@ -302,6 +302,17 @@ def test_suite_mixed_families_pass_at_documented_tolerances():
     assert report.passed, report.failures()
 
 
+def test_suite_checks_its_cutoffs_at_the_ladder_order_it_reads():
+    # subtract up to 10 at criteria order l = 2 reads N_14, past the
+    # default policy's order 12: the suite raises its policy, as the CLI
+    # does, rather than read a ladder past the order its cutoff was
+    # checked at
+    report = equivalence_suite((("thermal", 1.0), ("coherent", 2.0)),
+                               n_max=10, m_max=1)
+    assert report.passed, report.failures()
+    assert {c.mod for c in report.cells} >= {"subtract10", "add1"}
+
+
 def test_suite_extended_order_envelope():
     # deeper subtraction/addition envelope: n <= 4, m <= 5, x <= 6
     states = (("thermal", 1.0), ("coherent", 1.0), ("squeezed", 0.8))

@@ -59,6 +59,12 @@ BAD_VALUES = [
      "probabilities must be finite and nonnegative"),
     (build_state("fock", 1), "tail_bound", 1.0,
      "tail_bound must lie in [0, 1)"),
+    (build_state("fock", 1), "checked_order", -1,
+     "checked_order must be None or a nonnegative integer"),
+    (build_state("fock", 1), "checked_order", 12.0,
+     "checked_order must be None or a nonnegative integer"),
+    (build_state("fock", 1), "checked_order", True,
+     "checked_order must be None or a nonnegative integer"),
     (StateModification.add(1), "count", -1,
      "count must be a nonnegative integer"),
     (StateModification.add(1), "count", 1.0,

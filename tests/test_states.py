@@ -84,6 +84,20 @@ def test_fock_distribution(n):
     assert direct_moments(dist, 1)[1] == n
 
 
+def test_build_state_records_the_order_its_cutoff_was_checked_at():
+    for family, param in (("coherent", 2.0), ("thermal", 7.9),
+                          ("squeezed", 1.2)):
+        assert build_state(family, param).checked_order == 12
+        policy = CutoffPolicy(max_moment_order=18)
+        assert build_state(family, param, policy).checked_order == 18
+    # no check bounds finite support (Fock states, the vacuum) or a
+    # distribution built by hand: every order may be read
+    for family, param in (("fock", 3), ("coherent", 0.0), ("thermal", 0.0),
+                          ("squeezed", 0.0)):
+        assert build_state(family, param).checked_order is None
+    assert NumberDistribution([0.5, 0.5], 1e-3).checked_order is None
+
+
 def test_squeezed_vacuum_limit():
     dist = build_state("squeezed", 0.0)
     assert dist.cutoff == 0
