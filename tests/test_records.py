@@ -59,12 +59,6 @@ BAD_VALUES = [
      "probabilities must be finite and nonnegative"),
     (build_state("fock", 1), "tail_bound", 1.0,
      "tail_bound must lie in [0, 1)"),
-    (build_state("fock", 1), "checked_order", -1,
-     "checked_order must be None or a nonnegative integer"),
-    (build_state("fock", 1), "checked_order", 12.0,
-     "checked_order must be None or a nonnegative integer"),
-    (build_state("fock", 1), "checked_order", True,
-     "checked_order must be None or a nonnegative integer"),
     (StateModification.add(1), "count", -1,
      "count must be a nonnegative integer"),
     (StateModification.add(1), "count", 1.0,
@@ -80,6 +74,12 @@ BAD_VALUES = [
     (CutoffPolicy(), "eps_tail", math.inf, "eps_tail must be finite"),
     (CutoffPolicy(), "rel_tol", math.inf, "rel_tol must be finite"),
     (CutoffPolicy(), "eps_tail", -math.inf, "eps_tail must be positive"),
+    (build_state("fock", 1), "checked_order", -1,
+     "checked_order must be None or a nonnegative integer"),
+    (build_state("fock", 1), "checked_order", 12.0,
+     "checked_order must be None or a nonnegative integer"),
+    (build_state("fock", 1), "checked_order", True,
+     "checked_order must be None or a nonnegative integer"),
 ]
 
 
