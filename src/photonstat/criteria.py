@@ -19,7 +19,6 @@ raised, so sweeps survive them.
 """
 
 import math
-import threading
 from collections import namedtuple
 from functools import lru_cache
 from operator import mul
@@ -51,30 +50,25 @@ def moment_order(ell_max):
     return max(2 * ell_max, 4)
 
 
+_TOP_ORDER = moment_order(MAX_ELL_MAX)  # that of a report at the cap
+
+
 def _refuse_past_cap(order):
-    # no shared table grows past the orders a report at the cap reads
-    if order > moment_order(MAX_ELL_MAX):
+    # no table grows past the orders a report at the cap reads
+    if order > _TOP_ORDER:
         raise ValueError(f"moment order {order} exceeds that of ell_max "
                          f"{MAX_ELL_MAX}")
 
 
-# Exact rows S(z, 0..z) for mu_from_m, grown on demand; one row per
-# order, whatever the number of states.
-# Rows are only appended, under the lock, so a row once read never changes.
-_STIRLING_ROWS = [[1]]
-_STIRLING_LOCK = threading.Lock()
-
-
+@lru_cache(maxsize=None)
 def _stirling_row(z):
-    rows = _STIRLING_ROWS
-    if len(rows) <= z:
-        _refuse_past_cap(z)
-        with _STIRLING_LOCK:
-            while len(rows) <= z:
-                prev = rows[-1]
-                rows.append([0] + [k * prev[k] + prev[k - 1]
-                                   for k in range(1, len(prev))] + [1])
-    return rows[z]
+    """S(z, 0..z), exact, from the row of z - 1; read in rising order, as
+    mu_from_m reads it, no call recurses more than one level."""
+    if z == 0:
+        return (1,)
+    _refuse_past_cap(z)
+    prev = _stirling_row(z - 1)
+    return (0, *[k * prev[k] + prev[k - 1] for k in range(1, z)], 1)
 
 
 @lru_cache(maxsize=None)
@@ -95,7 +89,7 @@ def mu_from_m(m):
     m = [float(v) for v in m]
     if not m:
         return []
-    _stirling_row(len(m) - 1)  # grows every row read below, or raises
+    _refuse_past_cap(len(m) - 1)  # before any row is built
     return [1.0] + [exact_fsum(_stirling_row(z)[1:], m[1:z + 1],
                                "raw moment <n^{}>", z)
                     for z in range(1, len(m))]
@@ -129,64 +123,41 @@ def lee_dh(m, ell):
     return float(m[ell] - float(m[1]) ** ell)
 
 
-# (lam, O_0..O_r(lam), (-lam)^0..(-lam)^e) of the last mean asked for: a
-# report reads one mean for both Q^(l) forms and every l, so a sweep
-# replaces the record instead of accumulating records.  It is an immutable
-# tuple swapped in by one assignment, so concurrent readers see either the
-# old record or the new one, never one being grown.
-_mean_last = (0.0, (1.0, 0.0), (1.0,))
-
-
-def _mean_record(lam):
-    record = _mean_last
-    if record[0] == lam:        # 3, 3.0, -0.0 and 0.0 share one record
-        return record
-    return (float(lam) + 0.0, (1.0, 0.0), (1.0,))
-
-
-def _poisson_row(lam, order):
-    # grown to order and, while in range, on to the record's top power
-    global _mean_last
-    lam, row, powers = _mean_record(lam)
-    if len(row) <= order:
-        _refuse_past_cap(order)
-        row = list(row)
+# a report reads one entry; a run of rising orders in
+# poisson_central_moment one per power of two
+@lru_cache(maxsize=16)
+def _mean_tables(lam, top):
+    """((-lam)^0..(-lam)^top, O_0..O_r(lam)) for a float mean lam: each
+    power by pow, inf past float64 so that a sum reading it raises, and
+    the Poisson row up to r = top or to its last order within float64."""
+    powers = []
+    for e in range(top + 1):
         try:
-            for r in range(len(row) - 1, max(order, len(powers) - 1)):
-                # every term is positive, so nothing cancels
-                value = lam * exact_fsum(
-                    _binomial_row(r), row[:r],
-                    "Poisson reference moment O_{}({!r})", r + 1, lam)
-                if math.isinf(value):
-                    raise AccuracyError(
-                        f"Poisson reference moment O_{r + 1}({lam!r}) "
-                        "exceeds the float64 range")
-                row.append(value)
+            powers.append(pow(-lam, e))
+        except OverflowError:
+            powers.append(math.inf)
+    row = [1.0, 0.0]
+    for r in range(1, top):
+        try:
+            # every term is positive, so nothing cancels
+            value = lam * exact_fsum(_binomial_row(r), row[:r],
+                                     "Poisson reference moment O_{}", r + 1)
         except AccuracyError:
-            if len(row) <= order:
-                raise
-        row = tuple(row)
-        _mean_last = (lam, row, powers)
-    return row
+            break
+        if math.isinf(value):
+            break
+        row.append(value)
+    return tuple(powers), tuple(row)
 
 
-def _neg_powers(lam, order, top):
-    # (-lam)^e by pow for e = 0..top (capped; top >= order), so every order
-    # at this mean reads one table; a power beyond float64 is inf, and a
-    # sum reading it raises as it did when pow raised
-    global _mean_last
-    lam, row, powers = _mean_record(lam)
-    if len(powers) <= order:
-        _refuse_past_cap(order)
-        powers = []
-        for e in range(min(top, moment_order(MAX_ELL_MAX)) + 1):
-            try:
-                powers.append(pow(-lam, e))
-            except OverflowError:
-                powers.append(math.inf)
-        powers = tuple(powers)
-        _mean_last = (lam, row, powers)
-    return powers
+def _poisson_entry(lam, row, order):
+    # O_order(lam) from the row of lam
+    if not lam >= 0:  # a mean read off moments given by hand
+        raise ValueError("lam must be nonnegative")
+    if order >= len(row):
+        raise AccuracyError(f"Poisson reference moment O_{len(row)}({lam!r}) "
+                            "exceeds the float64 range")
+    return row[order]
 
 
 def poisson_central_moment(lam, order):
@@ -201,16 +172,24 @@ def poisson_central_moment(lam, order):
         raise ValueError("order must be an even integer >= 2")
     if not lam >= 0:  # also NaN
         raise ValueError("lam must be nonnegative")
-    return _poisson_row(lam, order)[order]
+    _refuse_past_cap(order)
+    lam = float(lam) + 0.0  # 3, 3.0, -0.0 and 0.0 share one table
+    # rising orders share the table of the next power of two
+    top = min(1 << (order - 1).bit_length(), _TOP_ORDER)
+    return _poisson_entry(lam, _mean_tables(lam, top)[1], order)
 
 
-def _binomial_sum(mean, seq, order, quantity):
-    # sum_j C(order,j) (-mean)^(order-j) seq_j, the central-moment expansion
-    return checked_fsum(
-        map(mul, map(mul, _binomial_row(order),
-                     _neg_powers(mean, order, len(seq) - 1)[order::-1]),
+def _central_expansion(mean, seq, order, quantity):
+    """(sum_j C(order,j) (-mean)^(order-j) seq_j, O_order(mean)) for a
+    nonzero float mean: the central-moment expansion over seq and its
+    Poisson reference, from the tables of mean up to seq's top order."""
+    _refuse_past_cap(order)
+    powers, row = _mean_tables(mean, min(len(seq) - 1, _TOP_ORDER))
+    total = checked_fsum(
+        map(mul, map(mul, _binomial_row(order), powers[order::-1]),
             map(float, seq)),
         quantity, order)
+    return total, _poisson_entry(mean, row, order)
 
 
 def q_ell_normal(m, ell):
@@ -226,9 +205,9 @@ def q_ell_normal(m, ell):
     m1 = float(m[1])
     if m1 == 0.0:
         return math.nan
-    num = _binomial_sum(m1, m, 2 * ell,
-                        "normally ordered central moment of order {}")
-    return num / poisson_central_moment(m1, 2 * ell)
+    num, o2l = _central_expansion(
+        m1, m, 2 * ell, "normally ordered central moment of order {}")
+    return num / o2l
 
 
 def q_ell_central(mu, ell):
@@ -244,8 +223,8 @@ def q_ell_central(mu, ell):
     mu1 = float(mu[1])
     if mu1 == 0.0:
         return math.nan
-    central = _binomial_sum(mu1, mu, 2 * ell, "central moment of order {}")
-    o2l = poisson_central_moment(mu1, 2 * ell)
+    central, o2l = _central_expansion(mu1, mu, 2 * ell,
+                                      "central moment of order {}")
     return (central - o2l) / o2l
 
 
@@ -340,13 +319,9 @@ class CriteriaReport(namedtuple(
 
         Entries the report lacks (an undefined state) are NaN.
         """
-        try:
-            plan = _column_plan(ell_max, selection)
-        except TypeError:  # an unhashable selection, such as a list
-            plan = _column_plan(ell_max, tuple(selection))
-        nan = math.nan
+        plan = _column_plan(ell_max, tuple(selection))
         return {name: self[field] if key is None else
-                self[field].get(key, nan) for name, field, key in plan}
+                self[field].get(key, math.nan) for name, field, key in plan}
 
 
 @lru_cache(maxsize=64)

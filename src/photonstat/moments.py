@@ -121,19 +121,23 @@ def _proves_overflow(k, total):
                             > _LOG_FLOAT64_LIMIT)
 
 
-def normal_ladder(dist, order):
-    """N_k = <a^+k a^k> of the base state for k = 0..order.
-
-    Raises AccuracyError for an order above dist.checked_order: no check
-    bounds the truncation error of the cutoff's higher entries.
-    """
-    if order < 0:
-        raise ValueError("ladder order must be nonnegative")
+def check_ladder_order(dist, order):
+    """Raise AccuracyError if order, the highest ladder order a read of
+    dist needs (its top weight is (n)_order), exceeds dist.checked_order:
+    no check bounds the cutoff's truncation error at a higher order."""
     if dist.checked_order is not None and order > dist.checked_order:
         raise AccuracyError(
             f"ladder order {order} exceeds order {dist.checked_order}, the "
             "order the cutoff was checked at; build the state with "
             f"max_moment_order >= {order}")
+
+
+def normal_ladder(dist, order):
+    """N_k = <a^+k a^k> of the base state for k = 0..order, an order that
+    check_ladder_order accepts."""
+    if order < 0:
+        raise ValueError("ladder order must be nonnegative")
+    check_ladder_order(dist, order)
     return MomentLadder(kernels.ladder_sums(dist.probs, order),
                         Ordering.NORMAL, dist)
 

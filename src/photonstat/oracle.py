@@ -5,7 +5,9 @@ Photon subtraction and addition act directly on the number distribution
 moves weight p_{j+n} down to j with the falling-factorial factor, addition
 moves p_{j-m} up to j with the rising one.  The modified distribution is
 renormalized and its moments are recomputed by direct summation, entirely
-independently of the normalization-ladder algebra in ``moments``.
+independently of the normalization-ladder algebra in ``moments``.  Like
+that algebra, no sum reads a built pmf past the order its cutoff was
+checked at: ``moments.check_ladder_order`` refuses it.
 
 ``equivalence_suite`` drives both paths over a grid of base states and
 modifications and reports every cell; it is the package's self-check.
@@ -28,6 +30,7 @@ from .moments import (
     ModKind,
     StateModification,
     _proves_overflow,
+    check_ladder_order,
     normal_ladder,
     zero_norm_error,
 )
@@ -76,6 +79,7 @@ def direct_moments(dist, x_max):
     arithmetic where a weight or the sum leaves float64, AccuracyError
     where the moment does.  Returns a list of floats.
     """
+    check_ladder_order(dist, x_max)
     ns, ps = _occupied(dist.probs)
     return [exact_fsum(row, ps, "direct factorial moment m_{}", x)
             for x, row in enumerate(_weight_rows(ns, range(0, -x_max, -1)))]
@@ -84,6 +88,7 @@ def direct_moments(dist, x_max):
 def direct_power_moments(dist, z_max):
     """Raw moments mu_z = sum_n n^z p_n, the weight row of z that of z - 1
     times n, summed as in direct_moments."""
+    check_ladder_order(dist, z_max)
     ns, ps = _occupied(dist.probs)
     return [exact_fsum(row, ps, "direct raw moment mu_{}", z)
             for z, row in enumerate(_weight_rows(ns, repeat(0, z_max)))]
@@ -127,6 +132,7 @@ def oracle_subtract(dist, n, x_max=4):
                       "normally ordered norm constant N_{}")
     if norm <= 0.0:
         raise zero_norm_error(dist, n)
+    check_ladder_order(dist, n + x_max)
     out = NumberDistribution(q, 0.0)
     return OracleResult(out, direct_moments(out, x_max), norm)
 
@@ -145,6 +151,7 @@ def oracle_add(dist, m, x_max=4):
     # fail before m multiplications per entry
     if _proves_overflow(m, max(dist.probs)):
         raise AccuracyError(quantity.format(m) + " exceeds the float64 range")
+    check_ladder_order(dist, m + x_max)
     q, norm = _raised(dist.probs, m, quantity)
     if norm <= 0.0:
         raise UndefinedStateError("the base state has zero norm (N_0 = 0)")

@@ -46,11 +46,11 @@ class CutoffPolicy(namedtuple(
     max_moment_order: factorial-moment order used in the convergence check,
         capped at the last occupied n of the float64 pmf (every higher
         order vanishes).  build_state records it as the distribution's
-        checked_order, and normal_ladder refuses a higher order with
-        AccuracyError, so set it at least as high as the largest ladder
-        order you will request.  The CLI and equivalence_suite raise it to
-        the ladder order they read (for the CLI, count +
-        criteria.moment_order(ell_max)), never lower it.
+        checked_order, and normal_ladder and the oracle's direct sums
+        refuse a higher order with AccuracyError, so set it at least as
+        high as the largest ladder order you will request.  The CLI and
+        equivalence_suite raise it to the ladder order they read (for the
+        CLI, count + criteria.moment_order(ell_max)), never lower it.
     """
 
     __slots__ = ()

@@ -260,9 +260,9 @@ def test_poisson_central_moment_quartic_form():
 
 
 def test_poisson_central_moment_degenerate():
-    # -0.0 and 0.0 share one row whichever comes first; no moment is -0.0
+    # -0.0 and 0.0 share one table whichever comes first; no moment is -0.0
     for pair in ((0.0, -0.0), (-0.0, 0.0)):
-        poisson_central_moment(1.0, 2)    # each pair starts a fresh row
+        criteria._mean_tables.cache_clear()  # each pair starts afresh
         for lam in pair:
             got = poisson_central_moment(lam, 6)
             assert got == 0.0 and math.copysign(1.0, got) == 1.0
@@ -437,10 +437,10 @@ def test_evaluate_all_report_shape():
 def test_evaluate_all_refuses_ell_max_outside_the_cap(ell_max, message):
     # moment_order refuses it before any ladder or Stirling row is built
     dist = build_state("fock", 0)
-    rows = len(criteria._STIRLING_ROWS)
+    rows = criteria._stirling_row.cache_info()
     with pytest.raises(ValueError, match=f"^{message}$"):
         evaluate_all(dist, ell_max=ell_max)
-    assert len(criteria._STIRLING_ROWS) == rows
+    assert criteria._stirling_row.cache_info() == rows
 
 
 def _limit_address_space():
@@ -460,8 +460,9 @@ def test_orders_past_the_cap_raise_before_any_table_grows(call):
         "from photonstat import criteria\n"
         "from photonstat.criteria import mu_from_m, poisson_central_moment\n"
         "def tables():\n"
-        "    return (len(criteria._STIRLING_ROWS), criteria._mean_last,\n"
-        "            criteria._binomial_row.cache_info().currsize)\n"
+        "    return [table.cache_info() for table in (\n"
+        "        criteria._stirling_row, criteria._mean_tables,\n"
+        "        criteria._binomial_row)]\n"
         "before = tables()\n"
         "try:\n"
         f"    {call}\n"
@@ -475,6 +476,69 @@ def test_orders_past_the_cap_raise_before_any_table_grows(call):
     assert result.stdout.splitlines() == [
         f"moment order 2000 exceeds that of ell_max {criteria.MAX_ELL_MAX}",
         "True"]
+
+
+def test_stirling_rows_to_the_cap_build_without_deep_recursion():
+    # mu_from_m reads the rows in rising order, each built from the one
+    # below, so a fresh interpreter reaches order 1000 at the default
+    # recursion limit; S(z, 1) = 1, so mu = m_1 = 1 at every order
+    code = (
+        "from photonstat.criteria import mu_from_m\n"
+        "print(mu_from_m([1.0, 1.0] + [0.0] * 999) == [1.0] * 1001)\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=120,
+                            preexec_fn=_limit_address_space)
+    assert result.stderr == ""
+    assert result.stdout == "True\n"
+
+
+def test_rising_poisson_orders_build_few_tables():
+    # orders 2..1000 share one table per power of two (2, 4, ..., 512,
+    # then the cap); O_235(0.3) is beyond float64, and every order from it
+    # up raises with its name
+    criteria._mean_tables.cache_clear()
+    for order in range(2, 1001, 2):
+        if order < 235:
+            got = poisson_central_moment(0.3, order)
+            if order in (2, 4, 6, 64, 66, 100):
+                assert _within(got, _poisson_exact(0.3, order)), order
+            continue
+        with pytest.raises(AccuracyError, match=r"^Poisson reference "
+                           r"moment O_235\(0\.3\) exceeds the float64 "
+                           r"range$"):
+            poisson_central_moment(0.3, order)
+    assert criteria._mean_tables.cache_info().misses <= 11
+
+
+@pytest.mark.parametrize("lam,want", [
+    # O_4 = lam + 3 lam^2 is beyond float64 and O_2 = lam is not: a table
+    # built to the sequence's top order still serves l = 1
+    (8e153, -4e153),
+    # 2 lam m_1 is beyond float64: the expansion raises first
+    (1e154, AccuracyError),
+], ids=["O4-overflows", "expansion-overflows"])
+def test_q_ell_at_one_reads_below_an_overflowing_poisson_row(lam, want):
+    criteria._mean_tables.cache_clear()
+    m = [1.0, lam, 0.5 * lam * lam, 0.0, 0.0]
+    mu = mu_from_m(m[:3]) + [0.0, 0.0]
+    for q_ell, seq in ((q_ell_normal, m), (q_ell_central, mu)):
+        if want is AccuracyError:
+            with pytest.raises(AccuracyError, match=r"central moment of "
+                               r"order 2 exceeds the float64 range$"):
+                q_ell(seq, 1)
+        else:
+            assert q_ell(seq, 1) == want
+    with pytest.raises(AccuracyError, match=r"^Poisson reference moment "
+                       r"O_4\(.*\) exceeds the float64 range$"):
+        poisson_central_moment(lam, 4)
+
+
+def test_cells_take_any_iterable_selection():
+    report = evaluate_all(build_state("thermal", 0.5), ell_max=2)
+    want = report.cells(2, ("A3", "d_h"))
+    assert list(want) == ["dh1", "dh2", "A3"]
+    for selection in (["d_h", "A3"], {"A3", "d_h"}, iter(("A3", "d_h"))):
+        assert report.cells(2, selection) == want
 
 
 def test_fock_states_are_maximally_sub_poissonian():
@@ -508,10 +572,11 @@ def test_order_one_coincidence_random_distributions(weights):
 # ------------------------------------- shared tables against uncached forms
 #
 # The criteria stage reuses Stirling, binomial and reordering rows and one
-# row of Poisson moments per mean.  These uncached copies recompute every
-# term from scratch with the same operations, so every result must agree
-# to the bit.  A reference that overflows must map to AccuracyError.  The
-# Poisson reference O_2l is checked against exact rationals instead.
+# table of powers and Poisson moments per mean.  These uncached copies
+# recompute every term from scratch with the same operations, so every
+# result must agree to the bit.  A reference that overflows must map to
+# AccuracyError.  The Poisson reference O_2l is checked against exact
+# rationals instead.
 
 @lru_cache(maxsize=None)
 def _stirling_ref(z, k):
@@ -632,11 +697,13 @@ def _stirling_scaled(z, k, scale=2.0 ** -600):
 
 
 def test_stirling_rows_match_recursion():
-    # the shared rows are exact integers; every S(z, k) with z <= 200 fits
-    # float64 once scaled by 2**-600, so mu_from_m takes its float path
+    # the shared rows are exact integers, built from S(0, 0) up; every
+    # S(z, k) with z <= 200 fits float64 once scaled by 2**-600, so
+    # mu_from_m takes its float path
+    criteria._stirling_row.cache_clear()
     for z in range(MAX_ORDER + 1):
-        assert criteria._stirling_row(z) == [
-            _stirling_ref(z, k) for k in range(z + 1)]
+        assert criteria._stirling_row(z) == tuple(
+            _stirling_ref(z, k) for k in range(z + 1))
     for k in range(1, MAX_ORDER + 1):
         assert _stirling_column(MAX_ORDER, k, 2.0 ** -600)[1:] == [
             _stirling_scaled(z, k) for z in range(1, MAX_ORDER + 1)], k
@@ -715,13 +782,12 @@ def test_added_factorial_moment_bit_exact(dist, order):
                                                                       x_max)
 
 
-def test_shared_tables_survive_threads(monkeypatch):
-    # eight threads read the Poisson rows of two means in turn, so the
-    # shared row is swapped on nearly every call, and grow the Stirling
-    # rows from S(0, 0) through mu_from_m on unit vectors, all with a tiny
-    # switch interval; every thread must get the bits of a single-threaded
-    # run, and an append lost or doubled between a length check and the
-    # append would shift every later Stirling row
+def test_shared_tables_survive_threads():
+    # eight threads read the Poisson tables of two means in turn, and
+    # build the Stirling rows from S(0, 0) through mu_from_m on unit
+    # vectors, all with a tiny switch interval; every thread must get the
+    # bits of a single-threaded run, and a row built from a missing or
+    # partial row below it would shift every later Stirling row
     means = (0.731, 2.0)
     orders = list(range(2, 61, 2))
     want = {(lam, order): poisson_central_moment(lam, order)
@@ -730,7 +796,8 @@ def test_shared_tables_survive_threads(monkeypatch):
         assert _within(value, _poisson_exact(lam, order)), (lam, order)
     rows = range(20, 201, 12)
     want_rows = {z: _stirling_scaled(z, z // 2) for z in rows}
-    monkeypatch.setattr(criteria, "_STIRLING_ROWS", [[1]])
+    criteria._stirling_row.cache_clear()
+    criteria._mean_tables.cache_clear()
     results = []
 
     def work(seed):
@@ -741,7 +808,6 @@ def test_shared_tables_survive_threads(monkeypatch):
                     for z in rng.sample(rows, len(rows))}
         results.append((got, got_rows))
 
-    poisson_central_moment(means[0], 2)    # a fresh row, still short
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -761,9 +827,10 @@ def test_shared_tables_survive_threads(monkeypatch):
 
 def test_mean_record_survives_threads():
     # eight threads read both Q^(l) forms at two means in random order,
-    # over sequences cut to each order, so the shared per-mean record is
-    # replaced or grown on nearly every call, all with a tiny switch
-    # interval; every thread must get the bits of a single-threaded run
+    # over sequences cut to each order, so nearly every call reads a
+    # different cached table of its mean, or builds it, all with a tiny
+    # switch interval; every thread must get the bits of a
+    # single-threaded run
     seqs = {mean: (_moments(mean), mu_from_m(_moments(mean)[:41]))
             for mean in (0.731, 2.0)}
     cases = [(mean, ell) for mean in seqs for ell in range(1, 21)]

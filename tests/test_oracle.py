@@ -11,6 +11,7 @@ from photonstat import (
     DEFAULT_SUITE_STATES,
     FAMILIES,
     AccuracyError,
+    CutoffPolicy,
     NumberDistribution,
     StateModification,
     UndefinedStateError,
@@ -187,6 +188,28 @@ def test_direct_power_moment_beyond_float64_is_an_accuracy_error():
     with pytest.raises(AccuracyError, match="^direct raw moment mu_134 "
                        "exceeds the float64 range$"):
         direct_power_moments(build_state("fock", 200), 140)
+
+
+@pytest.mark.parametrize("read,order", [
+    (lambda dist: direct_moments(dist, 18), 18),
+    (lambda dist: direct_power_moments(dist, 13), 13),
+    (lambda dist: oracle_subtract(dist, 2, 12), 14),
+    (lambda dist: oracle_add(dist, 6, 12), 18),
+], ids=["direct", "direct-power", "subtract", "add"])
+def test_no_direct_sum_reads_past_the_order_the_cutoff_was_checked_at(
+        read, order):
+    # a thermal(7.9) cutoff checked at order 12 left m_18 off by 1.7e-7
+    # relative, unflagged; the oracle refuses such a read as normal_ladder
+    # does, with its message
+    message = (f"^ladder order {order} exceeds order 12, the order the "
+               "cutoff was checked at; build the state with "
+               f"max_moment_order >= {order}$")
+    with pytest.raises(AccuracyError, match=message):
+        read(build_state("thermal", 7.9))
+    with pytest.raises(AccuracyError, match=message):
+        normal_ladder(build_state("thermal", 7.9), order)
+    read(build_state("thermal", 7.9, CutoffPolicy(max_moment_order=order)))
+    read(NumberDistribution(build_state("thermal", 7.9).probs))
 
 
 def test_direct_power_moment_overflow_falls_back_to_exact():
