@@ -20,11 +20,7 @@ from .states import (
 from .moments import (
     ModKind,
     MomentLadder,
-    Ordering,
     StateModification,
-    antinormal_ladder,
-    ladder_sums_exact,
-    modified_moment,
     modified_moment_sequence,
     normal_ladder,
 )
@@ -56,12 +52,10 @@ __all__ = [
     "MomentLadder",
     "NumberDistribution",
     "OracleResult",
-    "Ordering",
     "PhotonStatError",
     "StateModification",
     "UndefinedStateError",
     "agarwal_tara",
-    "antinormal_ladder",
     "build_state",
     "choose_cutoff",
     "criteria_from_moments",
@@ -69,10 +63,8 @@ __all__ = [
     "direct_power_moments",
     "equivalence_suite",
     "evaluate_all",
-    "ladder_sums_exact",
     "lee_dh",
     "mandel_q",
-    "modified_moment",
     "modified_moment_sequence",
     "mu_from_m",
     "normal_ladder",

@@ -1,12 +1,27 @@
-"""Float64 sums: the ladder kernel and the two guarded sums every other
-module adds through.  None returns inf or NaN: a sum that leaves float64
-raises AccuracyError."""
+"""Float64 sums: the ladder kernel, the two guarded sums every other
+module adds through, and the overflow proof that settles a sum before it
+is formed.  No sum returns inf or NaN: one that leaves float64 raises
+AccuracyError."""
 
 import math
+import sys
 from itertools import compress, repeat
 from operator import add, mul
 
 from .exceptions import AccuracyError
+
+# log(DBL_MAX) plus a margin far beyond the rounding of lgamma and log
+_LOG_FLOAT64_LIMIT = math.log(sys.float_info.max) + 1.0
+
+
+def proves_overflow(k, total):
+    """Whether k! * total is beyond float64 by a margin no rounding of
+    lgamma or log can close.  A sum whose terms are each at least k! times
+    one of some weights summing to total (for example <(n+k)_k> >= k! N_0,
+    as (n+k)...(n+1) >= k!) then overflows too, so a caller can fail
+    before forming it.  False proves nothing."""
+    return total > 0.0 and (math.lgamma(k + 1) + math.log(total)
+                            > _LOG_FLOAT64_LIMIT)
 
 
 def checked_fsum(terms, quantity, *args):

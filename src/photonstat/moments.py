@@ -26,16 +26,12 @@ every criterion reads.
 
 import enum
 import math
-import sys
 from collections import namedtuple
 from functools import lru_cache
 
 from . import kernels
 from .exceptions import AccuracyError, UndefinedStateError
 from .states import checked_make
-
-# log(DBL_MAX) plus a margin far beyond the rounding of lgamma and log
-_LOG_FLOAT64_LIMIT = math.log(sys.float_info.max) + 1.0
 
 _ZERO_BASE = "the base state has zero norm (N_0 = 0)"
 
@@ -95,30 +91,17 @@ class MomentLadder(namedtuple("MomentLadder", "values ordering base")):
 
 def ladder_sums_exact(probs, order):
     """Exact-rational normal ladder sums, the reference for
-    kernels.ladder_sums.
+    kernels.ladder_sums, by their definition
+    N_k = sum_n Fraction(p_n) * perm(n, k).
 
     Accepts any sequence convertible to Fraction (floats convert exactly).
     Returns a list of Fractions.
     """
     from fractions import Fraction  # loaded only by the reference path
 
-    sums = [Fraction(0)] * (order + 1)
-    for n, p in enumerate(probs):
-        frac = Fraction(p)
-        if frac == 0:
-            continue
-        w = frac
-        sums[0] += w
-        for k in range(1, min(order, n) + 1):
-            w *= n - k + 1
-            sums[k] += w
-    return sums
-
-
-def _proves_overflow(k, total):
-    # <(n+k)_k> >= k! * N_0, since (n+k)...(n+1) >= k!
-    return total > 0.0 and (math.lgamma(k + 1) + math.log(total)
-                            > _LOG_FLOAT64_LIMIT)
+    occupied = [(n, Fraction(p)) for n, p in enumerate(probs) if p]
+    return [sum((p * math.perm(n, k) for n, p in occupied), Fraction(0))
+            for k in range(order + 1)]
 
 
 def check_ladder_order(dist, order):
@@ -179,7 +162,7 @@ def antinormal_ladder(dist, order):
     ladder: sum_j C(k,j)^2 j! N_{k-j}, all terms nonnegative."""
     if order < 0:
         raise ValueError("ladder order must be nonnegative")
-    if _proves_overflow(order, dist.total()):
+    if kernels.proves_overflow(order, dist.total()):
         raise AccuracyError(
             f"anti-normal ladder entry up to order {order} exceeds the "
             "float64 range")
@@ -245,7 +228,7 @@ def modified_moment_sequence(dist, mod, x_max):
         ladder = dist._replace(values=dist.values[:m + x_max + 1])
         dist = ladder.base
     # T_m >= m! N_0 overflows: fail before building any ladder
-    if not subtract and _proves_overflow(m, dist.total()):
+    if not subtract and kernels.proves_overflow(m, dist.total()):
         raise AccuracyError(
             f"<(n+{m})_{m}> of the base state exceeds the float64 range")
     if ladder is None:

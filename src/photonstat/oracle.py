@@ -25,16 +25,15 @@ from .criteria import (
     moment_order,
 )
 from .exceptions import AccuracyError, UndefinedStateError
-from .kernels import exact_fsum
+from .kernels import exact_fsum, proves_overflow
 from .moments import (
     ModKind,
     StateModification,
-    _proves_overflow,
     check_ladder_order,
     normal_ladder,
     zero_norm_error,
 )
-from .states import DEFAULT_POLICY, NumberDistribution, build_state
+from .states import NumberDistribution, build_state
 
 DEFAULT_SUITE_STATES = (
     ("coherent", 0.5), ("coherent", 1.0), ("coherent", 2.0),
@@ -149,7 +148,7 @@ def oracle_add(dist, m, x_max=4):
     quantity = "anti-normally ordered norm constant N_{}"
     # every raised weight is at least m!, so the norm is at least m! max p:
     # fail before m multiplications per entry
-    if _proves_overflow(m, max(dist.probs)):
+    if proves_overflow(m, max(dist.probs)):
         raise AccuracyError(quantity.format(m) + " exceeds the float64 range")
     check_ladder_order(dist, m + x_max)
     q, norm = _raised(dist.probs, m, quantity)
@@ -244,15 +243,14 @@ def checked_tol(tol):
     return tol
 
 
-def equivalence_suite(states=DEFAULT_SUITE_STATES, n_max=3, m_max=4, x_max=4,
-                      tol=DEFAULT_TOL):
+def equivalence_suite(states=DEFAULT_SUITE_STATES, tol=DEFAULT_TOL):
     """Compare ladder shortcuts against the brute-force path, cell by cell.
 
-    For every (base state, modification) the factorial moments m_0..m_x_max
-    and every criterion up to order l = 2 are computed along both routes.
-    Cells record the relative deviation; a cell fails when it exceeds tol.
-    Raises ValueError, before any state is built, for a tol checked_tol
-    refuses or an empty states.
+    For every base state and each of subtract 0..3 and add 1..4, the
+    factorial moments m_0..m_4 and every criterion up to order l = 2 are
+    computed along both routes.  Cells record the relative deviation; a
+    cell fails when it exceeds tol.  Raises ValueError, before any state
+    is built, for a tol checked_tol refuses or an empty states.
     """
     tol = checked_tol(tol)
     states = tuple(states)
@@ -260,25 +258,20 @@ def equivalence_suite(states=DEFAULT_SUITE_STATES, n_max=3, m_max=4, x_max=4,
         raise ValueError("states must name at least one base state")
     ell_max = 2
     cells = []
-    crit_x = moment_order(ell_max)
-    moment_x = max(x_max, crit_x)
-    # one report whose moments reach x_max serves every shortcut cell
-    report_ell = max(ell_max, (x_max + 1) // 2)
-    mods = [StateModification.subtract(n) for n in range(n_max + 1)]
-    mods += [StateModification.add(m) for m in range(1, m_max + 1)]
+    x_max = moment_order(ell_max)
+    mods = [StateModification.subtract(n) for n in range(4)]
+    mods += [StateModification.add(m) for m in range(1, 5)]
     # one normal ladder per state serves every modification's report; its
-    # cutoff is checked at that order at least
-    order = max(n_max, m_max) + moment_order(report_ell)
-    policy = DEFAULT_POLICY._replace(
-        max_moment_order=max(DEFAULT_POLICY.max_moment_order, order))
+    # order, 8, is within the default policy's checked order
+    order = max(mod.count for mod in mods) + x_max
     for family, param in states:
-        dist = build_state(family, param, policy)
+        dist = build_state(family, param)
         ladder = normal_ladder(dist, order)
         for mod in mods:
             tag = f"{mod.kind.value}{mod.count}"
-            report = evaluate_all(ladder, mod, report_ell)
+            report = evaluate_all(ladder, mod, ell_max)
             try:
-                ref = apply_modification(dist, mod, moment_x)
+                ref = apply_modification(dist, mod, x_max)
             except UndefinedStateError:
                 ref = None
             if report.undefined or ref is None:
@@ -293,7 +286,7 @@ def equivalence_suite(states=DEFAULT_SUITE_STATES, n_max=3, m_max=4, x_max=4,
                 cells.append(EquivalenceCell(
                     family, param, tag, f"m{x}", a, b, _moment_dev(a, b), tol))
             theirs = criteria_from_moments(
-                ref.moments, direct_power_moments(ref.dist, crit_x),
+                ref.moments, direct_power_moments(ref.dist, x_max),
                 ell_max).cells(ell_max)
             for key, a in report.cells(ell_max).items():
                 b = theirs[key]

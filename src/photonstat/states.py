@@ -48,9 +48,9 @@ class CutoffPolicy(namedtuple(
         order vanishes).  build_state records it as the distribution's
         checked_order, and normal_ladder and the oracle's direct sums
         refuse a higher order with AccuracyError, so set it at least as
-        high as the largest ladder order you will request.  The CLI and
-        equivalence_suite raise it to the ladder order they read (for the
-        CLI, count + criteria.moment_order(ell_max)), never lower it.
+        high as the largest ladder order you will request.  The CLI raises
+        it to the ladder order it reads, count + moment_order(ell_max), and
+        never lowers it; equivalence_suite reads order 8, within the default.
     """
 
     __slots__ = ()

@@ -21,7 +21,6 @@ from photonstat import (
     agarwal_tara,
     build_state,
     evaluate_all,
-    ladder_sums_exact,
     lee_dh,
     mandel_q,
     modified_moment_sequence,
@@ -33,6 +32,7 @@ from photonstat import (
 )
 from photonstat import criteria
 from photonstat.criteria import _det3, _hankel3
+from photonstat.moments import ladder_sums_exact
 
 
 def count_set_partitions(z, k):

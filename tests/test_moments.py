@@ -11,17 +11,19 @@ from photonstat import (
     AccuracyError,
     CutoffPolicy,
     NumberDistribution,
-    Ordering,
     StateModification,
     UndefinedStateError,
-    antinormal_ladder,
     build_state,
     evaluate_all,
-    ladder_sums_exact,
-    modified_moment,
     modified_moment_sequence,
     normal_ladder,
     oracle_subtract,
+)
+from photonstat.moments import (
+    Ordering,
+    antinormal_ladder,
+    ladder_sums_exact,
+    modified_moment,
 )
 
 

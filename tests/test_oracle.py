@@ -15,8 +15,8 @@ from photonstat import (
     NumberDistribution,
     StateModification,
     UndefinedStateError,
-    antinormal_ladder,
     build_state,
+    criteria_from_moments,
     direct_moments,
     direct_power_moments,
     equivalence_suite,
@@ -27,6 +27,9 @@ from photonstat import (
     oracle_add,
     oracle_subtract,
 )
+from photonstat.criteria import moment_order
+from photonstat.moments import antinormal_ladder
+from photonstat.oracle import DEFAULT_TOL
 
 
 # --------------------------------------------------------------- subtract
@@ -282,20 +285,20 @@ def test_norm_constant_duality(family, param):
 
 def test_suite_coherent_passes():
     states = (("coherent", 0.5), ("coherent", 1.0), ("coherent", 2.0))
-    report = equivalence_suite(states, n_max=3, m_max=0, x_max=4, tol=1e-9)
+    report = equivalence_suite(states, tol=1e-9)
     assert report.passed
 
 
 def test_suite_fock_is_exact():
     states = tuple(("fock", n) for n in range(5))
-    report = equivalence_suite(states, n_max=4, m_max=3, x_max=4)
+    report = equivalence_suite(states)
     assert report.passed
     moment_cells = [c for c in report.cells if c.quantity.startswith("m")]
     assert all(c.rel_dev == 0.0 for c in moment_cells)
 
 
 def test_suite_flags_undefined_consistently():
-    report = equivalence_suite((("fock", 2),), n_max=3, m_max=0)
+    report = equivalence_suite((("fock", 2),))
     undefined = [c for c in report.cells if c.quantity == "undefined"]
     assert len(undefined) == 1
     assert undefined[0].mod == "subtract3"
@@ -313,7 +316,7 @@ def test_suite_fails_an_annihilation_only_the_shortcut_sees(monkeypatch):
         checked(ladder, n)
 
     monkeypatch.setattr(moments, "check_subtracted_norms", annihilating)
-    report = equivalence_suite((("thermal", 1.0),), n_max=1, m_max=1)
+    report = equivalence_suite((("thermal", 1.0),))
     cells = [c for c in report.cells if c.mod == "subtract1"]
     assert [(c.quantity, c.passed) for c in cells] == [("undefined", False)]
     assert report.failures() == cells
@@ -321,26 +324,48 @@ def test_suite_fails_an_annihilation_only_the_shortcut_sees(monkeypatch):
 
 def test_suite_mixed_families_pass_at_documented_tolerances():
     states = (("thermal", 1.0), ("squeezed", 0.8))
-    report = equivalence_suite(states, n_max=2, m_max=2, x_max=4)
+    report = equivalence_suite(states)
     assert report.passed, report.failures()
 
 
-def test_suite_checks_its_cutoffs_at_the_ladder_order_it_reads():
-    # subtract up to 10 at criteria order l = 2 reads N_14, past the
-    # default policy's order 12: the suite raises its policy, as the CLI
-    # does, rather than read a ladder past the order its cutoff was
-    # checked at
-    report = equivalence_suite((("thermal", 1.0), ("coherent", 2.0)),
-                               n_max=10, m_max=1)
-    assert report.passed, report.failures()
-    assert {c.mod for c in report.cells} >= {"subtract10", "add1"}
-
-
-def test_suite_extended_order_envelope():
-    # deeper subtraction/addition envelope: n <= 4, m <= 5, x <= 6
-    states = (("thermal", 1.0), ("coherent", 1.0), ("squeezed", 0.8))
-    report = equivalence_suite(states, n_max=4, m_max=5, x_max=6)
-    assert report.passed, report.failures()
+@pytest.mark.parametrize("states,mods,x_max,exact_moments", [
+    # n <= 4, m <= 5, x <= 6: deeper than the suite's fixed envelope
+    ((("thermal", 1.0), ("coherent", 1.0), ("squeezed", 0.8)),
+     [StateModification.subtract(n) for n in range(5)]
+     + [StateModification.add(m) for m in range(1, 6)], 6, False),
+    # subtract 4, past the suite's 0..3; Fock moments are exact
+    (tuple(("fock", n) for n in range(5)),
+     [StateModification.subtract(4)], 4, True),
+], ids=["extended", "fock-subtract4"])
+def test_deeper_envelopes_match_the_oracle(states, mods, x_max,
+                                           exact_moments):
+    # the suite's comparison past its envelope: the shortcut, on a state
+    # whose cutoff is checked at the ladder order it reads, against the
+    # brute-force modification and the criteria of its direct moments
+    ell_max = x_max // 2
+    order = max(mod.count for mod in mods) + moment_order(ell_max)
+    policy = CutoffPolicy(max_moment_order=max(12, order))
+    for family, param in states:
+        dist = build_state(family, param, policy)
+        for mod in mods:
+            where = (family, param, mod)
+            report = evaluate_all(dist, mod, ell_max)
+            try:
+                ref = oracle.apply_modification(dist, mod, x_max)
+            except UndefinedStateError:
+                assert report.undefined, where
+                continue
+            assert not report.undefined, where
+            for x in range(x_max + 1):
+                dev = oracle._moment_dev(report.moments[x], ref.moments[x])
+                assert (dev == 0.0 if exact_moments
+                        else dev <= DEFAULT_TOL), (where, x, dev)
+            theirs = criteria_from_moments(
+                ref.moments, direct_power_moments(ref.dist, x_max),
+                ell_max).cells(ell_max)
+            for key, a in report.cells(ell_max).items():
+                dev = oracle._criterion_dev(a, theirs[key])
+                assert dev <= DEFAULT_TOL, (where, key, dev)
 
 
 def test_suite_fails_below_float_noise():
@@ -394,7 +419,7 @@ def test_suite_zero_tolerance_is_valid():
 
 
 def test_suite_report_text_has_one_record_per_cell():
-    report = equivalence_suite((("fock", 1),), n_max=1, m_max=1, x_max=2)
+    report = equivalence_suite((("fock", 1),))
     text = report.to_text()
     lines = [line for line in text.splitlines() if line]
     # header (2 lines) + cells

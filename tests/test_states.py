@@ -17,12 +17,12 @@ from photonstat import (
     NumberDistribution,
     build_state,
     choose_cutoff,
-    antinormal_ladder,
     direct_moments,
     normal_ladder,
 )
 from photonstat import kernels, states
 from photonstat.cli import main
+from photonstat.moments import antinormal_ladder
 from photonstat.states import _BUILDERS, checked_param
 
 
