@@ -36,11 +36,6 @@ from .states import checked_make
 _ZERO_BASE = "the base state has zero norm (N_0 = 0)"
 
 
-class Ordering(enum.Enum):
-    NORMAL = "normal"
-    ANTINORMAL = "antinormal"
-
-
 class ModKind(enum.Enum):
     SUBTRACT = "subtract"
     ADD = "add"
@@ -52,7 +47,9 @@ class StateModification(namedtuple("StateModification", "kind count")):
     __slots__ = ()
 
     def __new__(cls, kind, count):
-        if not isinstance(count, int) or count < 0:
+        if not isinstance(kind, ModKind):
+            raise ValueError("kind must be a ModKind")
+        if type(count) is not int or count < 0:
             raise ValueError("count must be a nonnegative integer")
         return super().__new__(cls, kind, count)
 
@@ -71,16 +68,18 @@ class StateModification(namedtuple("StateModification", "kind count")):
         return cls(ModKind.SUBTRACT, 0)
 
 
-class MomentLadder(namedtuple("MomentLadder", "values ordering base")):
-    """Ladder of norm constants N_0..N_K with its ordering convention.
+class MomentLadder(namedtuple("MomentLadder", "values base")):
+    """Normal ladder N_0..N_K of the distribution base.
 
     values is kept as a tuple of floats.
     """
 
     __slots__ = ()
 
-    def __new__(cls, values, ordering, base):
-        return super().__new__(cls, tuple(map(float, values)), ordering, base)
+    ordering = "normal"  # read by photonbench's tracer alone
+
+    def __new__(cls, values, base):
+        return super().__new__(cls, tuple(map(float, values)), base)
 
     _make = classmethod(checked_make)
 
@@ -121,8 +120,7 @@ def normal_ladder(dist, order):
     if order < 0:
         raise ValueError("ladder order must be nonnegative")
     check_ladder_order(dist, order)
-    return MomentLadder(kernels.ladder_sums(dist.probs, order),
-                        Ordering.NORMAL, dist)
+    return MomentLadder(kernels.ladder_sums(dist.probs, order), dist)
 
 
 def _occupied_head(values):
@@ -137,7 +135,7 @@ def _occupied_head(values):
 @lru_cache(maxsize=1024)
 def _vandermonde_row(r, m):
     """C(r,i) (m)_i for i = 0..min(r, m), exact: the coefficients of both
-    added-state sums, and with m = r those of the anti-normal ladder."""
+    added-state sums."""
     return tuple(math.comb(r, i) * math.perm(m, i)
                  for i in range(min(r, m) + 1))
 
@@ -158,19 +156,17 @@ def _positive_sums(first, rows, values, quantity):
 
 
 def antinormal_ladder(dist, order):
-    """N_k = <a^k a^+k> of the base state for k = 0..order, from the normal
-    ladder: sum_j C(k,j)^2 j! N_{k-j}, all terms nonnegative."""
+    """Exact N^A_k = <a^k a^+k> of the base state for k = 0..order, an
+    order that check_ladder_order accepts, as Fractions: the tests'
+    reference for the paper's reordering identity, by
+    N^A_k = sum_j C(k,j)^2 j! N_{k-j} over ladder_sums_exact."""
     if order < 0:
         raise ValueError("ladder order must be nonnegative")
-    if kernels.proves_overflow(order, dist.total()):
-        raise AccuracyError(
-            f"anti-normal ladder entry up to order {order} exceeds the "
-            "float64 range")
-    normal = _occupied_head(normal_ladder(dist, order).values)
-    rows = [_vandermonde_row(k, k) for k in range(order + 1)]
-    return MomentLadder(
-        _positive_sums(0, rows, normal, "anti-normal ladder entry N_{}"),
-        Ordering.ANTINORMAL, dist)
+    check_ladder_order(dist, order)
+    normal = ladder_sums_exact(dist.probs, order)
+    return [sum(math.comb(k, j) ** 2 * math.factorial(j) * normal[k - j]
+                for j in range(k + 1))
+            for k in range(order + 1)]
 
 
 def zero_norm_error(dist, n):
@@ -204,8 +200,8 @@ def modified_moment_sequence(dist, mod, x_max):
     """Factorial moments m_0..m_{x_max} of the modified state, as a list of
     floats.
 
-    dist is the base distribution, or its normal MomentLadder of order at
-    least count + x_max (else ValueError).  A distribution gets one normal
+    dist is the base distribution, or its MomentLadder of order at least
+    count + x_max (else ValueError).  A distribution gets one normal
     ladder of order count + x_max; a ladder serves as that one would, since
     its entries do not depend on the order built, so one ladder can serve
     every modification of a state.  Subtraction (and the identity) applies
@@ -218,8 +214,6 @@ def modified_moment_sequence(dist, mod, x_max):
     subtract = m == 0 or mod.kind is ModKind.SUBTRACT
     ladder = None
     if isinstance(dist, MomentLadder):
-        if dist.ordering is not Ordering.NORMAL:
-            raise ValueError("ladder must be normally ordered")
         if dist.order < m + x_max:
             raise ValueError(
                 f"ladder covers orders 0..{dist.order}, need {m + x_max}")

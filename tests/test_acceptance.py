@@ -34,6 +34,8 @@ from photonstat import (
 from photonstat.cli import main
 from photonstat.moments import ladder_sums_exact
 
+from helpers import q_added_ref, q_subtracted_ref, reorder_coefficients
+
 
 def _ok(name):
     print(f"ACCEPTANCE {name}: PASS")
@@ -41,30 +43,6 @@ def _ok(name):
 
 def _close(a, b, rel, floor=1e-12):
     return abs(a - b) <= max(rel * max(abs(a), abs(b)), floor)
-
-
-# The paper's closed forms, exact on the exact-rational normal ladder of
-# one float pmf
-
-
-def _q_subtracted_ref(normal, n):
-    # Q of the n-photon-subtracted state: N_{n+2}/N_{n+1} - N_{n+1}/N_n
-    return normal[n + 2] / normal[n + 1] - normal[n + 1] / normal[n]
-
-
-def _q_added_ref(normal, m):
-    # Q of the m-photon-added state on the anti-normal ladder
-    # A_k = <a^k a^+k> = sum_j C(k,j)^2 j! N_{k-j}:
-    # (A_{m+2} - 4 A_{m+1} + 2 A_m)/(A_{m+1} - A_m) - (A_{m+1} - A_m)/A_m
-    a0, a1, a2 = (sum(math.comb(k, j) ** 2 * math.factorial(j) * normal[k - j]
-                      for j in range(k + 1)) for k in (m, m + 1, m + 2))
-    return (a2 - 4 * a1 + 2 * a0) / (a1 - a0) - (a1 - a0) / a0
-
-
-def _reorder_coefficients(x):
-    # the paper's a^+x a^x = sum_k coeff[k] a^{x-k} a^+(x-k), exact integers
-    return [(-1) ** k * math.factorial(k) * math.comb(x, k) ** 2
-            for k in range(x + 1)]
 
 
 def test_coherent_nullity():
@@ -97,7 +75,7 @@ def test_thermal_fixed_points():
         for n in (1, 2, 3):
             q = evaluate_all(dist, StateModification.subtract(n), 1).mandel_q
             assert abs(q - nbar) <= 1e-9
-            assert abs(_q_subtracted_ref(normal, n) - Fraction(nbar)) <= 1e-9
+            assert abs(q_subtracted_ref(normal, n) - Fraction(nbar)) <= 1e-9
     # oracle confirmation on a representative point
     sub = oracle_subtract(build_state("thermal", 1.0), 2)
     q_oracle = mandel_q(float(sub.moments[1]), float(sub.moments[2]))
@@ -125,7 +103,7 @@ def test_photon_added_exactness_on_fock_inputs():
         dist = build_state("fock", n)
         q = evaluate_all(dist, StateModification.add(1), ell_max=1).mandel_q
         assert abs(q + 1.0) <= 1e-12
-        assert _q_added_ref(ladder_sums_exact(dist.probs, 3), 1) == -1
+        assert q_added_ref(ladder_sums_exact(dist.probs, 3), 1) == -1
     _ok("photon-added exactness on fock inputs")
 
 
@@ -148,12 +126,12 @@ def test_specialization_consistency():
         for n in range(4):
             if normal[n] == 0 or normal[n + 1] == 0:
                 continue
-            direct = float(_q_subtracted_ref(normal, n))
+            direct = float(q_subtracted_ref(normal, n))
             m = modified_moment_sequence(dist, StateModification.subtract(n), 2)
             generic = mandel_q(float(m[1]), float(m[2]))
             assert _close(direct, generic, 1e-10), (family, param, n)
         for m_add in range(1, 5):
-            direct = float(_q_added_ref(normal, m_add))
+            direct = float(q_added_ref(normal, m_add))
             m = modified_moment_sequence(dist, StateModification.add(m_add), 2)
             generic = mandel_q(float(m[1]), float(m[2]))
             assert _close(direct, generic, 1e-10), (family, param, m_add)
@@ -181,7 +159,7 @@ def test_reordering_identity_exact():
     for x in range(7):
         lhs = matpow(raise_, x) @ matpow(lower, x)
         rhs = np.zeros((dim, dim), dtype=object)
-        for k, coeff in enumerate(_reorder_coefficients(x)):
+        for k, coeff in enumerate(reorder_coefficients(x)):
             rhs = rhs + coeff * (matpow(lower, x - k) @ matpow(raise_, x - k))
         interior = dim - x
         assert (lhs[:interior, :interior] == rhs[:interior, :interior]).all()

@@ -35,6 +35,8 @@ from photonstat.criteria import (
 )
 from photonstat.states import FAMILIES, build_state
 
+from helpers import limit_address_space
+
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
@@ -207,12 +209,6 @@ def test_provable_antinormal_overflow_fails_fast():
         "exceeds the float64 range"]
 
 
-def _limit_address_space():
-    # 1 GiB: a list of count entries fails at once instead of filling memory
-    import resource
-    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
-
-
 @pytest.mark.parametrize("argv,code,message", [
     # the pmf is 0 past n = 177, so N_count underflowed
     (("coherent", "1", "--subtract", str(10 ** 18)), 3,
@@ -240,7 +236,7 @@ def test_huge_counts_exit_at_once_with_one_line(argv, code, message):
     cmd = [sys.executable, "-m", "photonstat", "criteria", "--family",
            family, "--param", param, *rest]
     result = subprocess.run(cmd, capture_output=True, text=True, timeout=60,
-                            preexec_fn=_limit_address_space)
+                            preexec_fn=limit_address_space)
     assert result.returncode == code
     assert "Traceback" not in result.stderr
     assert result.stderr.splitlines() == [message]
@@ -251,7 +247,7 @@ def test_huge_param_range_exits_at_once_with_one_line():
     cmd = [sys.executable, "-m", "photonstat", "sweep", "--family", "fock",
            "--param-range", "0:1e12:1"]
     result = subprocess.run(cmd, capture_output=True, text=True, timeout=60,
-                            preexec_fn=_limit_address_space)
+                            preexec_fn=limit_address_space)
     assert result.returncode == 1
     assert result.stderr.splitlines() == [
         f"photonstat: error: --param-range has more than {MAX_GRID_POINTS} "
@@ -274,7 +270,7 @@ def test_huge_ell_max_exits_at_once_with_one_line(ell_max):
     cmd = [sys.executable, "-m", "photonstat", "criteria", "--family",
            "coherent", "--param", "1", "--ell-max", str(ell_max)]
     result = subprocess.run(cmd, capture_output=True, text=True, timeout=60,
-                            preexec_fn=_limit_address_space)
+                            preexec_fn=limit_address_space)
     assert result.returncode == 1
     assert result.stderr.splitlines() == [
         f"photonstat: error: ell_max must be at most {MAX_ELL_MAX}"]

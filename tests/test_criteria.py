@@ -34,6 +34,8 @@ from photonstat import criteria
 from photonstat.criteria import _det3, _hankel3
 from photonstat.moments import ladder_sums_exact
 
+from helpers import limit_address_space, q_added_ref, q_subtracted_ref
+
 
 def count_set_partitions(z, k):
     # brute force: partitions of {0..z-1} into exactly k nonempty blocks
@@ -138,26 +140,13 @@ def test_mandel_q_vacuum_undefined():
 # references over the exact-rational normal ladder of one float pmf
 
 
-def _q_subtracted_ref(normal, n):
-    # N_{n+2}/N_{n+1} - N_{n+1}/N_n
-    return normal[n + 2] / normal[n + 1] - normal[n + 1] / normal[n]
-
-
-def _q_added_ref(normal, m):
-    # (A_{m+2} - 4 A_{m+1} + 2 A_m)/(A_{m+1} - A_m) - (A_{m+1} - A_m)/A_m on
-    # the anti-normal ladder A_k = <a^k a^+k> = sum_j C(k,j)^2 j! N_{k-j}
-    a0, a1, a2 = (sum(math.comb(k, j) ** 2 * math.factorial(j) * normal[k - j]
-                      for j in range(k + 1)) for k in (m, m + 1, m + 2))
-    return (a2 - 4 * a1 + 2 * a0) / (a1 - a0) - (a1 - a0) / a0
-
-
 def _pinned_q(dist, mod, rel=1e-12):
     """evaluate_all's Q, checked against the closed form within rel."""
     normal = ladder_sums_exact(dist.probs, mod.count + 2)
     if mod.kind is ModKind.ADD:
-        exact = _q_added_ref(normal, mod.count)
+        exact = q_added_ref(normal, mod.count)
     else:
-        exact = _q_subtracted_ref(normal, mod.count)
+        exact = q_subtracted_ref(normal, mod.count)
     got = evaluate_all(dist, mod, ell_max=1).mandel_q
     assert abs(Fraction(got) - exact) <= Fraction(rel) * max(abs(exact), 1), (
         got, float(exact))
@@ -443,12 +432,6 @@ def test_evaluate_all_refuses_ell_max_outside_the_cap(ell_max, message):
     assert criteria._stirling_row.cache_info() == rows
 
 
-def _limit_address_space():
-    # 1 GiB: a table grown far past the cap fails instead of filling memory
-    import resource
-    resource.setrlimit(resource.RLIMIT_AS, (2 ** 30, 2 ** 30))
-
-
 @pytest.mark.parametrize("call", [
     "mu_from_m([1.0] + [0.0] * 2000)",
     "poisson_central_moment(1e-300, 2000)",
@@ -471,7 +454,7 @@ def test_orders_past_the_cap_raise_before_any_table_grows(call):
         "print(tables() == before)\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, timeout=60,
-                            preexec_fn=_limit_address_space)
+                            preexec_fn=limit_address_space)
     assert result.stderr == ""
     assert result.stdout.splitlines() == [
         f"moment order 2000 exceeds that of ell_max {criteria.MAX_ELL_MAX}",
@@ -487,7 +470,7 @@ def test_stirling_rows_to_the_cap_build_without_deep_recursion():
         "print(mu_from_m([1.0, 1.0] + [0.0] * 999) == [1.0] * 1001)\n")
     result = subprocess.run([sys.executable, "-c", code], capture_output=True,
                             text=True, timeout=120,
-                            preexec_fn=_limit_address_space)
+                            preexec_fn=limit_address_space)
     assert result.stderr == ""
     assert result.stdout == "True\n"
 

@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonstat import AccuracyError, kernels
+from photonstat import (
+    AccuracyError,
+    StateModification,
+    kernels,
+    modified_moment_sequence,
+)
 from photonstat.moments import (
     antinormal_ladder,
     ladder_sums_exact,
@@ -20,31 +25,27 @@ from photonstat.states import (
     build_state,
 )
 
+from helpers import exact_rising_sums
+
 
 def thermal_like(size, q=0.6):
     probs = q ** np.arange(size) * (1 - q)
     return probs / probs.sum()
 
 
-def exact_rising_sums(probs, order):
-    """sum_n p_n (n+1)(n+2)...(n+k) for k = 0..order, as Fractions."""
-    return [sum(Fraction(p) * math.perm(n + k, k) for n, p in enumerate(probs))
-            for k in range(order + 1)]
-
-
 @pytest.mark.parametrize("rising", [False, True])
 @pytest.mark.parametrize("size,order",
                          [(1, 0), (5, 3), (64, 8), (200, 10), (700, 14)])
 def test_matches_exact_rational_reference(rising, size, order):
-    # falling sums come from the kernel, rising ones are the anti-normal
-    # ladder derived from them
+    # falling sums come from the kernel; rising ones are the exact
+    # anti-normal ladder derived from the exact falling sums
     probs = thermal_like(size, q=0.7)
     if rising:
-        got = antinormal_ladder(NumberDistribution(probs), order).values
-        want = exact_rising_sums(probs, order)
-    else:
-        got = kernels.ladder_sums(probs, order)
-        want = ladder_sums_exact(probs, order)
+        got = antinormal_ladder(NumberDistribution(probs), order)
+        assert got == exact_rising_sums(probs, order)
+        return
+    got = kernels.ladder_sums(probs, order)
+    want = ladder_sums_exact(probs, order)
     np.testing.assert_allclose(got, [float(v) for v in want], rtol=1e-13)
 
 
@@ -55,8 +56,7 @@ def test_zero_entries_are_skipped():
     probs[2] = 1.0
     got = kernels.ladder_sums(probs, 6)
     np.testing.assert_array_equal(got, [1.0, 2.0, 2.0, 0, 0, 0, 0])
-    got = antinormal_ladder(NumberDistribution(probs), 3).values
-    np.testing.assert_array_equal(got, [1.0, 3.0, 12.0, 60.0])
+    assert antinormal_ladder(NumberDistribution(probs), 3) == [1, 3, 12, 60]
 
 
 def test_falling_weights_stop_at_occupation():
@@ -112,9 +112,8 @@ def test_compensation_tracks_exact_sums(weights, order):
 @given(st.integers(min_value=1, max_value=50),
        st.integers(min_value=0, max_value=10))
 def test_rising_ladder_never_decreases(size, order):
-    probs = thermal_like(size)
-    got = antinormal_ladder(NumberDistribution(probs), order).values
-    assert np.all(np.diff(got) >= 0)
+    got = antinormal_ladder(NumberDistribution(thermal_like(size)), order)
+    assert all(a <= b for a, b in zip(got, got[1:]))
 
 
 # --------------------------------------------- numpy reference, bit for bit
@@ -148,6 +147,20 @@ def numpy_falling_weights(probs, order):
             row *= n - k
     weights[order:] = row
     return weights
+
+
+def fsum_added_moments(falling, m, x_max):
+    """Factorial moments m_0..m_{x_max} of the m-photon-added state, from
+    the falling sums N_k, by the package's two positive sums restated
+    with math.fsum: T_r = sum_i C(r,i) (m)_i N_{r-i}, t = T / T_m, and
+    m_x = sum_k C(x,k) (m)_k t_{x-k}.  Zero terms are skipped."""
+    t = [math.fsum(math.comb(r, i) * math.perm(m, i) * falling[r - i]
+                   for i in range(min(r, m) + 1) if falling[r - i])
+         for r in range(m, m + x_max + 1)]
+    t = [value / t[0] for value in t]
+    return [math.fsum(math.comb(x, k) * math.perm(m, k) * t[x - k]
+                      for k in range(min(x, m) + 1) if t[x - k])
+            for x in range(x_max + 1)]
 
 
 def hexes(values):
@@ -200,22 +213,26 @@ PIN_CASES = (
                          ids=[c[0] + f"-K{c[2]}" for c in PIN_CASES])
 def test_ladder_sums_match_numpy_kernel_bit_for_bit(name, probs, order,
                                                      rising):
-    falling = numpy_ladder_sums(probs, order).tolist()
     if rising:
-        # the anti-normal ladder is the exactly rounded positive sum
-        # sum_j C(k,j)^2 j! N_{k-j} over the kernel's falling sums; where
-        # those overflow, so does the ladder
+        # the added-state moments read the ladder up to order m + x_max,
+        # order or 1, through the positive sums of rows C(r,i) (m)_i;
+        # where the falling sums or T_r leave float64, so do the moments
+        m = max(1, (order + 1) // 2)
+        x_max = max(0, order - m)
+        falling = numpy_ladder_sums(probs, m + x_max).tolist()
+        mod = StateModification.add(m)
         dist = NumberDistribution(probs)
-        if not all(map(math.isfinite, falling)):
+        try:
+            want = fsum_added_moments(falling, m, x_max)
+        except OverflowError:  # a term or sum beyond float64
+            want = [math.inf]
+        if not all(map(math.isfinite, falling + want)):
             with pytest.raises(AccuracyError):
-                antinormal_ladder(dist, order)
+                modified_moment_sequence(dist, mod, x_max)
             return
-        want = hexes(math.fsum(math.comb(k, j) ** 2 * math.factorial(j)
-                               * falling[k - j]
-                               for j in range(k + 1) if falling[k - j])
-                     for k in range(order + 1))
-        assert hexes(antinormal_ladder(dist, order).values) == want
+        assert hexes(modified_moment_sequence(dist, mod, x_max)) == hexes(want)
         return
+    falling = numpy_ladder_sums(probs, order).tolist()
     # the library passes its read-only float64 view, not an array
     for probs in (probs, NumberDistribution(probs).probs):
         if all(map(math.isfinite, falling)):

@@ -20,17 +20,12 @@ from photonstat import (
     oracle_subtract,
 )
 from photonstat.moments import (
-    Ordering,
     antinormal_ladder,
     ladder_sums_exact,
     modified_moment,
 )
 
-
-def _reorder_coefficients(x):
-    # the paper's a^+x a^x = sum_k coeff[k] a^{x-k} a^+(x-k), exact integers
-    return [(-1) ** k * math.factorial(k) * math.comb(x, k) ** 2
-            for k in range(x + 1)]
+from helpers import exact_rising_sums, reorder_coefficients
 
 
 def _subtracted(source, n, x_max):
@@ -49,7 +44,7 @@ def brute_falling_moment(dist, k):
 def test_normal_ladder_fock():
     ladder = normal_ladder(build_state("fock", 2), 4)
     np.testing.assert_array_equal(ladder.values, [1.0, 2.0, 2.0, 0.0, 0.0])
-    assert ladder.ordering is Ordering.NORMAL
+    assert ladder.ordering == "normal"
 
 
 def test_normal_ladder_coherent():
@@ -70,26 +65,25 @@ def test_normal_ladder_thermal():
 
 def test_antinormal_ladder_vacuum():
     ladder = antinormal_ladder(build_state("fock", 0), 3)
-    np.testing.assert_array_equal(ladder.values, [1.0, 1.0, 2.0, 6.0])
-    assert ladder.ordering is Ordering.ANTINORMAL
+    assert ladder == [1, 1, 2, 6]
+    assert all(type(value) is Fraction for value in ladder)
 
 
 def test_antinormal_ladder_fock1():
-    ladder = antinormal_ladder(build_state("fock", 1), 2)
-    np.testing.assert_array_equal(ladder.values, [1.0, 2.0, 6.0])
+    assert antinormal_ladder(build_state("fock", 1), 2) == [1, 2, 6]
 
 
 def test_antinormal_ladder_coherent_commutator_shift():
     ladder = antinormal_ladder(build_state("coherent", 1.0), 1)
-    assert math.isclose(ladder.values[1], 2.0, rel_tol=1e-12)
+    assert abs(ladder[1] - 2) <= Fraction(1e-12) * 2
 
 
 def test_antinormal_ladder_monotone():
     for dist in (build_state("fock", 0), build_state("thermal", 1.0),
                  build_state("coherent", 0.5)):
-        values = antinormal_ladder(dist, 6).values
-        assert np.all(np.diff(values) >= 0)
-        assert np.all(np.diff(values[1:]) > 0)
+        values = antinormal_ladder(dist, 6)
+        assert values[0] <= values[1]
+        assert all(a < b for a, b in zip(values[1:], values[2:]))
 
 
 def test_ladder_unit_norm_head():
@@ -97,19 +91,20 @@ def test_ladder_unit_norm_head():
         assert abs(normal_ladder(dist, 2).values[0] - 1.0) <= 1e-13
 
 
-def _exact_antinormal(probs, order):
-    # <a^k a^+k> = sum_n p_n (n+1)...(n+k), exactly
-    return [sum(Fraction(p) * math.perm(n + k, k) for n, p in enumerate(probs))
-            for k in range(order + 1)]
-
-
 def test_ladder_float_matches_exact_rational():
     dist = build_state("thermal", 1.2)
-    for ladder, exact in ((normal_ladder, ladder_sums_exact),
-                          (antinormal_ladder, _exact_antinormal)):
-        got = ladder(dist, 8).values
-        want = [float(v) for v in exact(dist.probs, 8)]
-        np.testing.assert_allclose(got, want, rtol=1e-12)
+    got = normal_ladder(dist, 8).values
+    want = [float(v) for v in ladder_sums_exact(dist.probs, 8)]
+    np.testing.assert_allclose(got, want, rtol=1e-12)
+
+
+@pytest.mark.parametrize("family,param", [
+    ("thermal", 1.2), ("coherent", 0.5), ("squeezed", 0.8), ("fock", 3)])
+def test_antinormal_ladder_is_the_rising_sum(family, param):
+    # the reordering identity <a^k a^+k> = sum_j C(k,j)^2 j! N_{k-j}, in
+    # exact rationals on one float pmf, against sum_n p_n (n+k)!/n!
+    dist = build_state(family, param)
+    assert antinormal_ladder(dist, 12) == exact_rising_sums(dist.probs, 12)
 
 
 def test_ladder_overflow_raises():
@@ -120,32 +115,34 @@ def test_ladder_overflow_raises():
         normal_ladder(dist, 400)
 
 
-def test_provable_antinormal_overflow_raises_before_any_sum(monkeypatch):
-    # N_k >= k! * N_0, so log(200000!) alone proves N_200000 overflows:
-    # neither the kernel nor the exact fallback may run
+def test_provable_added_norm_overflow_raises_before_any_sum(monkeypatch):
+    # T_m = <(n+m)_m> >= m! * N_0, so log(200000!) alone proves the norm of
+    # the 200000-photon-added state overflows: no ladder or sum may run
     dist = build_state("coherent", 1.0)
 
     def forbidden(*args, **kwargs):
-        raise AssertionError("a ladder was summed although it must overflow")
+        raise AssertionError("a sum ran although it must overflow")
 
     monkeypatch.setattr(moments.kernels, "ladder_sums", forbidden)
-    monkeypatch.setattr(moments, "ladder_sums_exact", forbidden)
-    with pytest.raises(AccuracyError, match="^anti-normal ladder entry up to "
-                       "order 200000 exceeds the float64 range$"):
-        antinormal_ladder(dist, 200000)
+    monkeypatch.setattr(moments.kernels, "exact_fsum", forbidden)
+    with pytest.raises(AccuracyError, match=r"^<\(n\+200000\)_200000> of the "
+                       "base state exceeds the float64 range$"):
+        modified_moment_sequence(dist, StateModification.add(200000), 1)
 
 
-def test_antinormal_overflow_bound_is_not_premature():
-    # the vacuum has N_k = k!: 170! fits in float64, 171! does not
-    values = antinormal_ladder(build_state("fock", 0), 170).values
-    assert all(math.isclose(v, math.factorial(k), rel_tol=1e-12)
-               for k, v in enumerate(values))
-    with pytest.raises(AccuracyError, match="anti-normal"):
-        antinormal_ladder(build_state("fock", 0), 171)
-    # Fock(1) has N_k = (k+1)!: the bound 170! does not prove N_170 = 171!
-    # overflows, so the positive sum must find it
-    with pytest.raises(AccuracyError, match="anti-normal"):
-        antinormal_ladder(build_state("fock", 1), 170)
+def test_added_norm_overflow_bound_is_not_premature():
+    # the vacuum has T_m = m!: 170! fits in float64, 171! does not; adding
+    # m photons to it gives |m>, of mean m
+    vacuum = build_state("fock", 0)
+    assert modified_moment_sequence(
+        vacuum, StateModification.add(170), 1) == [1.0, 170.0]
+    with pytest.raises(AccuracyError, match=r"^<\(n\+171\)_171> "):
+        modified_moment_sequence(vacuum, StateModification.add(171), 1)
+    # Fock(1) has T_170 = 171!: the bound 170! does not prove it overflows,
+    # so the positive sum must find it
+    with pytest.raises(AccuracyError, match=r"^<\(n\+170\)_170> "):
+        modified_moment_sequence(build_state("fock", 1),
+                                 StateModification.add(170), 1)
 
 
 # ----------------------------------------------------- subtracted moments
@@ -232,12 +229,6 @@ def test_zero_mean_entries_of_finite_support_are_a_zero_mean():
     assert math.isnan(report.mandel_q)
 
 
-def test_subtracted_moment_requires_normal_ordering():
-    ladder = antinormal_ladder(build_state("fock", 1), 3)
-    with pytest.raises(ValueError, match="^ladder must be normally ordered$"):
-        _subtracted(ladder, 1, 1)
-
-
 def test_ladder_coverage_checked():
     ladder = normal_ladder(build_state("fock", 3), 2)
     with pytest.raises(ValueError,
@@ -248,13 +239,13 @@ def test_ladder_coverage_checked():
 # -------------------------------------------------- reordering coefficients
 
 def test_reorder_coefficients_base_cases():
-    assert _reorder_coefficients(0) == [1]
-    assert _reorder_coefficients(1) == [1, -1]
-    assert _reorder_coefficients(2) == [1, -4, 2]
+    assert reorder_coefficients(0) == [1]
+    assert reorder_coefficients(1) == [1, -1]
+    assert reorder_coefficients(2) == [1, -4, 2]
 
 
 def test_reorder_coefficients_are_ints():
-    assert all(isinstance(c, int) for c in _reorder_coefficients(7))
+    assert all(isinstance(c, int) for c in reorder_coefficients(7))
 
 
 def _matpow(mat, power, dim):
@@ -279,7 +270,7 @@ def test_reordering_identity_exact_on_truncated_basis(x):
         raise_[n, n - 1] = 1
     lhs = _matpow(raise_, x, dim) @ _matpow(lower, x, dim)
     rhs = np.zeros((dim, dim), dtype=object)
-    for k, coeff in enumerate(_reorder_coefficients(x)):
+    for k, coeff in enumerate(reorder_coefficients(x)):
         rhs = rhs + coeff * (_matpow(lower, x - k, dim)
                              @ _matpow(raise_, x - k, dim))
     interior = dim - x
@@ -351,7 +342,7 @@ def test_paper_reordering_identity_matches_positive_form(family, param):
     probs = build_state(family, param).probs
     order = 10
     normal = ladder_sums_exact(probs, order + 6)
-    anti = _exact_antinormal(probs, order + 6)
+    anti = exact_rising_sums(probs, order + 6)
     for m in range(1, 7):
         t = [sum(c * normal[r - i]
                  for i, c in enumerate(moments._vandermonde_row(r, m)))
@@ -359,7 +350,7 @@ def test_paper_reordering_identity_matches_positive_form(family, param):
         assert t[m] == anti[m]
         for x in range(order + 1):
             paper = sum(c * anti[m + x - k]
-                        for k, c in enumerate(_reorder_coefficients(x)))
+                        for k, c in enumerate(reorder_coefficients(x)))
             positive = sum(c * t[m + x - k]
                            for k, c in enumerate(moments._vandermonde_row(x, m)))
             assert paper == positive, (m, x)
@@ -469,12 +460,11 @@ def test_a_ladder_keeps_the_added_norm_overflow_check():
             modified_moment_sequence(source, mod, 4)
 
 
+# every MomentLadder is normal, so only a short one is refused
 @pytest.mark.parametrize("ladder,message", [
-    (antinormal_ladder(build_state("thermal", 1.0), 12),
-     "^ladder must be normally ordered$"),
     (normal_ladder(build_state("thermal", 1.0), 5),
      r"^ladder covers orders 0\.\.5, need 6$"),
-], ids=["antinormal", "too-short"])
+], ids=["too-short"])
 def test_a_ladder_must_be_normal_and_cover_the_order(ladder, message):
     mod = StateModification.subtract(2)
     with pytest.raises(ValueError, match=message):
@@ -488,6 +478,12 @@ def test_modification_validation():
         StateModification.subtract(-1)
     with pytest.raises(ValueError):
         StateModification.add(1.5)
+    # a bool is no count, and a kind must be a ModKind: the shortcut and
+    # the oracle would read the string "subtract" in opposite ways
+    with pytest.raises(ValueError, match="^count must be"):
+        StateModification.add(True)
+    with pytest.raises(ValueError, match="^kind must be a ModKind$"):
+        StateModification("subtract", 2)
 
 
 @settings(max_examples=40, deadline=None)
