@@ -33,7 +33,8 @@ from . import kernels
 from .exceptions import AccuracyError, UndefinedStateError
 from .states import checked_make
 
-_ZERO_BASE = "the base state has zero norm (N_0 = 0)"
+# an added state of a zero base is undefined, on the shortcut and the oracle
+ZERO_BASE_NORM = "the base state has zero norm (N_0 = 0)"
 
 
 class ModKind(enum.Enum):
@@ -231,7 +232,7 @@ def modified_moment_sequence(dist, mod, x_max):
         if not any(dist.probs[m if subtract else 0:]):
             if subtract:
                 raise zero_norm_error(dist, m)
-            raise UndefinedStateError(_ZERO_BASE)
+            raise UndefinedStateError(ZERO_BASE_NORM)
         ladder = normal_ladder(dist, m + x_max)
     if subtract:
         check_subtracted_norms(ladder, m)
@@ -239,7 +240,7 @@ def modified_moment_sequence(dist, mod, x_max):
         return [value / norm for value in ladder.values[m:m + x_max + 1]]
     normal = _occupied_head(ladder.values)
     if not normal:
-        raise UndefinedStateError(_ZERO_BASE)
+        raise UndefinedStateError(ZERO_BASE_NORM)
     # t[j] = T_{m+j}: no sum reads T_r below r = m, and T_r past
     # r = m + n_last vanishes and is left out
     rows = [_vandermonde_row(r, m)

@@ -27,6 +27,7 @@ from .criteria import (
 from .exceptions import AccuracyError, UndefinedStateError
 from .kernels import exact_fsum, proves_overflow
 from .moments import (
+    ZERO_BASE_NORM,
     ModKind,
     StateModification,
     check_ladder_order,
@@ -98,10 +99,7 @@ def _raised(probs, count, quantity):
     norm, the raw total by kernels.exact_fsum, named
     quantity.format(count); q is left all 0 where norm is 0."""
     ns, ps = _occupied(probs)
-    if not ns:  # norm 0, settled without count empty rows
-        return [0.0] * len(probs), 0.0
-    for weights in _weight_rows(ns, range(1, count + 1)):
-        pass  # only the last row is needed
+    weights = [math.perm(j + count, count) for j in ns]
     norm = exact_fsum(weights, ps, quantity, count)
     try:
         # int * float converts the int to float first, or raises
@@ -153,7 +151,7 @@ def oracle_add(dist, m, x_max=4):
     check_ladder_order(dist, m + x_max)
     q, norm = _raised(dist.probs, m, quantity)
     if norm <= 0.0:
-        raise UndefinedStateError("the base state has zero norm (N_0 = 0)")
+        raise UndefinedStateError(ZERO_BASE_NORM)
     out = NumberDistribution([0.0] * m + q, 0.0)
     return OracleResult(out, direct_moments(out, x_max), norm)
 

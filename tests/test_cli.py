@@ -299,6 +299,13 @@ def test_ell_max_limit_is_inclusive(tmp_path, monkeypatch, capsys):
             assert err == ("" if want == 0 else "photonstat: error: ell_max "
                            f"must be at most {MAX_ELL_MAX}\n")
     assert reached == [MAX_ELL_MAX, MAX_ELL_MAX]
+    # and the report at the cap runs in 1 GiB of address space
+    cmd = [sys.executable, "-m", "photonstat", "criteria", "--family",
+           "fock", "--param", "0", "--ell-max", str(MAX_ELL_MAX)]
+    result = subprocess.run(cmd, capture_output=True, text=True, timeout=60,
+                            preexec_fn=limit_address_space)
+    assert (result.returncode, result.stderr) == (0, "")
+    assert f'"Q{MAX_ELL_MAX}_central"' in result.stdout
 
 
 @pytest.mark.parametrize("argv,message", [
@@ -634,6 +641,11 @@ def test_entry_registers_one_exit_handler(monkeypatch):
     assert gc.get_freeze_count() == 0  # the freeze waits for exit
 
 
+# |n+3> for n = 0..12: no warning and no flag, every value exact
+ADDED_FOCK_SWEEP = ("sweep", "--family", "fock", "--param-range", "0:12:1",
+                    "--add", "3", "--ell-max", "5")
+
+
 @pytest.mark.parametrize("argv,code", [
     (("sweep", "--family", "coherent", "--param", "0.5", "--param", "2",
       "--subtract", "2"), 0),
@@ -645,10 +657,13 @@ def test_entry_registers_one_exit_handler(monkeypatch):
     (("criteria", "--family", "coherent", "--param", "1e-100",
       "--subtract", "2"), 3),
     (("selfcheck", "--tol", "0"), 4),
+    (ADDED_FOCK_SWEEP, 0),
 ], ids=["sweep-csv", "sweep-json", "usage", "undefined", "accuracy",
-        "selfcheck-fail"])
+        "selfcheck-fail", "sweep-added-fock"])
 def test_the_console_path_prints_what_main_prints(argv, code, capsys):
-    result = subprocess.run([sys.executable, "-m", "photonstat", *argv],
+    # under -W error, a warning on any path is a traceback and exit 1
+    result = subprocess.run([sys.executable, "-W", "error", "-m",
+                             "photonstat", *argv],
                             capture_output=True, timeout=60)
     assert main(list(argv)) == code
     captured = capsys.readouterr()
@@ -704,6 +719,22 @@ def test_sweep_undefined_rows_keep_table_alive(capsys):
     assert rows[0]["Q"] == "UNDEF"
     assert "undefined_state" in rows[0]["flags"]
     assert float(rows[1]["Q"]) == -1.0
+
+
+def test_sweep_of_added_fock_states_is_exact(capsys):
+    # |k> with k = n + 3 has mean k, Q = -1, every Q^(l)_central = -1 and
+    # d_h = (k)_(h+1) - k^(h+1)
+    code, out, err = run_cli(capsys, *ADDED_FOCK_SWEEP)
+    assert (code, err) == (0, "")
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert len(rows) == 13
+    for row in rows:
+        k = int(row["param"]) + 3
+        assert float(row["mean"]) == k and float(row["Q"]) == -1.0, row
+        for h in range(1, 6):
+            assert float(row[f"dh{h}"]) == math.perm(k, h + 1) - k ** (h + 1)
+            assert float(row[f"Q{h}_central"]) == -1.0, (h, row)
+        assert row["flags"] == "", row
 
 
 def test_sweep_all_rows_failing_is_nonzero(capsys):
@@ -872,7 +903,9 @@ def _old_sweep_document(family, grid, mod, ell_max, selection, fmt, policy,
       "--subtract", "2", "--ell-max", "2"), "UNDEF"),
     (("--family", "thermal", "--param-range", "0.1:1.3:0.4", "--add", "2"),
      ""),
-], ids=["fock-add", "fock-undefined", "coherent-underflow", "thermal"])
+    (ADDED_FOCK_SWEEP[1:], ""),
+], ids=["fock-add", "fock-undefined", "coherent-underflow", "thermal",
+        "added-fock"])
 def test_sweep_bytes_match_the_per_row_rendering(capsys, sweep, token):
     assert token in run_cli(capsys, "sweep", *sweep)[1]
     for criteria in (None, "Q", "A3,Q", "Q_ell_central,d_h",

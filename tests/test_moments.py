@@ -25,7 +25,12 @@ from photonstat.moments import (
     modified_moment,
 )
 
-from helpers import exact_rising_sums, reorder_coefficients
+from helpers import (
+    exact_antinormal_ladder,
+    exact_normal_ladder,
+    exact_rising_sums,
+    reorder_coefficients,
+)
 
 
 def _subtracted(source, n, x_max):
@@ -105,6 +110,39 @@ def test_antinormal_ladder_is_the_rising_sum(family, param):
     # exact rationals on one float pmf, against sum_n p_n (n+k)!/n!
     dist = build_state(family, param)
     assert antinormal_ladder(dist, 12) == exact_rising_sums(dist.probs, 12)
+
+
+@pytest.mark.parametrize("family,param", [
+    ("coherent", 0.5), ("coherent", 7.9), ("coherent", 40.0),
+    ("thermal", 0.5), ("thermal", 7.9), ("squeezed", 0.3), ("squeezed", 2.0),
+    ("fock", 0), ("fock", 3), ("fock", 200)])
+def test_recurrence_ladders_match_the_pmf_ladders(family, param):
+    # The bound is the cutoff contract's.  The pmf's order-40 moment cut at
+    # D agrees with the one cut at 2D to rel_tol, and no lower order has a
+    # larger tail share, as (n)_40 / (n)_k grows with n; the normal ladder
+    # is then short by at most rel_tol, and dividing by the truncated
+    # total makes it long by at most eps_tail.  The anti-normal entries
+    # are positive sums of normal ones, so the same bound holds.  Rounding
+    # adds at most 4 (cutoff + order + 1) ulps: the pmf's forward
+    # recursion, its parameter (tanh(r)^2 there, s here) and the ladder's
+    # falling products.  A Fock state has no truncation.
+    order = 40
+    policy = CutoffPolicy(max_moment_order=order)
+    dist = build_state(family, param, policy)
+    bound = 4 * (dist.cutoff + order + 1) * math.ulp(1.0)
+    if dist.tail_bound:
+        bound += policy.rel_tol + policy.eps_tail
+    if family == "squeezed":
+        param = math.sinh(param) ** 2
+    anti = antinormal_ladder(dist, order)
+    pairs = ((normal_ladder(dist, order).values,
+              exact_normal_ladder(family, param, order)),
+             (anti, exact_antinormal_ladder(family, param, order)))
+    for got, want in pairs:
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert abs(Fraction(g) - w) <= Fraction(bound) * w, k
+    if family == "fock":  # integer sums over an exact pmf
+        assert anti == pairs[1][1]
 
 
 def test_ladder_overflow_raises():
@@ -333,16 +371,39 @@ def test_added_moments_match_exact_rationals(family, param, m, x_max):
         assert abs(Fraction(g) - w) <= Fraction(1e-15) * w, (x, g, float(w))
 
 
-@pytest.mark.parametrize("family,param", [
-    ("thermal", 0.7), ("coherent", 0.01), ("squeezed", 0.8), ("fock", 3)])
-def test_paper_reordering_identity_matches_positive_form(family, param):
-    # in exact rationals on one float pmf, the paper's alternating sum over
-    # the anti-normal ladder equals the positive Vandermonde form over the
-    # normal ladder, term rows and norms included
+def _pmf_ladders(family, param, order):
     probs = build_state(family, param).probs
-    order = 10
-    normal = ladder_sums_exact(probs, order + 6)
-    anti = exact_rising_sums(probs, order + 6)
+    return ladder_sums_exact(probs, order), exact_rising_sums(probs, order)
+
+
+def _recurrence_ladders(family, param, order):
+    return (exact_normal_ladder(family, param, order),
+            exact_antinormal_ladder(family, param, order))
+
+
+@pytest.mark.parametrize("ladders,family,param", [
+    # both ladders of one float pmf, in exact rationals
+    pytest.param(_pmf_ladders, "thermal", 0.7, id="thermal-0.7"),
+    pytest.param(_pmf_ladders, "coherent", 0.01, id="coherent-0.01"),
+    pytest.param(_pmf_ladders, "squeezed", 0.8, id="squeezed-0.8"),
+    pytest.param(_pmf_ladders, "fock", 3, id="fock-3"),
+    # no truncation: each ladder by its own recurrence at a rational
+    # parameter, squeezed vacuum at s = sinh(r)^2 = 3/4
+    pytest.param(_recurrence_ladders, "thermal", Fraction(7, 10),
+                 id="exact-thermal-7/10"),
+    pytest.param(_recurrence_ladders, "coherent", Fraction(1, 100),
+                 id="exact-coherent-1/100"),
+    pytest.param(_recurrence_ladders, "squeezed", Fraction(3, 4),
+                 id="exact-squeezed-3/4"),
+    pytest.param(_recurrence_ladders, "fock", 3, id="exact-fock-3"),
+])
+def test_paper_reordering_identity_matches_positive_form(ladders, family,
+                                                         param):
+    # the paper's alternating sum over the anti-normal ladder equals the
+    # positive Vandermonde form over the normal ladder, term rows and norms
+    # included, for x <= 12 and m <= 6
+    order = 12
+    normal, anti = ladders(family, param, order + 6)
     for m in range(1, 7):
         t = [sum(c * normal[r - i]
                  for i, c in enumerate(moments._vandermonde_row(r, m)))

@@ -67,19 +67,22 @@ def test_oversubtraction_raises():
 
 def test_huge_counts_settle_before_any_weight_row(monkeypatch):
     # N_count is 0 past the last occupied n, and the added norm is at least
-    # count! max p: neither needs the count rows _weight_rows would yield
-    def no_rows(ns, shifts):
-        raise AssertionError("a weight row was built")
+    # count! max p: neither needs a rising weight (j+count)!/j! or a row
+    # of _weight_rows
+    def no_weights(*args):
+        raise AssertionError("a weight was formed")
 
-    monkeypatch.setattr(oracle, "_weight_rows", no_rows)
+    fock, coherent = build_state("fock", 2), build_state("coherent", 1.0)
+    monkeypatch.setattr(oracle, "_weight_rows", no_weights)
+    monkeypatch.setattr(math, "perm", no_weights)
     huge = 10 ** 18
     with pytest.raises(UndefinedStateError, match=f"^subtracting {huge} "):
-        oracle_subtract(build_state("fock", 2), huge)
+        oracle_subtract(fock, huge)
     with pytest.raises(AccuracyError, match=f"^N_{huge} underflows float64"):
-        oracle_subtract(build_state("coherent", 1.0), huge)
+        oracle_subtract(coherent, huge)
     with pytest.raises(AccuracyError, match="^anti-normally ordered norm "
                        f"constant N_{huge} exceeds the float64 range$"):
-        oracle_add(build_state("coherent", 1.0), huge)
+        oracle_add(coherent, huge)
 
 
 def test_subtract_result_is_normalized():
