@@ -7,9 +7,7 @@ invocations produce byte-identical bytes.
 
 import argparse
 import atexit
-import csv
 import gc
-import io
 import math
 import os
 import stat
@@ -37,7 +35,8 @@ UNDEF = "UNDEF"
 DEGENERATE = "DEGENERATE"
 
 # longest --param-range grid: a sweep keeps every row until it writes
-# them, and 10**5 default rows peak near 180 MB (10**6 would need 1.8 GB)
+# them, so its memory grows with the grid; 10**5 default Fock rows peak
+# at 91 MB of the process's RSS as CSV and 348 MB as JSON
 MAX_GRID_POINTS = 10 ** 5
 
 
@@ -50,31 +49,20 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _row(param, report, selection, ell_max):
-    """One output row: param, mean, the selected criteria, flags."""
-    return {"param": param, "mean": report.mean,
-            **report.cells(ell_max, selection),
+    """One output row, its cells encoded: param, mean, the selected
+    criteria, flags."""
+    cells = report.cells(ell_max, selection)
+    return {"param": param, "mean": _cell(report.mean),
+            **{name: _cell(value) for name, value in cells.items()},
             "flags": ";".join(report.flags)}
 
 
-def _json_cell(value):
+def _cell(value):
+    """A report value as printed: the float, UNDEF for NaN, DEGENERATE for
+    a DegenerateA3."""
     if isinstance(value, DegenerateA3):
         return DEGENERATE
-    if isinstance(value, int):
-        return value
-    value = float(value)
-    if math.isnan(value):
-        return UNDEF
-    return value
-
-
-def _render(value):
-    """Full round-trip decimal rendering; tokens for undefined/degenerate."""
-    if type(value) is float:  # nearly every cell
-        return UNDEF if math.isnan(value) else repr(value)
-    if isinstance(value, str):
-        return value
-    cell = _json_cell(value)
-    return cell if isinstance(cell, str) else repr(cell)
+    return UNDEF if math.isnan(value) else value
 
 
 def _mod_dict(mod):
@@ -82,12 +70,11 @@ def _mod_dict(mod):
 
 
 def _csv_table(rows):
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(rows[0])
-    for row in rows:
-        writer.writerow([_render(value) for value in row.values()])
-    return buf.getvalue()
+    # no column name, flag token, float repr or token holds a comma, a
+    # quote or a newline, so no cell needs quoting; str(float) is its repr
+    lines = [",".join(rows[0]) + "\n"]
+    lines += [",".join(map(str, row.values())) + "\n" for row in rows]
+    return "".join(lines)
 
 
 def _claim_out(path):
@@ -156,10 +143,10 @@ def cmd_criteria(family, param, mod, ell_max, selection, fmt, policy,
         "policy": policy._asdict(),
         "cutoff": dist.cutoff,
         "tail_bound": dist.tail_bound,
-        "mean": _json_cell(report.mean),
+        "mean": _cell(report.mean),
     }
     for key, value in report.cells(ell_max, selection).items():
-        doc[key] = _json_cell(value)
+        doc[key] = _cell(value)
     if isinstance(report.a3, DegenerateA3):
         doc["A3_detail"] = report.a3._asdict()
     doc["flags"] = list(report.flags)
@@ -171,17 +158,20 @@ def cmd_criteria(family, param, mod, ell_max, selection, fmt, policy,
 
 def cmd_sweep(family, grid, mod, ell_max, selection, fmt, policy,
               out_path=None):
-    reports = []
+    rows = []
+    defined = inaccurate = False  # some row is defined; some row failed
     for param in grid:
         # a state or a moment beyond reach flags its row, not the sweep
         try:
-            dist = build_state(family, param, policy)
-            reports.append(evaluate_all(dist, mod, ell_max))
+            report = evaluate_all(build_state(family, param, policy), mod,
+                                  ell_max)
         except AccuracyError:
-            reports.append(CriteriaReport(math.nan, math.nan,
-                                          flags=("accuracy_failure",)))
-    rows = [_row(param, report, selection, ell_max)
-            for param, report in zip(grid, reports)]
+            report = CriteriaReport(math.nan, math.nan,
+                                    flags=("accuracy_failure",))
+            inaccurate = True
+        else:
+            defined = defined or not report.undefined
+        rows.append(_row(param, report, selection, ell_max))
     if fmt == "json":
         doc = {
             "tool": "photonstat",
@@ -196,16 +186,14 @@ def cmd_sweep(family, grid, mod, ell_max, selection, fmt, policy,
                 "format": fmt,
                 "policy": policy._asdict(),
             },
-            "rows": [{k: v if k == "flags" else _json_cell(v)
-                      for k, v in row.items()} for row in rows],
+            "rows": rows,
         }
         _emit(doc, out_path)
     else:
         _emit(_csv_table(rows), out_path)
-    inaccurate = ["accuracy_failure" in r.flags for r in reports]
-    if all(r.undefined or bad for r, bad in zip(reports, inaccurate)):
-        return 3 if any(inaccurate) else 2
-    return 0
+    if defined:
+        return 0
+    return 3 if inaccurate else 2
 
 
 # --------------------------------------------------------------- selfcheck

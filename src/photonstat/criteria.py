@@ -152,8 +152,6 @@ def _mean_tables(lam, top):
 
 def _poisson_entry(lam, row, order):
     # O_order(lam) from the row of lam
-    if not lam >= 0:  # a mean read off moments given by hand
-        raise ValueError("lam must be nonnegative")
     if order >= len(row):
         raise AccuracyError(f"Poisson reference moment O_{len(row)}({lam!r}) "
                             "exceeds the float64 range")
@@ -182,7 +180,10 @@ def poisson_central_moment(lam, order):
 def _central_expansion(mean, seq, order, quantity):
     """(sum_j C(order,j) (-mean)^(order-j) seq_j, O_order(mean)) for a
     nonzero float mean: the central-moment expansion over seq and its
-    Poisson reference, from the tables of mean up to seq's top order."""
+    Poisson reference, from the tables of mean up to seq's top order.
+    ValueError, before any table is read, for a negative or NaN mean."""
+    if not mean >= 0:  # a mean read off moments given by hand
+        raise ValueError("mean must be nonnegative")
     _refuse_past_cap(order)
     powers, row = _mean_tables(mean, min(len(seq) - 1, _TOP_ORDER))
     total = checked_fsum(

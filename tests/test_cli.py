@@ -403,6 +403,27 @@ def test_unwritable_out_fails_before_any_work(tmp_path, monkeypatch, capsys):
                                     "directory\n")
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv", [
+    ("criteria", "--family", "fock", "--param", "2"),
+    ("sweep", "--family", "fock", "--param", "2"),
+    ("selfcheck", "--families", "fock"),
+], ids=["criteria", "sweep", "selfcheck"])
+def test_out_that_fails_while_written_exits_1_with_one_line(capsys, argv):
+    # /dev/full opens, and every write to it fails: the run has done its
+    # work, and only what it prints to stdout besides the document stays
+    _, full_out, _ = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv, "--out", "/dev/full")
+    assert code == 1
+    assert err == "photonstat: error: cannot write /dev/full: No space " \
+                  "left on device\n"
+    if argv[0] == "selfcheck":
+        assert full_out.endswith("\nselfcheck PASS\n")
+        assert out == full_out[:-len("selfcheck PASS\n")]
+    else:
+        assert out == ""
+
+
 @pytest.mark.parametrize("argv,status", [
     (("criteria", "--family", "fock", "--param", "1", "--ell-max", "0"), 1),
     (("criteria", "--family", "fock", "--param", "0", "--subtract", "1"), 2),
@@ -485,7 +506,7 @@ def test_cli_import_loads_only_what_commands_use():
     loaded = set(result.stdout.split())
     assert "photonstat.criteria" in loaded
     assert not loaded & {"numpy", "dataclasses", "inspect", "fractions",
-                         "decimal", "json", "photonstat.oracle"}
+                         "decimal", "json", "csv", "photonstat.oracle"}
     selfcheck = subprocess.run([sys.executable, "-m", "photonstat",
                                 "selfcheck"], capture_output=True, text=True,
                                timeout=120)
@@ -744,6 +765,25 @@ def test_sweep_all_rows_failing_is_nonzero(capsys):
     assert code == 3
     rows = list(csv.DictReader(io.StringIO(out)))
     assert all(row["flags"] == "accuracy_failure" for row in rows)
+
+
+@pytest.mark.parametrize("params,status", [
+    (("0", "1e-300"), 3),  # undefined, then an accuracy failure
+    (("0",), 2),           # every row undefined
+    (("0", "1"), 0),
+    (("1e-300",), 3),
+    (("1", "1e-300"), 0),
+], ids=["undefined-inaccurate", "undefined", "undefined-defined",
+        "inaccurate", "defined-inaccurate"])
+def test_sweep_exit_status_needs_one_defined_row(capsys, params, status):
+    # 0 if any row is defined, else 3 if any row failed, else 2
+    argv = ["sweep", "--family", "coherent", "--subtract", "2",
+            "--criteria", "Q"]
+    for param in params:
+        argv += ["--param", param]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, err) == (status, "")
+    assert len(out.splitlines()) == 1 + len(params)
 
 
 def test_sweep_json_mirrors_csv(capsys):

@@ -221,6 +221,25 @@ def test_short_moment_sequences_are_refused_by_one_rule(call, message):
         call()
 
 
+@pytest.mark.parametrize("q_ell", [q_ell_normal, q_ell_central],
+                         ids=["normal", "central"])
+def test_q_ell_order_must_be_positive(q_ell):
+    with pytest.raises(ValueError, match="^ell must be positive$"):
+        q_ell(_M4, 0)
+
+
+@pytest.mark.parametrize("mean", [-1.0, math.nan], ids=["negative", "nan"])
+@pytest.mark.parametrize("q_ell", [q_ell_normal, q_ell_central],
+                         ids=["normal", "central"])
+def test_a_negative_or_nan_mean_is_refused_before_any_table(q_ell, mean):
+    # moments given by hand: the error names the mean, and no Poisson
+    # table of it is built
+    misses = criteria._mean_tables.cache_info().misses
+    with pytest.raises(ValueError, match="^mean must be nonnegative$"):
+        q_ell([1.0, mean, 5.0, 0.0, 0.0], 1)
+    assert criteria._mean_tables.cache_info().misses == misses
+
+
 # --------------------------------------------------- poisson central moments
 
 def test_poisson_central_moment_variance():

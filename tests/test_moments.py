@@ -417,6 +417,31 @@ def test_paper_reordering_identity_matches_positive_form(ladders, family,
             assert paper == positive, (m, x)
 
 
+_ZERO_LADDER = normal_ladder(NumberDistribution([0.0, 0.0]), 5)
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: normal_ladder(build_state("fock", 2), -1), ValueError,
+     "ladder order must be nonnegative"),
+    (lambda: antinormal_ladder(build_state("fock", 2), -1), ValueError,
+     "ladder order must be nonnegative"),
+    (lambda: modified_moment_sequence(build_state("fock", 2),
+                                      StateModification.subtract(1), -1),
+     ValueError, "x_max must be nonnegative"),
+    (lambda: modified_moment_sequence(_ZERO_LADDER,
+                                      StateModification.add(1), 2),
+     UndefinedStateError, r"the base state has zero norm \(N_0 = 0\)"),
+], ids=["normal-order", "antinormal-order", "x-max", "zero-ladder-added"])
+def test_input_checks_raise_their_own_message(call, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        call()
+
+
+def test_zero_ladder_added_to_gives_an_undefined_report():
+    report = evaluate_all(_ZERO_LADDER, StateModification.add(1), 2)
+    assert report.flags == ("undefined_state",)
+
+
 def test_added_state_of_a_zero_distribution_is_undefined():
     with pytest.raises(UndefinedStateError, match="zero norm"):
         modified_moment_sequence(NumberDistribution([0.0, 0.0]),

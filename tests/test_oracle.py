@@ -34,6 +34,16 @@ from photonstat.oracle import DEFAULT_TOL
 
 # --------------------------------------------------------------- subtract
 
+@pytest.mark.parametrize("call,message", [
+    (lambda: oracle_subtract(build_state("fock", 2), -1),
+     "n must be nonnegative"),
+    (lambda: oracle_add(build_state("fock", 2), -1), "m must be nonnegative"),
+], ids=["subtract", "add"])
+def test_negative_counts_are_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 def test_subtract_fock_lands_on_lower_fock():
     res = oracle_subtract(build_state("fock", 2), 1)
     np.testing.assert_array_equal(res.dist.probs, [0.0, 1.0])
