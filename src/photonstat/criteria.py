@@ -24,11 +24,11 @@ from functools import lru_cache
 from operator import mul
 
 from .exceptions import AccuracyError, UndefinedStateError
-from .kernels import checked_fsum, exact_fsum
+from .kernels import checked, checked_fsum, exact_fsum
 from .moments import StateModification, modified_moment_sequence
 
-# |det(mu) - det(m)| below this fraction of the largest cofactor product
-# means the A3 denominator carries no significant digits
+# |det(mu) - det(m)| at most this fraction of the largest first-row
+# cofactor term means the A3 denominator carries no significant digits
 DET_DEGENERACY_TOL = 1e-10
 
 
@@ -99,11 +99,11 @@ def mandel_q(m1, m2):
     """Mandel Q = (m_2 - m_1^2)/m_1; NaN when the mean vanishes.
 
     Negative values indicate sub-Poissonian statistics; -1 is the Fock
-    floor, 0 the Poissonian boundary.
+    floor, 0 the Poissonian boundary.  AccuracyError beyond float64.
     """
     if m1 == 0.0:
         return math.nan
-    return (m2 - m1 * m1) / m1
+    return checked((m2 - m1 * m1) / m1, "Mandel Q")
 
 
 def _need(seq, order, kind="factorial"):
@@ -116,11 +116,16 @@ def lee_dh(m, ell):
     """Lee function d_h^(ell-1) = m_ell - m_1^ell for ell >= 2.
 
     Negative values witness higher-order sub-Poissonian statistics.
+    AccuracyError when m_1^ell or the difference leaves float64.
     """
     if ell < 2:
         raise ValueError("ell must be at least 2")
     _need(m, ell)
-    return float(m[ell] - float(m[1]) ** ell)
+    try:
+        dh = float(m[ell] - float(m[1]) ** ell)
+    except OverflowError:  # m_1^ell beyond float64
+        dh = math.inf
+    return checked(dh, "Lee function dh{}", ell - 1)
 
 
 # a report reads one entry; a run of rising orders in
@@ -198,7 +203,7 @@ def q_ell_normal(m, ell):
 
     <:(Delta n)^(2l):> / O_2l(m_1), with the numerator expanded over
     factorial moments: sum_j C(2l,j) (-m_1)^(2l-j) m_j.  Equals mandel_q
-    at l = 1; NaN when the mean vanishes.
+    at l = 1; NaN when the mean vanishes; AccuracyError beyond float64.
     """
     if ell < 1:
         raise ValueError("ell must be positive")
@@ -208,7 +213,7 @@ def q_ell_normal(m, ell):
         return math.nan
     num, o2l = _central_expansion(
         m1, m, 2 * ell, "normally ordered central moment of order {}")
-    return num / o2l
+    return checked(num / o2l, "Q{}_normal", ell)
 
 
 def q_ell_central(mu, ell):
@@ -216,7 +221,7 @@ def q_ell_central(mu, ell):
 
     (<(Delta n)^(2l)> - O_2l(mu_1)) / O_2l(mu_1), the central moment
     expanded from raw moments.  Equals mandel_q at l = 1; NaN when the
-    mean vanishes.
+    mean vanishes; AccuracyError beyond float64.
     """
     if ell < 1:
         raise ValueError("ell must be positive")
@@ -226,7 +231,7 @@ def q_ell_central(mu, ell):
         return math.nan
     central, o2l = _central_expansion(mu1, mu, 2 * ell,
                                       "central moment of order {}")
-    return (central - o2l) / o2l
+    return checked((central - o2l) / o2l, "Q{}_central", ell)
 
 
 class DegenerateA3(namedtuple("DegenerateA3", "det_m det_mu")):
@@ -235,32 +240,16 @@ class DegenerateA3(namedtuple("DegenerateA3", "det_m det_mu")):
     __slots__ = ()
 
 
-def _det3(a):
-    # fully expanded cofactor form, exactly rounded over the 6 products
-    return checked_fsum((
-        a[0][0] * a[1][1] * a[2][2],
-        -a[0][0] * a[1][2] * a[2][1],
-        -a[0][1] * a[1][0] * a[2][2],
-        a[0][1] * a[1][2] * a[2][0],
-        a[0][2] * a[1][0] * a[2][1],
-        -a[0][2] * a[1][1] * a[2][0],
-    ), "A3 moment determinant")
-
-
-def _cofactor_scale(a):
-    # largest first-row entry times its 2x2 minor, in magnitude
-    minors = (
-        a[1][1] * a[2][2] - a[1][2] * a[2][1],
-        a[1][0] * a[2][2] - a[1][2] * a[2][0],
-        a[1][0] * a[2][1] - a[1][1] * a[2][0],
-    )
-    return max(abs(a[0][j] * minors[j]) for j in range(3))
-
-
-def _hankel3(seq):
-    return [[float(seq[0]), float(seq[1]), float(seq[2])],
-            [float(seq[1]), float(seq[2]), float(seq[3])],
-            [float(seq[2]), float(seq[3]), float(seq[4])]]
+def _hankel_det3(seq):
+    """(det, scale) of the 3x3 Hankel matrix of seq_0..seq_4: det is
+    exactly rounded over its six cofactor products, and scale is the
+    largest first-row cofactor term |seq_j C_0j|, j = 0..2, each the sum
+    of two of those products."""
+    s0, s1, s2, s3, s4 = map(float, seq[:5])
+    p = (s0 * s2 * s4, -s0 * s3 * s3, -s1 * s1 * s4,
+         s1 * s3 * s2, s2 * s1 * s3, -s2 * s2 * s2)
+    det = checked_fsum(p, "A3 moment determinant")
+    return det, max(abs(p[0] + p[1]), abs(p[2] + p[3]), abs(p[4] + p[5]))
 
 
 def agarwal_tara(m, mu):
@@ -268,19 +257,17 @@ def agarwal_tara(m, mu):
 
     m3 and mu3 are the 3x3 Hankel matrices of factorial and raw moments of
     orders 0..4.  A3 < 0 witnesses nonclassicality.  When the denominator
-    is smaller than DET_DEGENERACY_TOL times the largest cofactor product,
-    the ratio is meaningless and a DegenerateA3 marker carrying both
-    determinants is returned.
+    is at most DET_DEGENERACY_TOL times the largest first-row cofactor
+    term of either matrix, the ratio is meaningless and a DegenerateA3
+    marker carrying both determinants is returned.  AccuracyError when
+    the denominator leaves float64.
     """
     _need(m, 4)
     _need(mu, 4, "raw")
-    mat_m = _hankel3(m)
-    mat_mu = _hankel3(mu)
-    det_m = _det3(mat_m)
-    det_mu = _det3(mat_mu)
-    denom = det_mu - det_m
-    scale = max(_cofactor_scale(mat_m), _cofactor_scale(mat_mu))
-    if abs(denom) <= DET_DEGENERACY_TOL * scale:
+    det_m, scale_m = _hankel_det3(m)
+    det_mu, scale_mu = _hankel_det3(mu)
+    denom = checked(det_mu - det_m, "A3 denominator")
+    if abs(denom) <= DET_DEGENERACY_TOL * max(scale_m, scale_mu):
         return DegenerateA3(det_m=det_m, det_mu=det_mu)
     return det_m / denom
 

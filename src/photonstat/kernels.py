@@ -1,7 +1,7 @@
 """Float64 sums: the ladder kernel, the two guarded sums every other
-module adds through, and the overflow proof that settles a sum before it
-is formed.  No sum returns inf or NaN: one that leaves float64 raises
-AccuracyError."""
+module adds through, the finiteness check they share, and the overflow
+proof that settles a sum before it is formed.  No sum returns inf or NaN:
+one that leaves float64 raises AccuracyError."""
 
 import math
 import sys
@@ -32,8 +32,14 @@ def checked_fsum(terms, quantity, *args):
         total = math.fsum(terms)
     except (OverflowError, ValueError):  # a sum beyond DBL_MAX, or inf - inf
         total = math.inf
-    if math.isfinite(total):
-        return total
+    return checked(total, quantity, *args)
+
+
+def checked(value, quantity, *args):
+    """value if it is finite, else AccuracyError naming
+    quantity.format(*args)."""
+    if math.isfinite(value):
+        return value
     raise AccuracyError(quantity.format(*args) + " exceeds the float64 range")
 
 

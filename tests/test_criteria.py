@@ -31,7 +31,7 @@ from photonstat import (
     q_ell_normal,
 )
 from photonstat import criteria
-from photonstat.criteria import _det3, _hankel3
+from photonstat.criteria import DET_DEGENERACY_TOL, _hankel_det3
 from photonstat.moments import ladder_sums_exact
 
 from helpers import limit_address_space, q_added_ref, q_subtracted_ref
@@ -240,6 +240,41 @@ def test_a_negative_or_nan_mean_is_refused_before_any_table(q_ell, mean):
     assert criteria._mean_tables.cache_info().misses == misses
 
 
+def test_a_criterion_beyond_float64_raises_accuracy_error():
+    # finite moments from 1e-320 to 1e307, some zero: each criterion
+    # returns a finite float, NaN for a zero mean, a DegenerateA3, or
+    # raises ValueError or AccuracyError; never inf or a builtin error
+    rng = random.Random(30)
+
+    def moments():
+        return [1.0] + [0.0 if rng.random() < 0.05
+                        else 10.0 ** rng.uniform(-320, 307)
+                        for _ in range(8)]
+
+    for _ in range(300):
+        m, mu = moments(), moments()
+        calls = [(mandel_q, (m[1], m[2]), m[1]),
+                 (agarwal_tara, (m, mu), None)]
+        calls += [(lee_dh, (m, ell), None) for ell in range(2, 9)]
+        calls += [(q_ell, (seq, ell), seq[1]) for ell in range(1, 5)
+                  for q_ell, seq in ((q_ell_normal, m), (q_ell_central, mu))]
+        for criterion, args, mean in calls:
+            try:
+                value = criterion(*args)
+            except (ValueError, AccuracyError):
+                continue
+            if isinstance(value, DegenerateA3):
+                assert criterion is agarwal_tara
+            elif mean == 0.0 and math.isnan(value):
+                assert criterion is not lee_dh
+            else:
+                assert math.isfinite(value), (criterion.__name__, args)
+    # det(m) = 1.25e308 and det(mu) = -1.25e308: the determinants are in
+    # range, their difference is not
+    with pytest.raises(AccuracyError, match="^A3 denominator exceeds"):
+        agarwal_tara([1.0, 0.0, -5e102, 0.0, 0.0], [1.0, 0.0, 5e102, 0.0, 0.0])
+
+
 # --------------------------------------------------- poisson central moments
 
 def test_poisson_central_moment_variance():
@@ -332,8 +367,8 @@ def test_a3_coherent_is_zero():
 def test_a3_fock2():
     # hand-expanded determinants: det m3 = -8, det mu3 = 0
     m = [1.0, 2.0, 2.0, 0.0, 0.0]
-    assert _det3(_hankel3(m)) == -8.0
-    assert _det3(_hankel3(mu_from_m(m))) == 0.0
+    assert _hankel_det3(m)[0] == -8.0
+    assert _hankel_det3(mu_from_m(m))[0] == 0.0
     assert agarwal_tara(m, mu_from_m(m)) == -1.0
 
 
@@ -352,21 +387,44 @@ def test_a3_thermal_value():
     assert value >= 0.0
 
 
+@pytest.mark.parametrize("factor,degenerate", [(0.9, True), (1.1, False)],
+                         ids=["below", "above"])
+def test_a3_degeneracy_threshold(factor, degenerate):
+    # mu differs from m in its last entry alone, so det(mu) - det(m) =
+    # delta (m0 m2 - m1^2) = delta.  The largest first-row cofactor term of
+    # either matrix is m2 (m1 m3 - m2^2) = -2 (the others are 1.5 and 0.75,
+    # moved by 2 delta at most), so the threshold is 2 DET_DEGENERACY_TOL.
+    m = [1.0, 1.0, 2.0, 3.0, 5.25]
+    delta = factor * DET_DEGENERACY_TOL * 2.0
+    mu = m[:4] + [m[4] + delta]
+    value = agarwal_tara(m, mu)
+    if degenerate:
+        assert isinstance(value, DegenerateA3)
+        assert value == (0.25, mu[4] - 5.0)
+    else:
+        assert not isinstance(value, DegenerateA3)
+        assert math.isclose(value, 0.25 / delta, rel_tol=1e-5)
+
+
 def test_det3_matches_elimination_routine():
     rng = np.random.default_rng(7)
     for dist in (build_state("thermal", 1.5), build_state("coherent", 2.5),
                  build_state("squeezed", 0.8)):
         m = list(normal_ladder(dist, 4).values)
         for seq in (m, list(mu_from_m(m))):
-            mat = _hankel3(seq)
-            ours = _det3(mat)
-            lu = float(np.linalg.det(np.array(mat)))
-            assert math.isclose(ours, lu, rel_tol=1e-12, abs_tol=1e-12)
-    # and on generic well-conditioned matrices
+            lu = float(np.linalg.det(_hankel(seq)))
+            assert math.isclose(_hankel_det3(seq)[0], lu, rel_tol=1e-12,
+                                abs_tol=1e-12)
+    # and on generic well-conditioned Hankel matrices
     for _ in range(25):
-        mat = rng.uniform(-3, 3, size=(3, 3))
-        assert math.isclose(_det3(mat.tolist()), float(np.linalg.det(mat)),
+        seq = rng.uniform(-3, 3, size=5).tolist()
+        assert math.isclose(_hankel_det3(seq)[0],
+                            float(np.linalg.det(_hankel(seq))),
                             rel_tol=1e-10, abs_tol=1e-12)
+
+
+def _hankel(seq):
+    return np.array([seq[i:i + 3] for i in range(3)], dtype=float)
 
 
 # ------------------------------------------------------------ evaluate_all
