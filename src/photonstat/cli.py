@@ -34,6 +34,11 @@ from .states import (
 UNDEF = "UNDEF"
 DEGENERATE = "DEGENERATE"
 
+# the keys _resolved reads from a config file, each named as its flag's
+# dest
+CONFIG_KEYS = ("ell_max", "criteria", "format", "tol",
+               *DEFAULT_POLICY._fields)
+
 # longest --param-range grid: a sweep keeps every row until it writes
 # them, so its memory grows with the grid; 10**5 default Fock rows peak
 # at 91 MB of the process's RSS as CSV and 348 MB as JSON
@@ -270,6 +275,11 @@ def _load_config(path):
         raise ValueError(f"cannot read config file {path}: {exc}") from None
     if not isinstance(config, dict):
         raise ValueError(f"config file {path} must hold a JSON object")
+    for key in config:
+        # a key no command reads is a typo, not a default; a key that only
+        # another command reads is kept, so one file serves every command
+        if key not in CONFIG_KEYS:
+            raise ValueError(f"config file {path}: unknown key {key!r}")
     return config
 
 

@@ -182,11 +182,19 @@ def poisson_central_moment(lam, order):
     return _poisson_entry(lam, _mean_tables(lam, top)[1], order)
 
 
-def _central_expansion(mean, seq, order, quantity):
-    """(sum_j C(order,j) (-mean)^(order-j) seq_j, O_order(mean)) for a
-    nonzero float mean: the central-moment expansion over seq and its
-    Poisson reference, from the tables of mean up to seq's top order.
-    ValueError, before any table is read, for a negative or NaN mean."""
+def _q_ell(seq, ell, central):
+    """Both forms of Q^(l): over raw moments seq if central, else over
+    factorial ones, sum_j C(2l,j) (-seq_1)^(2l-j) seq_j / O_2l(seq_1),
+    less 1 in the central form, from the tables of seq_1 up to seq's top
+    order.  ValueError, before any table is read, for a negative or NaN
+    mean."""
+    if ell < 1:
+        raise ValueError("ell must be positive")
+    order = 2 * ell
+    _need(seq, order, "raw" if central else "factorial")
+    mean = float(seq[1])
+    if mean == 0.0:
+        return math.nan
     if not mean >= 0:  # a mean read off moments given by hand
         raise ValueError("mean must be nonnegative")
     _refuse_past_cap(order)
@@ -194,8 +202,12 @@ def _central_expansion(mean, seq, order, quantity):
     total = checked_fsum(
         map(mul, map(mul, _binomial_row(order), powers[order::-1]),
             map(float, seq)),
-        quantity, order)
-    return total, _poisson_entry(mean, row, order)
+        "central moment of order {}" if central
+        else "normally ordered central moment of order {}", order)
+    o2l = _poisson_entry(mean, row, order)
+    if central:
+        return checked((total - o2l) / o2l, "Q{}_central", ell)
+    return checked(total / o2l, "Q{}_normal", ell)
 
 
 def q_ell_normal(m, ell):
@@ -205,15 +217,7 @@ def q_ell_normal(m, ell):
     factorial moments: sum_j C(2l,j) (-m_1)^(2l-j) m_j.  Equals mandel_q
     at l = 1; NaN when the mean vanishes; AccuracyError beyond float64.
     """
-    if ell < 1:
-        raise ValueError("ell must be positive")
-    _need(m, 2 * ell)
-    m1 = float(m[1])
-    if m1 == 0.0:
-        return math.nan
-    num, o2l = _central_expansion(
-        m1, m, 2 * ell, "normally ordered central moment of order {}")
-    return checked(num / o2l, "Q{}_normal", ell)
+    return _q_ell(m, ell, central=False)
 
 
 def q_ell_central(mu, ell):
@@ -223,15 +227,7 @@ def q_ell_central(mu, ell):
     expanded from raw moments.  Equals mandel_q at l = 1; NaN when the
     mean vanishes; AccuracyError beyond float64.
     """
-    if ell < 1:
-        raise ValueError("ell must be positive")
-    _need(mu, 2 * ell, "raw")
-    mu1 = float(mu[1])
-    if mu1 == 0.0:
-        return math.nan
-    central, o2l = _central_expansion(mu1, mu, 2 * ell,
-                                      "central moment of order {}")
-    return checked((central - o2l) / o2l, "Q{}_central", ell)
+    return _q_ell(mu, ell, central=True)
 
 
 class DegenerateA3(namedtuple("DegenerateA3", "det_m det_mu")):

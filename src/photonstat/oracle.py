@@ -11,6 +11,9 @@ checked at: ``moments.check_ladder_order`` refuses it.
 
 ``equivalence_suite`` drives both paths over a grid of base states and
 modifications and reports every cell; it is the package's self-check.
+Since both paths call the same criterion functions, it also checks the
+shortcut's criteria against the closed forms of the paper's fixed points
+wherever the modified state has one.
 """
 
 import math
@@ -19,6 +22,7 @@ from itertools import compress, repeat
 from operator import add, mul, truediv
 
 from .criteria import (
+    CriteriaReport,
     DegenerateA3,
     criteria_from_moments,
     evaluate_all,
@@ -166,7 +170,9 @@ class EquivalenceCell(namedtuple(
         "EquivalenceCell",
         "family param mod quantity shortcut oracle rel_dev tol")):
     """One compared quantity.  mod is a tag such as "subtract2" or "add1";
-    quantity is "m0".."m4", "Q", "Q2_normal", "dh1", "A3" or "undefined"."""
+    quantity is "m0".."m4", "Q", "Q2_normal", "dh1", "A3" or "undefined",
+    or a criterion with "_exact" appended for an anchor cell, whose oracle
+    is the closed form of a fixed point."""
 
     __slots__ = ()
 
@@ -233,6 +239,59 @@ def _as_float(value):
     return float(value)
 
 
+def _poisson_central_exact(lam, order):
+    """O_order(lam) = <(n - lam)^order> of a Poisson distribution at an
+    integer mean, exactly: the binomial expansion over Touchard's raw
+    moments T_r(lam) = sum_i S(r,i) lam^i, each S(r,i) by its explicit
+    formula, so no table or recurrence of the shortcut is read."""
+    def touchard(r):
+        return sum(sum((-1) ** (i - j) * math.comb(i, j) * j ** r
+                       for j in range(i + 1)) // math.factorial(i) * lam ** i
+                   for i in range(r + 1))
+    return sum(math.comb(order, r) * (-lam) ** (order - r) * touchard(r)
+               for r in range(order + 1))
+
+
+def _fixed_points(family, param, mod, ell_max):
+    """{column: exact value} for the report cells that the paper's fixed
+    points give in closed form, in column order; {} where none does.
+
+    * Every modification of a Fock state is a number state |k>, k >= 1:
+      Q = -1, Q^(l)_central = -1, d_h = (k)_{h+1} - k^(h+1), Q^(l)_normal
+      = sum_j C(2l,j) (-k)^(2l-j) (k)_j / O_2l(k) as one int / int, and
+      for k >= 2, A3 = -1, the raw Hankel matrix of k^j having rank one.
+    * Subtracting photons leaves a coherent state coherent: every
+      criterion is 0.
+    * Subtracting photons leaves a thermal state at Q = nbar.
+    """
+    ells = range(1, ell_max + 1)
+    subtract = mod.kind is ModKind.SUBTRACT
+    if family == "coherent" and subtract:
+        zeros = dict.fromkeys(ells, 0.0)
+        report = CriteriaReport(param, 0.0, zeros, zeros, zeros, 0.0)
+    elif family == "thermal" and subtract:
+        report = CriteriaReport(param, float(param))
+    elif family == "fock":
+        k = int(param) - mod.count if subtract else int(param) + mod.count
+        if k < 1:
+            return {}
+        normal = {}
+        for ell in ells:
+            order = 2 * ell
+            normal[ell] = sum(
+                math.comb(order, j) * (-k) ** (order - j) * math.perm(k, j)
+                for j in range(order + 1)) / _poisson_central_exact(k, order)
+        report = CriteriaReport(
+            k, -1.0, normal, dict.fromkeys(ells, -1.0),
+            {h: float(math.perm(k, h + 1) - k ** (h + 1)) for h in ells},
+            -1.0 if k >= 2 else math.nan)
+    else:
+        return {}
+    # entries no fixed point gives are NaN
+    return {key: value for key, value in report.cells(ell_max).items()
+            if not math.isnan(value)}
+
+
 def checked_tol(tol):
     """tol as equivalence_suite takes it: a finite nonnegative number (0
     asks for exact agreement).  Raises ValueError otherwise."""
@@ -246,9 +305,11 @@ def equivalence_suite(states=DEFAULT_SUITE_STATES, tol=DEFAULT_TOL):
 
     For every base state and each of subtract 0..3 and add 1..4, the
     factorial moments m_0..m_4 and every criterion up to order l = 2 are
-    computed along both routes.  Cells record the relative deviation; a
-    cell fails when it exceeds tol.  Raises ValueError, before any state
-    is built, for a tol checked_tol refuses or an empty states.
+    computed along both routes, and each criterion that _fixed_points
+    gives is compared with that closed form in an anchor cell.  Cells
+    record the relative deviation; a cell fails when it exceeds tol.
+    Raises ValueError, before any state is built, for a tol checked_tol
+    refuses or an empty states.
     """
     tol = checked_tol(tol)
     states = tuple(states)
@@ -286,9 +347,15 @@ def equivalence_suite(states=DEFAULT_SUITE_STATES, tol=DEFAULT_TOL):
             theirs = criteria_from_moments(
                 ref.moments, direct_power_moments(ref.dist, x_max),
                 ell_max).cells(ell_max)
-            for key, a in report.cells(ell_max).items():
+            ours = report.cells(ell_max)
+            for key, a in ours.items():
                 b = theirs[key]
                 cells.append(EquivalenceCell(
                     family, param, tag, key, _as_float(a), _as_float(b),
+                    _criterion_dev(a, b), tol))
+            for key, b in _fixed_points(family, param, mod, ell_max).items():
+                a = ours[key]
+                cells.append(EquivalenceCell(
+                    family, param, tag, f"{key}_exact", _as_float(a), b,
                     _criterion_dev(a, b), tol))
     return EquivalenceReport(cells)

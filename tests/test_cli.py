@@ -33,7 +33,7 @@ from photonstat.criteria import (
     evaluate_all,
     moment_order,
 )
-from photonstat.states import FAMILIES, build_state
+from photonstat.states import DEFAULT_POLICY, FAMILIES, build_state
 
 from helpers import limit_address_space
 
@@ -1076,6 +1076,40 @@ def test_config_file_must_be_json_object(tmp_path, capsys):
     code, _, _ = run_cli(capsys, "criteria", "--family", "thermal",
                          "--param", "1", "--config", str(config))
     assert code == 1
+
+
+@pytest.mark.parametrize("argv,config,key", [
+    (("criteria", "--family", "thermal", "--param", "1"), {"ell_maxx": 5},
+     "ell_maxx"),
+    (("criteria", "--family", "thermal", "--param", "1"),
+     {"ell_max": 1, "family": "fock"}, "family"),
+    (("sweep", "--family", "thermal", "--param", "1"),
+     {"param_range": "0:1:0.5"}, "param_range"),
+    (("selfcheck",), {"tol": 1e-9, "families": "fock"}, "families"),
+], ids=["typo", "criteria-family", "sweep-param-range",
+        "selfcheck-families"])
+def test_config_key_no_command_reads_is_refused(tmp_path, capsys, argv,
+                                                config, key):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    code, out, err = run_cli(capsys, *argv, "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err == f"photonstat: error: config file {path}: unknown key " \
+                  f"{key!r}\n"
+
+
+def test_one_config_file_serves_every_command(tmp_path, capsys):
+    # a key that only another command reads is no error
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"ell_max": 1, "criteria": "Q",
+                                "format": "csv", "tol": 1e-9,
+                                **DEFAULT_POLICY._asdict()}),
+                    encoding="utf-8")
+    for argv in (("criteria", "--family", "thermal", "--param", "1"),
+                 ("sweep", "--family", "thermal", "--param", "1"),
+                 ("selfcheck", "--families", "fock")):
+        code, _, err = run_cli(capsys, *argv, "--config", str(path))
+        assert (code, err) == (0, ""), argv
 
 
 _HUGE = str(10 ** 26)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from photonstat import moments, oracle
+from photonstat import criteria, moments, oracle
 from photonstat import (
     DEFAULT_SUITE_STATES,
     FAMILIES,
@@ -440,6 +440,74 @@ def test_suite_report_text_has_one_record_per_cell():
     assert len(lines) == 2 + len(report.cells)
     assert "PASS" in lines[1]
     assert all("rel_dev" in line for line in lines[2:])
+
+
+# ----------------------------------------------------------- fixed points
+
+def test_fixed_points_are_the_closed_forms():
+    add1 = StateModification.add(1)
+    # |2> plus one photon is |3>: <:(dn)^4:> = 3k(k-2) = 9 over
+    # O_4(3) = k(1+3k) = 30, and d_h = (3)_{h+1} - 3^(h+1)
+    assert oracle._fixed_points("fock", 2, add1, 2) == {
+        "Q": -1.0, "Q1_normal": -1.0, "Q2_normal": 0.3, "Q1_central": -1.0,
+        "Q2_central": -1.0, "dh1": -3.0, "dh2": -21.0, "A3": -1.0}
+    # |1> has a 0/0 A3, and |0> a vanishing mean
+    assert oracle._fixed_points("fock", 3, StateModification.subtract(2),
+                                1) == {"Q": -1.0, "Q1_normal": -1.0,
+                                       "Q1_central": -1.0, "dh1": -1.0}
+    assert oracle._fixed_points("fock", 3, StateModification.subtract(3),
+                                1) == {}
+    assert oracle._fixed_points(
+        "coherent", 2.0, StateModification.subtract(1), 1) == dict.fromkeys(
+            ("Q", "Q1_normal", "Q1_central", "dh1", "A3"), 0.0)
+    assert oracle._fixed_points(
+        "thermal", 0.5, StateModification.subtract(3), 2) == {"Q": 0.5}
+    for family in ("coherent", "thermal", "squeezed"):
+        assert oracle._fixed_points(family, 1.0, add1, 2) == {}
+    # O_2, O_4 and O_6 of a Poisson distribution at mean lam
+    for lam in (1, 2, 7):
+        assert [oracle._poisson_central_exact(lam, r) for r in (2, 4, 6)] \
+            == [lam, lam * (1 + 3 * lam), lam * (1 + 25 * lam + 15 * lam ** 2)]
+
+
+def test_default_suite_holds_the_fixed_point_anchors():
+    report = equivalence_suite()
+    assert report.passed, report.failures()
+    anchors = {}
+    for cell in report.cells:
+        if cell.quantity.endswith("_exact"):
+            anchors[cell.family] = anchors.get(cell.family, 0) + 1
+    # 30 modified Fock states |k>, k >= 1, of 7 or (k >= 2) 8 cells; 12
+    # subtracted coherent states of 8 and 12 subtracted thermal ones of 1
+    assert anchors == {"fock": 235, "coherent": 96, "thermal": 12}
+    assert len(report.cells) == 1623
+
+
+def _negate_q_ell_normal(monkeypatch):
+    original = criteria.q_ell_normal
+    monkeypatch.setattr(criteria, "q_ell_normal",
+                        lambda m, ell: -original(m, ell))
+
+
+def _scale_poisson_row(monkeypatch):
+    # O_r(lam) for r >= 4 times 1.001
+    original = criteria._mean_tables
+
+    def scaled(lam, top):
+        powers, row = original(lam, top)
+        return powers, tuple(value * 1.001 if r >= 4 else value
+                             for r, value in enumerate(row))
+    monkeypatch.setattr(criteria, "_mean_tables", scaled)
+
+
+@pytest.mark.parametrize("mutate", [_negate_q_ell_normal, _scale_poisson_row],
+                         ids=["q-ell-normal-sign", "poisson-row-x1.001"])
+def test_anchors_catch_an_error_both_routes_share(monkeypatch, mutate):
+    # both routes call the same criterion functions, so only the closed
+    # forms see an error in one
+    mutate(monkeypatch)
+    failures = equivalence_suite().failures()
+    assert any(c.quantity.endswith("_exact") for c in failures)
 
 
 # ------------------------------------------------------------------ fuzz
