@@ -13,7 +13,8 @@ Criteria covered:
 Every criterion reads the factorial moments of the modified state, which
 moments.modified_moment_sequence derives from the normalization ladder;
 raw photon-number moments come from them via Stirling numbers of the
-second kind, so every criterion is a function of the ladder alone.
+second kind, so every criterion is a function of the ladder alone.  Each
+is one entry of the table _CRITERIA, and _evaluate forms them all.
 Undefined values (vacuum mean) are reported as NaN plus a flag, never
 raised, so sweeps survive them.
 """
@@ -21,7 +22,8 @@ raised, so sweeps survive them.
 import math
 from collections import namedtuple
 from functools import lru_cache
-from operator import mul
+from itertools import repeat
+from operator import add, itemgetter, mul
 
 from .exceptions import AccuracyError, UndefinedStateError
 from .kernels import checked, checked_fsum, exact_fsum
@@ -38,16 +40,58 @@ DET_DEGENERACY_TOL = 1e-10
 MAX_ELL_MAX = 500
 
 
+def _q_ell_terms(ell):  # sum_j C(2l,j) (-s_1)^(2l-j) s_j: <(s - s_1)^2l>
+    return [(c, 2 * ell - j, (j,))
+            for j, c in enumerate(_binomial_row(2 * ell))]
+
+
+# One entry per criterion, in column order, which is also the order of
+# CriteriaReport's fields.  At order l >= least an entry reads
+# s_0..s_reads(l) of one moment sequence s.  Its numerator sums the term
+# rows (c, p, (i, ...)) of terms(l), each c (-s_1)^p s_i ... with integer
+# c, rows with fewer factors last.  over is its denominator: None, "m_1",
+# or the Poisson reference O_2l of the mean ("O_2l excess": less 1).  An
+# AccuracyError names the numerator or result, formatted with (l, l - 1,
+# reads(l)); column, formatted with a map key, names report columns.
+_Criterion = namedtuple("_Criterion",
+                        "column least reads terms over numerator result")
+_CRITERIA = {
+    "Q": _Criterion("Q", 1, lambda ell: 2, lambda ell: (
+        (-1, 0, (1, 1)), (1, 0, (2,))), "m_1", "Mandel Q", "Mandel Q"),
+    "Q_ell_normal": _Criterion(
+        "Q{}_normal", 1, lambda ell: 2 * ell, _q_ell_terms, "O_2l",
+        "normally ordered central moment of order {2}", "Q{0}_normal"),
+    "Q_ell_central": _Criterion(
+        "Q{}_central", 1, lambda ell: 2 * ell, _q_ell_terms, "O_2l excess",
+        "central moment of order {2}", "Q{0}_central"),
+    "d_h": _Criterion("dh{}", 2, lambda ell: ell, lambda ell: (
+        (1, 0, (ell,)), ((-1) ** (ell + 1), ell, ())),
+        None, "Lee function dh{1}", None),
+    # det of the Hankel matrix of s_0..s_4; a row pair per s_j C_0j
+    "A3": _Criterion("A3", 1, lambda ell: 4, lambda ell: (
+        (1, 0, (0, 2, 4)), (-1, 0, (0, 3, 3)), (-1, 0, (1, 1, 4)),
+        (1, 0, (1, 3, 2)), (1, 0, (2, 1, 3)), (-1, 0, (2, 2, 2))),
+        None, "A3 moment determinant", None),
+}
+
+# --criteria tokens, in the order their columns appear
+CRITERIA_TOKENS = tuple(_CRITERIA)
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 is not served as 2
 def moment_order(ell_max):
     """Highest factorial-moment order of the modified state that
     evaluate_all reads; its ladder has order count + moment_order(ell_max).
-    ValueError unless 1 <= ell_max <= MAX_ELL_MAX.
+    ValueError unless ell_max is an int and 1 <= ell_max <= MAX_ELL_MAX.
     """
+    if type(ell_max) is not int:
+        raise ValueError("ell_max must be an integer")
     if ell_max < 1:
         raise ValueError("ell_max must be at least 1")
     if ell_max > MAX_ELL_MAX:
         raise ValueError(f"ell_max must be at most {MAX_ELL_MAX}")
-    return max(2 * ell_max, 4)
+    return max(  # a report's map key k is l = k + least - 1
+        c.reads(ell_max + c.least - 1) for c in _CRITERIA.values())
 
 
 _TOP_ORDER = moment_order(MAX_ELL_MAX)  # that of a report at the cap
@@ -78,6 +122,12 @@ def _binomial_row(n):
     return tuple(math.comb(n, j) for j in range(n + 1))
 
 
+def _refuse_nan(seq, indices, kind):
+    # a non-finite result that read a NaN moment names that moment
+    for i in (i for i in indices if seq[i] != seq[i]):
+        raise ValueError(f"{kind} moment of order {i} is NaN")
+
+
 def mu_from_m(m):
     """Raw moments mu_z = <n^z> from factorial moments via Stirling weights,
     one per entry of m.
@@ -86,46 +136,17 @@ def mu_from_m(m):
     kernels.exact_fsum.  Returns a list of floats; ValueError past order
     moment_order(MAX_ELL_MAX).
     """
-    m = [float(v) for v in m]
+    m = list(map(float, m))
     if not m:
         return []
     _refuse_past_cap(len(m) - 1)  # before any row is built
-    return [1.0] + [exact_fsum(_stirling_row(z)[1:], m[1:z + 1],
-                               "raw moment <n^{}>", z)
-                    for z in range(1, len(m))]
-
-
-def mandel_q(m1, m2):
-    """Mandel Q = (m_2 - m_1^2)/m_1; NaN when the mean vanishes.
-
-    Negative values indicate sub-Poissonian statistics; -1 is the Fock
-    floor, 0 the Poissonian boundary.  AccuracyError beyond float64.
-    """
-    if m1 == 0.0:
-        return math.nan
-    return checked((m2 - m1 * m1) / m1, "Mandel Q")
-
-
-def _need(seq, order, kind="factorial"):
-    # the argument rule of every criterion that reads moments up to order
-    if len(seq) <= order:
-        raise ValueError(f"need {kind} moments up to order {order}")
-
-
-def lee_dh(m, ell):
-    """Lee function d_h^(ell-1) = m_ell - m_1^ell for ell >= 2.
-
-    Negative values witness higher-order sub-Poissonian statistics.
-    AccuracyError when m_1^ell or the difference leaves float64.
-    """
-    if ell < 2:
-        raise ValueError("ell must be at least 2")
-    _need(m, ell)
     try:
-        dh = float(m[ell] - float(m[1]) ** ell)
-    except OverflowError:  # m_1^ell beyond float64
-        dh = math.inf
-    return checked(dh, "Lee function dh{}", ell - 1)
+        return [1.0] + [exact_fsum(_stirling_row(z)[1:], m[1:z + 1],
+                                   "raw moment <n^{}>", z)
+                        for z in range(1, len(m))]
+    except ValueError:  # exact_fsum read a NaN
+        _refuse_nan(m, range(1, len(m)), "factorial")
+        raise
 
 
 # a report reads one entry; a run of rising orders in
@@ -134,13 +155,13 @@ def lee_dh(m, ell):
 def _mean_tables(lam, top):
     """((-lam)^0..(-lam)^top, O_0..O_r(lam)) for a float mean lam: each
     power by pow, inf past float64 so that a sum reading it raises, and
-    the Poisson row up to r = top or to its last order within float64."""
+    the Poisson row up to r = top or to its last finite order (none past
+    O_1 for a NaN lam, which only d_h reads the powers of)."""
     powers = []
-    for e in range(top + 1):
-        try:
-            powers.append(pow(-lam, e))
-        except OverflowError:
-            powers.append(math.inf)
+    try:
+        powers.extend(map(pow, repeat(-lam), range(top + 1)))
+    except OverflowError:  # this power and every higher one are inf
+        powers += [math.inf] * (top + 1 - len(powers))
     row = [1.0, 0.0]
     for r in range(1, top):
         try:
@@ -149,7 +170,7 @@ def _mean_tables(lam, top):
                                      "Poisson reference moment O_{}", r + 1)
         except AccuracyError:
             break
-        if math.isinf(value):
+        if not math.isfinite(value):
             break
         row.append(value)
     return tuple(powers), tuple(row)
@@ -171,7 +192,7 @@ def poisson_central_moment(lam, order):
     C(r,k) O_k from O_0 = 1, O_1 = 0 (Ann. Math. Statist. 8, 103 (1937)),
     so no digit is lost to cancellation at any mean.
     """
-    if order < 2 or order % 2 != 0:
+    if type(order) is not int or order < 2 or order % 2 != 0:
         raise ValueError("order must be an even integer >= 2")
     if not lam >= 0:  # also NaN
         raise ValueError("lam must be nonnegative")
@@ -182,32 +203,102 @@ def poisson_central_moment(lam, order):
     return _poisson_entry(lam, _mean_tables(lam, top)[1], order)
 
 
-def _q_ell(seq, ell, central):
-    """Both forms of Q^(l): over raw moments seq if central, else over
-    factorial ones, sum_j C(2l,j) (-seq_1)^(2l-j) seq_j / O_2l(seq_1),
-    less 1 in the central form, from the tables of seq_1 up to seq's top
-    order.  ValueError, before any table is read, for a negative or NaN
-    mean."""
-    if ell < 1:
-        raise ValueError("ell must be positive")
-    order = 2 * ell
-    _need(seq, order, "raw" if central else "factorial")
-    mean = float(seq[1])
-    if mean == 0.0:
-        return math.nan
-    if not mean >= 0:  # a mean read off moments given by hand
-        raise ValueError("mean must be nonnegative")
+def _picker(indices, padding=()):
+    # seq -> (seq[i] for i in indices) then padding, as one tuple
+    if len(indices) == 1:
+        return lambda seq, i=indices[0]: (seq[i], *padding)
+    get = itemgetter(*indices)
+    return (lambda seq: get(seq) + padding) if padding else get
+
+
+@lru_cache(maxsize=None, typed=True)  # typed: 2.0 is not served as 2
+def _plan(token, ell):
+    # token at ell: order read, denominator rule and names, coefficients as
+    # floats, a picker of powers (None if all are 0), one of each factor
+    # (1.0 for rows without it), and the indices read
+    if type(ell) is not int:
+        raise ValueError("ell must be an integer")
+    c = _CRITERIA[token]
+    if ell < c.least:
+        raise ValueError("ell must be positive" if c.least == 1
+                         else f"ell must be at least {c.least}")
+    order = c.reads(ell)
     _refuse_past_cap(order)
-    powers, row = _mean_tables(mean, min(len(seq) - 1, _TOP_ORDER))
-    total = checked_fsum(
-        map(mul, map(mul, _binomial_row(order), powers[order::-1]),
-            map(float, seq)),
-        "central moment of order {}" if central
-        else "normally ordered central moment of order {}", order)
-    o2l = _poisson_entry(mean, row, order)
-    if central:
-        return checked((total - o2l) / o2l, "Q{}_central", ell)
-    return checked(total / o2l, "Q{}_normal", ell)
+    coefs, pows, indices = zip(*c.terms(ell))
+    factors = ([i[k] for i in indices if len(i) > k]
+               for k in range(len(indices[0])))
+    return (order, c.over, c.numerator, c.result, tuple(map(float, coefs)),
+            _picker(pows) if any(pows) else None,
+            [_picker(f, (1.0,) * (len(coefs) - len(f))) for f in factors],
+            sorted({1}.union(*indices)))
+
+
+def _evaluate(token, seq, ell, kind="factorial"):
+    """(value, numerator products) of criterion token at order ell over
+    seq, moments of the given kind; (NaN, []) for a vanishing mean under a
+    denominator.  Each product forms left to right, with the powers and
+    O_2l of the mean's tables to seq's top order, which a report shares,
+    and checked_fsum sums them.  ValueError for an ell that is not an int
+    or is below least, past the cap, a short seq, a negative or NaN mean
+    under O_2l, or a NaN moment read, sought once the sum is non-finite;
+    AccuracyError when a result from finite moments leaves float64."""
+    (order, over, numerator, result, products, powers_of, factors,
+     read) = _plan(token, ell)
+    top = len(seq) - 1
+    if top < order:
+        raise ValueError(f"need {kind} moments up to order {order}")
+    try:
+        mean = float(seq[1])
+    except OverflowError:  # an int beyond float64: its sums raise
+        mean = math.inf
+    if over:
+        if mean == 0.0:
+            return math.nan, []
+        if over != "m_1" and not mean >= 0:  # moments given by hand
+            raise ValueError("mean must be nonnegative")
+    if powers_of:
+        powers, row = _mean_tables(mean, top if top < _TOP_ORDER
+                                   else _TOP_ORDER)
+        products = map(mul, products, powers_of(powers))
+    for pick in factors:
+        products = map(mul, products, pick(seq))
+    try:
+        products = list(products)
+        total = checked_fsum(products, numerator, ell, ell - 1, order)
+    except OverflowError:  # an int moment beyond float64
+        total = checked(math.inf, numerator, ell, ell - 1, order)
+    except AccuracyError:  # unless a NaN moment is at fault
+        _refuse_nan(seq, read, kind)
+        raise
+    if over is None:
+        return total, products
+    if over == "m_1":
+        value = total / mean
+    else:  # an O_2l rule, whose rows have powers
+        o2l = row[order] if order < len(row) else _poisson_entry(
+            mean, row, order)
+        value = total / o2l if over == "O_2l" else (total - o2l) / o2l
+    if math.isfinite(value):
+        return value, products
+    return checked(value, result, ell, ell - 1, order), products
+
+
+def mandel_q(m1, m2):
+    """Mandel Q = (m_2 - m_1^2)/m_1; NaN when the mean vanishes.
+
+    Negative values indicate sub-Poissonian statistics; -1 is the Fock
+    floor, 0 the Poissonian boundary.  AccuracyError beyond float64.
+    """
+    return _evaluate("Q", (1.0, m1, m2), 1)[0]  # m_0 is not read
+
+
+def lee_dh(m, ell):
+    """Lee function d_h^(ell-1) = m_ell - m_1^ell for ell >= 2.
+
+    Negative values witness higher-order sub-Poissonian statistics.
+    AccuracyError when m_1^ell or the difference leaves float64.
+    """
+    return _evaluate("d_h", m, ell)[0]
 
 
 def q_ell_normal(m, ell):
@@ -217,7 +308,7 @@ def q_ell_normal(m, ell):
     factorial moments: sum_j C(2l,j) (-m_1)^(2l-j) m_j.  Equals mandel_q
     at l = 1; NaN when the mean vanishes; AccuracyError beyond float64.
     """
-    return _q_ell(m, ell, central=False)
+    return _evaluate("Q_ell_normal", m, ell)[0]
 
 
 def q_ell_central(mu, ell):
@@ -227,25 +318,13 @@ def q_ell_central(mu, ell):
     expanded from raw moments.  Equals mandel_q at l = 1; NaN when the
     mean vanishes; AccuracyError beyond float64.
     """
-    return _q_ell(mu, ell, central=True)
+    return _evaluate("Q_ell_central", mu, ell, "raw")[0]
 
 
 class DegenerateA3(namedtuple("DegenerateA3", "det_m det_mu")):
     """Marker for an A3 with a vanishing denominator (0/0-type case)."""
 
     __slots__ = ()
-
-
-def _hankel_det3(seq):
-    """(det, scale) of the 3x3 Hankel matrix of seq_0..seq_4: det is
-    exactly rounded over its six cofactor products, and scale is the
-    largest first-row cofactor term |seq_j C_0j|, j = 0..2, each the sum
-    of two of those products."""
-    s0, s1, s2, s3, s4 = map(float, seq[:5])
-    p = (s0 * s2 * s4, -s0 * s3 * s3, -s1 * s1 * s4,
-         s1 * s3 * s2, s2 * s1 * s3, -s2 * s2 * s2)
-    det = checked_fsum(p, "A3 moment determinant")
-    return det, max(abs(p[0] + p[1]), abs(p[2] + p[3]), abs(p[4] + p[5]))
 
 
 def agarwal_tara(m, mu):
@@ -258,18 +337,14 @@ def agarwal_tara(m, mu):
     marker carrying both determinants is returned.  AccuracyError when
     the denominator leaves float64.
     """
-    _need(m, 4)
-    _need(mu, 4, "raw")
-    det_m, scale_m = _hankel_det3(m)
-    det_mu, scale_mu = _hankel_det3(mu)
+    det_m, terms_m = _evaluate("A3", m, 1)
+    det_mu, terms_mu = _evaluate("A3", mu, 1, "raw")
     denom = checked(det_mu - det_m, "A3 denominator")
-    if abs(denom) <= DET_DEGENERACY_TOL * max(scale_m, scale_mu):
+    terms = terms_m + terms_mu
+    scale = max(map(abs, map(add, terms[::2], terms[1::2])))
+    if abs(denom) <= DET_DEGENERACY_TOL * scale:
         return DegenerateA3(det_m=det_m, det_mu=det_mu)
     return det_m / denom
-
-
-# --criteria tokens, in the order their columns appear
-CRITERIA_TOKENS = ("Q", "Q_ell_normal", "Q_ell_central", "d_h", "A3")
 
 
 class CriteriaReport(namedtuple(
@@ -311,17 +386,12 @@ class CriteriaReport(namedtuple(
 @lru_cache(maxsize=64)
 def _column_plan(ell_max, selection):
     # (name, report field index, map key or None) per column, built once
-    # per sweep instead of once per row
-    ells = range(1, ell_max + 1)
-    columns = {
-        "Q": [("Q", 1, None)],
-        "Q_ell_normal": [(f"Q{ell}_normal", 2, ell) for ell in ells],
-        "Q_ell_central": [(f"Q{ell}_central", 3, ell) for ell in ells],
-        "d_h": [(f"dh{h}", 4, h) for h in ells],
-        "A3": [("A3", 5, None)],
-    }
-    return tuple(column for token in CRITERIA_TOKENS if token in selection
-                 for column in columns[token])
+    # per sweep instead of once per row; a map's keys run over 1..ell_max
+    return tuple(
+        (c.column.format(key), field, key)
+        for field, (token, c) in enumerate(_CRITERIA.items(), 1)
+        if token in selection
+        for key in (range(1, ell_max + 1) if "{}" in c.column else (None,)))
 
 
 def criteria_from_moments(m, mu, ell_max):
@@ -332,8 +402,8 @@ def criteria_from_moments(m, mu, ell_max):
     a3_degenerate when they apply.
     """
     flags = set()
-    m = [float(v) for v in m]
-    mu = [float(v) for v in mu]
+    m = list(map(float, m))
+    mu = list(map(float, mu))
     mean = m[1]
     if mean == 0.0:
         flags.add("undefined_mean")

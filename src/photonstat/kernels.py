@@ -32,6 +32,8 @@ def checked_fsum(terms, quantity, *args):
         total = math.fsum(terms)
     except (OverflowError, ValueError):  # a sum beyond DBL_MAX, or inf - inf
         total = math.inf
+    if math.isfinite(total):  # the common case, without a second call
+        return total
     return checked(total, quantity, *args)
 
 
@@ -50,7 +52,8 @@ def exact_fsum(coeffs, values, quantity, *args):
     float(c) rounds first) and math.fsum rounds their sum once.  Where a
     term or the float sum leaves float64, the sum is redone in exact
     rationals and rounded once by checked_fsum, so only that branch is
-    exactly rounded; it raises only if the sum is beyond DBL_MAX.
+    exactly rounded; it raises only if the sum is beyond DBL_MAX.  A NaN
+    value raises ValueError, looked for only once the sum is non-finite.
     """
     try:
         total = math.fsum(map(mul, coeffs, values))
@@ -58,6 +61,8 @@ def exact_fsum(coeffs, values, quantity, *args):
         total = math.inf
     if math.isfinite(total):
         return total
+    if any(map(math.isnan, values)):
+        raise ValueError(f"{quantity.format(*args)} reads a NaN")
     if all(map(math.isfinite, values)):
         from fractions import Fraction  # loaded only when float64 overflows
         total = sum(map(mul, coeffs, map(Fraction, values)))

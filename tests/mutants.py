@@ -28,15 +28,19 @@ KILLED, SURVIVED = "killed", "survived"
 # (name, module, old text, new text, expected selfcheck outcome, expected
 # acceptance outcome)
 MUTANTS = (
-    ("q_ell_normal sign", "criteria.py", "return _q_ell(m, ell, central=False)", "return -_q_ell(m, ell, central=False)", KILLED, KILLED),
+    ("q_ell_normal sign", "criteria.py", 'return _evaluate("Q_ell_normal", m, ell)[0]', 'return -_evaluate("Q_ell_normal", m, ell)[0]', KILLED, KILLED),
     ("Poisson O_{r>=4} x1.001", "criteria.py", "        row.append(value)", "        row.append(value * (1.001 if r >= 3 else 1))", KILLED, KILLED),
     ("_vandermonde_row plus one", "moments.py", "math.comb(r, i) * math.perm(m, i)", "math.comb(r, i) * math.perm(m, i) + 1", KILLED, KILLED),
     ("Stirling S(4,4) = 2", "criteria.py", "for k in range(1, z)], 1)", "for k in range(1, z)], 1 + (z == 4))", KILLED, KILLED),
-    ("lee_dh index", "criteria.py", "dh = float(m[ell] - ", "dh = float(m[ell - 1] - ", KILLED, KILLED),
+    ("lee_dh index", "criteria.py", "(1, 0, (ell,))", "(1, 0, (ell - 1,))", KILLED, KILLED),
     ("A3 determinant sign", "criteria.py", "return det_m / denom", "return -det_m / denom", KILLED, KILLED),
     ("subtracted ladder shift", "moments.py", "norm = ladder.values[m]", "norm = ladder.values[m + 1]", KILLED, KILLED),
     ("oracle ModKind swapped", "oracle.py", "if mod.kind is ModKind.ADD and", "if mod.kind is ModKind.SUBTRACT and", KILLED, KILLED),
     ("DET_DEGENERACY_TOL x10", "criteria.py", "DET_DEGENERACY_TOL = 1e-10", "DET_DEGENERACY_TOL = 1e-9", SURVIVED, SURVIVED),
+    ("Hankel term sign", "criteria.py", "(-1, 0, (0, 3, 3))", "(1, 0, (0, 3, 3))", KILLED, KILLED),
+    ("Q numerator sign", "criteria.py", "(-1, 0, (1, 1)), (1, 0, (2,))", "(1, 0, (1, 1)), (1, 0, (2,))", KILLED, KILLED),
+    ("Lee power sign", "criteria.py", "(-1) ** (ell + 1)", "(-1) ** ell", KILLED, KILLED),
+    ("Q^(l) power off by one", "criteria.py", "(c, 2 * ell - j, (j,))", "(c, 2 * ell - j + 1, (j,))", KILLED, KILLED),
 )
 
 GATE_TIMEOUT = 600  # seconds; the acceptance gate takes a few

@@ -31,7 +31,7 @@ from photonstat import (
     q_ell_normal,
 )
 from photonstat import criteria
-from photonstat.criteria import DET_DEGENERACY_TOL, _hankel_det3
+from photonstat.criteria import DET_DEGENERACY_TOL
 from photonstat.moments import ladder_sums_exact
 
 from helpers import limit_address_space, q_added_ref, q_subtracted_ref
@@ -221,6 +221,52 @@ def test_short_moment_sequences_are_refused_by_one_rule(call, message):
         call()
 
 
+@pytest.mark.parametrize("call,order", [
+    (lambda: mandel_q(math.nan, 1.0), 1),
+    (lambda: mandel_q(2.0, math.nan), 2),
+    (lambda: lee_dh([1.0, math.nan, 1.0], 2), 1),
+    (lambda: agarwal_tara([1.0, math.nan, 1.0, 1.0, 1.0], [1.0] * 5), 1),
+    (lambda: q_ell_normal([1.0, 1.0, math.nan], 1), 2),
+    (lambda: mu_from_m([1.0, math.nan]), 1),
+], ids=["mandel-m1", "mandel-m2", "lee", "a3", "q-normal", "mu"])
+def test_a_nan_moment_is_named_not_reported_as_overflow(call, order):
+    # moments given by hand: a NaN is no float64 overflow
+    with pytest.raises(ValueError,
+                       match=f"^factorial moment of order {order} is NaN$"):
+        call()
+
+
+@pytest.mark.parametrize("call", [
+    lambda: mandel_q(10 ** 400, 1),
+    lambda: lee_dh([1, 10 ** 400, 1], 2),
+    lambda: lee_dh([1, 1, 10 ** 400], 2),
+    lambda: q_ell_normal([1, 10 ** 400, 1], 1),
+    lambda: q_ell_central([1, 1, 10 ** 400], 1),
+    lambda: agarwal_tara([1, 1, 10 ** 400, 1, 1], [1] * 5),
+], ids=["mandel", "lee-m1", "lee-m2", "q-normal-mean", "q-central", "a3"])
+def test_an_int_moment_beyond_float64_is_an_accuracy_error(call):
+    # exact moments given by hand: no builtin OverflowError escapes
+    with pytest.raises(AccuracyError, match="exceeds the float64 range$"):
+        call()
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: q_ell_normal(_M4, 2.0), "ell must be an integer"),
+    (lambda: q_ell_central(_M4, 1.5), "ell must be an integer"),
+    (lambda: q_ell_normal(_M4, True), "ell must be an integer"),
+    (lambda: lee_dh(_M4, 2.0), "ell must be an integer"),
+    (lambda: poisson_central_moment(1.0, 4.0),
+     "order must be an even integer >= 2"),
+    (lambda: criteria.moment_order(2.0), "ell_max must be an integer"),
+    (lambda: criteria.moment_order(True), "ell_max must be an integer"),
+], ids=["q-normal", "q-central", "q-bool", "lee", "poisson", "ell-max",
+        "ell-max-bool"])
+def test_an_order_that_is_not_an_int_is_refused(call, message):
+    # not a builtin TypeError or AttributeError, and a bool is no order
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
 @pytest.mark.parametrize("q_ell", [q_ell_normal, q_ell_central],
                          ids=["normal", "central"])
 def test_q_ell_order_must_be_positive(q_ell):
@@ -367,8 +413,8 @@ def test_a3_coherent_is_zero():
 def test_a3_fock2():
     # hand-expanded determinants: det m3 = -8, det mu3 = 0
     m = [1.0, 2.0, 2.0, 0.0, 0.0]
-    assert _hankel_det3(m)[0] == -8.0
-    assert _hankel_det3(mu_from_m(m))[0] == 0.0
+    assert _hankel_det(m) == -8.0
+    assert _hankel_det(mu_from_m(m)) == 0.0
     assert agarwal_tara(m, mu_from_m(m)) == -1.0
 
 
@@ -413,18 +459,23 @@ def test_det3_matches_elimination_routine():
         m = list(normal_ladder(dist, 4).values)
         for seq in (m, list(mu_from_m(m))):
             lu = float(np.linalg.det(_hankel(seq)))
-            assert math.isclose(_hankel_det3(seq)[0], lu, rel_tol=1e-12,
+            assert math.isclose(_hankel_det(seq), lu, rel_tol=1e-12,
                                 abs_tol=1e-12)
     # and on generic well-conditioned Hankel matrices
     for _ in range(25):
         seq = rng.uniform(-3, 3, size=5).tolist()
-        assert math.isclose(_hankel_det3(seq)[0],
+        assert math.isclose(_hankel_det(seq),
                             float(np.linalg.det(_hankel(seq))),
                             rel_tol=1e-10, abs_tol=1e-12)
 
 
 def _hankel(seq):
     return np.array([seq[i:i + 3] for i in range(3)], dtype=float)
+
+
+def _hankel_det(seq):
+    # the A3 entry's numerator: the exactly rounded Hankel determinant
+    return criteria._evaluate("A3", seq, 1)[0]
 
 
 # ------------------------------------------------------------ evaluate_all

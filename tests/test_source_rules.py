@@ -61,3 +61,20 @@ def test_no_module_state_is_rebound_after_import():
     # rebound, and nothing needs a lock
     assert _matches(r"^\s*global\s|^\s*(import|from)\s+threading\b",
                     sorted(PACKAGE.rglob("*.py"))) == []
+
+
+def test_criteria_sum_only_in_the_evaluator():
+    # every criterion is an entry of criteria's table, and one evaluator
+    # forms and sums its products, so no criterion grows its own loop
+    tree = ast.parse((PACKAGE / "criteria.py").read_text())
+
+    def sums(node):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and "checked_fsum" in (getattr(call.func, "id", None),
+                                       getattr(call.func, "attr", None))]
+    functions = {node.name: node for node in ast.walk(tree)
+                 if isinstance(node, ast.FunctionDef)}
+    assert [name for name, node in functions.items() if sums(node)] == [
+        "_evaluate"]
+    # and none at module level
+    assert len(sums(tree)) == len(sums(functions["_evaluate"]))
