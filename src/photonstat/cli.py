@@ -18,6 +18,7 @@ from .criteria import (
     CRITERIA_TOKENS,
     CriteriaReport,
     DegenerateA3,
+    column_names,
     evaluate_all,
     moment_order,
 )
@@ -53,12 +54,12 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _row(param, report, selection, ell_max):
-    """One output row, its cells encoded: param, mean, the selected
-    criteria, flags."""
-    cells = report.cells(ell_max, selection)
+def _row(param, report, names):
+    """One output row, its cells encoded: param, mean, the named columns
+    (UNDEF where the report has none), flags."""
+    cells = report.cells
     return {"param": param, "mean": _cell(report.mean),
-            **{name: _cell(value) for name, value in cells.items()},
+            **{name: _cell(cells.get(name, math.nan)) for name in names},
             "flags": ";".join(report.flags)}
 
 
@@ -134,8 +135,9 @@ def cmd_criteria(family, param, mod, ell_max, selection, fmt, policy,
         raise UndefinedStateError(
             f"state annihilated: {family}({param!r}) does not survive "
             f"{mod.kind.value} {mod.count}")
+    names = column_names(ell_max, selection)
     if fmt == "csv":
-        _emit(_csv_table([_row(param, report, selection, ell_max)]), out_path)
+        _emit(_csv_table([_row(param, report, names)]), out_path)
         return 0
     doc = {
         "tool": "photonstat",
@@ -150,10 +152,11 @@ def cmd_criteria(family, param, mod, ell_max, selection, fmt, policy,
         "tail_bound": dist.tail_bound,
         "mean": _cell(report.mean),
     }
-    for key, value in report.cells(ell_max, selection).items():
-        doc[key] = _cell(value)
-    if isinstance(report.a3, DegenerateA3):
-        doc["A3_detail"] = report.a3._asdict()
+    for name in names:
+        doc[name] = _cell(report.cells[name])
+    for value in report.cells.values():
+        if isinstance(value, DegenerateA3):  # A3, selected or not
+            doc["A3_detail"] = value._asdict()
     doc["flags"] = list(report.flags)
     _emit(doc, out_path)
     return 0
@@ -164,6 +167,7 @@ def cmd_criteria(family, param, mod, ell_max, selection, fmt, policy,
 def cmd_sweep(family, grid, mod, ell_max, selection, fmt, policy,
               out_path=None):
     rows = []
+    names = column_names(ell_max, selection)
     defined = inaccurate = False  # some row is defined; some row failed
     for param in grid:
         # a state or a moment beyond reach flags its row, not the sweep
@@ -171,12 +175,11 @@ def cmd_sweep(family, grid, mod, ell_max, selection, fmt, policy,
             report = evaluate_all(build_state(family, param, policy), mod,
                                   ell_max)
         except AccuracyError:
-            report = CriteriaReport(math.nan, math.nan,
-                                    flags=("accuracy_failure",))
+            report = CriteriaReport(math.nan, {}, ("accuracy_failure",))
             inaccurate = True
         else:
             defined = defined or not report.undefined
-        rows.append(_row(param, report, selection, ell_max))
+        rows.append(_row(param, report, names))
     if fmt == "json":
         doc = {
             "tool": "photonstat",

@@ -22,7 +22,7 @@ raised, so sweeps survive them.
 import math
 from collections import namedtuple
 from functools import lru_cache
-from itertools import repeat
+from itertools import accumulate, repeat
 from operator import add, itemgetter, mul
 
 from .exceptions import AccuracyError, UndefinedStateError
@@ -35,8 +35,10 @@ DET_DEGENERACY_TOL = 1e-10
 
 
 # highest ell_max: the Stirling table below keeps every row up to
-# moment_order(ell_max), and at 500 a vacuum report peaks near 210 MB in
-# about 3 s (700 needs 570 MB, and 1000 runs out of 1 GiB)
+# moment_order(ell_max), and at 500 a vacuum report peaks near 312 MB in
+# 3.2-3.4 s (200 MB of Stirling rows, 70 MB of Q^(l) plans and 25 MB of
+# binomial rows for the Poisson table); past it, 1000 runs out of 1 GiB,
+# and from l = 515 a Q^(l) coefficient C(2l, l) leaves float64
 MAX_ELL_MAX = 500
 
 
@@ -45,14 +47,14 @@ def _q_ell_terms(ell):  # sum_j C(2l,j) (-s_1)^(2l-j) s_j: <(s - s_1)^2l>
             for j, c in enumerate(_binomial_row(2 * ell))]
 
 
-# One entry per criterion, in column order, which is also the order of
-# CriteriaReport's fields.  At order l >= least an entry reads
-# s_0..s_reads(l) of one moment sequence s.  Its numerator sums the term
-# rows (c, p, (i, ...)) of terms(l), each c (-s_1)^p s_i ... with integer
-# c, rows with fewer factors last.  over is its denominator: None, "m_1",
-# or the Poisson reference O_2l of the mean ("O_2l excess": less 1).  An
-# AccuracyError names the numerator or result, formatted with (l, l - 1,
-# reads(l)); column, formatted with a map key, names report columns.
+# One entry per criterion, in column order.  At order l >= least an
+# entry reads s_0..s_reads(l) of one moment sequence s.  Its numerator
+# sums the term rows (c, p, (i, ...)) of terms(l), each c (-s_1)^p s_i ...
+# with integer c, rows with fewer factors last.  over is its denominator:
+# None, "m_1", or the Poisson reference O_2l of the mean ("O_2l excess":
+# less 1).  An AccuracyError names the numerator or result, formatted with
+# (l, l - 1, reads(l)); column, formatted with k = l - least + 1 from 1 up
+# to a report's ell_max, names its report columns.
 _Criterion = namedtuple("_Criterion",
                         "column least reads terms over numerator result")
 _CRITERIA = {
@@ -90,7 +92,7 @@ def moment_order(ell_max):
         raise ValueError("ell_max must be at least 1")
     if ell_max > MAX_ELL_MAX:
         raise ValueError(f"ell_max must be at most {MAX_ELL_MAX}")
-    return max(  # a report's map key k is l = k + least - 1
+    return max(  # a report's column key k is l = k + least - 1
         c.reads(ell_max + c.least - 1) for c in _CRITERIA.values())
 
 
@@ -117,9 +119,11 @@ def _stirling_row(z):
 
 @lru_cache(maxsize=None)
 def _binomial_row(n):
-    """C(n, j) for j = 0..n, exact."""
+    """C(n, j) for j = 0..n, exact, each entry from the one before by
+    C(n, j + 1) = C(n, j) (n - j) / (j + 1), so no row reads another."""
     _refuse_past_cap(n)
-    return tuple(math.comb(n, j) for j in range(n + 1))
+    return tuple(accumulate(range(n), lambda c, j: c * (n - j) // (j + 1),
+                            initial=1))
 
 
 def _refuse_nan(seq, indices, kind):
@@ -134,9 +138,16 @@ def mu_from_m(m):
 
     mu_z = sum_{k=1..z} S(z,k) m_k, exact integer weights summed by
     kernels.exact_fsum.  Returns a list of floats; ValueError past order
-    moment_order(MAX_ELL_MAX).
+    moment_order(MAX_ELL_MAX), AccuracyError for a moment or sum beyond
+    float64.
     """
-    m = list(map(float, m))
+    floats = []
+    try:
+        floats.extend(map(float, m))
+    except OverflowError:  # an int beyond float64, of order len(floats)
+        raise AccuracyError(f"factorial moment of order {len(floats)} "
+                            "exceeds the float64 range") from None
+    m = floats
     if not m:
         return []
     _refuse_past_cap(len(m) - 1)  # before any row is built
@@ -347,51 +358,39 @@ def agarwal_tara(m, mu):
     return det_m / denom
 
 
-class CriteriaReport(namedtuple(
-        "CriteriaReport", "mean mandel_q q_ell_normal q_ell_central lee_dh "
-                          "a3 flags moments")):
+@lru_cache(maxsize=64)
+def _column_names(ell_max, selection):
+    # cached, as every report reads the names of its width
+    return tuple(c.column.format(key) for token, c in _CRITERIA.items()
+                 if token in selection
+                 for key in (range(1, ell_max + 1) if "{}" in c.column
+                             else (None,)))
+
+
+def column_names(ell_max, selection=CRITERIA_TOKENS):
+    """The report columns of the criteria in selection, any iterable of
+    CRITERIA_TOKENS, for orders up to ell_max, in table order: Q,
+    Q<l>_normal, Q<l>_central, dh<h> (h = l - 1), A3."""
+    return _column_names(ell_max, frozenset(selection))
+
+
+class CriteriaReport(namedtuple("CriteriaReport", "mean cells flags moments",
+                                defaults=((),))):
     """Every criterion for one (state, modification) pair.
 
-    Maps are keyed by l for the generalized Mandel families and by the
-    order h = l - 1 for the Lee family (so lee_dh[1] = m_2 - m_1^2).
-    Undefined entries are NaN and carry a flag; a3 may be a DegenerateA3
+    cells maps each column name of column_names(ell_max) to its value, in
+    that order; it is empty for an undefined or failed row.  A value is
+    NaN where undefined, which a flag names, and A3 may be a DegenerateA3
     marker.  flags is a sorted tuple of diagnostic tokens.  moments are
     the factorial moments m_0, m_1, ... the criteria were computed from,
-    () for an undefined state.  A map left out is a new empty dict.
+    () for an undefined state.
     """
 
     __slots__ = ()
 
-    def __new__(cls, mean, mandel_q, q_ell_normal=None, q_ell_central=None,
-                lee_dh=None, a3=math.nan, flags=(), moments=()):
-        return super().__new__(cls, mean, mandel_q, q_ell_normal or {},
-                               q_ell_central or {}, lee_dh or {}, a3, flags,
-                               moments)
-
     @property
     def undefined(self):
         return "undefined_state" in self.flags
-
-    def cells(self, ell_max, selection=CRITERIA_TOKENS):
-        """The selected criteria as {column name: value} for orders up to
-        ell_max, in column order: Q, Q<l>_normal, Q<l>_central, dh<h>, A3.
-
-        Entries the report lacks (an undefined state) are NaN.
-        """
-        plan = _column_plan(ell_max, tuple(selection))
-        return {name: self[field] if key is None else
-                self[field].get(key, math.nan) for name, field, key in plan}
-
-
-@lru_cache(maxsize=64)
-def _column_plan(ell_max, selection):
-    # (name, report field index, map key or None) per column, built once
-    # per sweep instead of once per row; a map's keys run over 1..ell_max
-    return tuple(
-        (c.column.format(key), field, key)
-        for field, (token, c) in enumerate(_CRITERIA.items(), 1)
-        if token in selection
-        for key in (range(1, ell_max + 1) if "{}" in c.column else (None,)))
 
 
 def criteria_from_moments(m, mu, ell_max):
@@ -411,16 +410,13 @@ def criteria_from_moments(m, mu, ell_max):
     a3 = agarwal_tara(m, mu)
     if isinstance(a3, DegenerateA3):
         flags.add("a3_degenerate")
-    return CriteriaReport(
-        mean=mean,
-        mandel_q=mandel_q(mean, m[2]),
-        q_ell_normal={ell: q_ell_normal(m, ell) for ell in ells},
-        q_ell_central={ell: q_ell_central(mu, ell) for ell in ells},
-        lee_dh={ell - 1: lee_dh(m, ell) for ell in range(2, ell_max + 2)},
-        a3=a3,
-        flags=tuple(sorted(flags)),
-        moments=tuple(m),
-    )
+    values = [mandel_q(mean, m[2])]  # in column order
+    values += [q_ell_normal(m, ell) for ell in ells]
+    values += [q_ell_central(mu, ell) for ell in ells]
+    values += [lee_dh(m, ell) for ell in range(2, ell_max + 2)]
+    values.append(a3)
+    return CriteriaReport(mean, dict(zip(column_names(ell_max), values)),
+                          tuple(sorted(flags)), tuple(m))
 
 
 def evaluate_all(dist, mod=None, ell_max=3):
@@ -439,5 +435,5 @@ def evaluate_all(dist, mod=None, ell_max=3):
     try:
         m = modified_moment_sequence(dist, mod, moment_order(ell_max))
     except UndefinedStateError:
-        return CriteriaReport(math.nan, math.nan, flags=("undefined_state",))
+        return CriteriaReport(math.nan, {}, ("undefined_state",))
     return criteria_from_moments(m, mu_from_m(m), ell_max)

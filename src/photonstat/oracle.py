@@ -22,8 +22,8 @@ from itertools import compress, repeat
 from operator import add, mul, truediv
 
 from .criteria import (
-    CriteriaReport,
     DegenerateA3,
+    column_names,
     criteria_from_moments,
     evaluate_all,
     moment_order,
@@ -267,28 +267,26 @@ def _fixed_points(family, param, mod, ell_max):
     ells = range(1, ell_max + 1)
     subtract = mod.kind is ModKind.SUBTRACT
     if family == "coherent" and subtract:
-        zeros = dict.fromkeys(ells, 0.0)
-        report = CriteriaReport(param, 0.0, zeros, zeros, zeros, 0.0)
+        values = repeat(0.0)
     elif family == "thermal" and subtract:
-        report = CriteriaReport(param, float(param))
+        values = [float(param)]  # Q, the first column
     elif family == "fock":
         k = int(param) - mod.count if subtract else int(param) + mod.count
         if k < 1:
             return {}
-        normal = {}
+        values = [-1.0]
         for ell in ells:
             order = 2 * ell
-            normal[ell] = sum(
+            values.append(sum(
                 math.comb(order, j) * (-k) ** (order - j) * math.perm(k, j)
-                for j in range(order + 1)) / _poisson_central_exact(k, order)
-        report = CriteriaReport(
-            k, -1.0, normal, dict.fromkeys(ells, -1.0),
-            {h: float(math.perm(k, h + 1) - k ** (h + 1)) for h in ells},
-            -1.0 if k >= 2 else math.nan)
+                for j in range(order + 1)) / _poisson_central_exact(k, order))
+        values += [-1.0] * ell_max
+        values += [float(math.perm(k, h + 1) - k ** (h + 1)) for h in ells]
+        values.append(-1.0 if k >= 2 else math.nan)
     else:
         return {}
-    # entries no fixed point gives are NaN
-    return {key: value for key, value in report.cells(ell_max).items()
+    # in column order; entries no fixed point gives are NaN
+    return {name: value for name, value in zip(column_names(ell_max), values)
             if not math.isnan(value)}
 
 
@@ -346,8 +344,8 @@ def equivalence_suite(states=DEFAULT_SUITE_STATES, tol=DEFAULT_TOL):
                     family, param, tag, f"m{x}", a, b, _moment_dev(a, b), tol))
             theirs = criteria_from_moments(
                 ref.moments, direct_power_moments(ref.dist, x_max),
-                ell_max).cells(ell_max)
-            ours = report.cells(ell_max)
+                ell_max).cells
+            ours = report.cells
             for key, a in ours.items():
                 b = theirs[key]
                 cells.append(EquivalenceCell(

@@ -41,6 +41,7 @@ MUTANTS = (
     ("Q numerator sign", "criteria.py", "(-1, 0, (1, 1)), (1, 0, (2,))", "(1, 0, (1, 1)), (1, 0, (2,))", KILLED, KILLED),
     ("Lee power sign", "criteria.py", "(-1) ** (ell + 1)", "(-1) ** ell", KILLED, KILLED),
     ("Q^(l) power off by one", "criteria.py", "(c, 2 * ell - j, (j,))", "(c, 2 * ell - j + 1, (j,))", KILLED, KILLED),
+    ("Q^(l) value runs swapped", "criteria.py", "values += [q_ell_normal(m, ell) for ell in ells]\n    values += [q_ell_central(mu, ell) for ell in ells]", "values += [q_ell_central(mu, ell) for ell in ells]\n    values += [q_ell_normal(m, ell) for ell in ells]", KILLED, KILLED),
 )
 
 GATE_TIMEOUT = 600  # seconds; the acceptance gate takes a few

@@ -5,7 +5,8 @@ the working tree's src/ and once on the ref's src/, extracted with `git
 archive` into a temporary directory, and prints every argv whose stdout,
 stderr or exit code differ.  The list is every benchmark argv at seeds
 1-3, read from photonbench/workloads.build, plus extras that reach long
-Q^(l) rows, exits 3 and 4, and the JSON A3 detail.  Exits 1 if any argv
+Q^(l) rows, exits 3 and 4, the JSON A3 detail, selected columns,
+accuracy_failure rows and the ell_max cap.  Exits 1 if any argv
 differs.  It uses the standard library alone, and pytest does not collect
 it.
 
@@ -33,6 +34,13 @@ EXTRAS = (
     "criteria --family fock --param 0 --add 1",  # JSON, with A3_detail
     "selfcheck --tol 0",  # exit 4
     "sweep --family thermal --param-range 0:3:0.05 --format json",
+    # selected columns, with an undefined row
+    "sweep --family fock --param 0 --param 3 --subtract 2 --criteria A3,d_h "
+    "--format json",
+    "criteria --family thermal --param 1 --add 1 --criteria Q,Q_ell_central "
+    "--format csv",
+    "sweep --family fock --param 1 --param 4000 --ell-max 100",  # failed rows
+    "criteria --family fock --param 0 --ell-max 500",  # the ell_max cap
 )
 TIMEOUT = 600  # seconds per call
 

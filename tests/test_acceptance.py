@@ -52,12 +52,7 @@ def test_coherent_nullity():
         for n in range(4):
             report = evaluate_all(dist, StateModification.subtract(n),
                                   ell_max=3)
-            values = [report.mandel_q,
-                      *report.q_ell_normal.values(),
-                      *report.q_ell_central.values(),
-                      *report.lee_dh.values(),
-                      report.a3]
-            for value in values:
+            for value in report.cells.values():
                 assert not isinstance(value, DegenerateA3)
                 assert abs(value) <= 1e-9, (alpha_sq, n, value)
     elapsed = time.perf_counter() - started
@@ -70,10 +65,11 @@ def test_thermal_fixed_points():
         nbar = i / 10.0
         dist = build_state("thermal", nbar)
         report = evaluate_all(dist, ell_max=1)
-        assert abs(report.mandel_q - nbar) <= 1e-9
+        assert abs(report.cells["Q"] - nbar) <= 1e-9
         normal = ladder_sums_exact(dist.probs, 5)
         for n in (1, 2, 3):
-            q = evaluate_all(dist, StateModification.subtract(n), 1).mandel_q
+            q = evaluate_all(dist, StateModification.subtract(n),
+                             1).cells["Q"]
             assert abs(q - nbar) <= 1e-9
             assert abs(q_subtracted_ref(normal, n) - Fraction(nbar)) <= 1e-9
     # oracle confirmation on a representative point
@@ -86,11 +82,11 @@ def test_thermal_fixed_points():
 def test_fock_fixed_points():
     for n in range(1, 7):
         report = evaluate_all(build_state("fock", n), ell_max=1)
-        assert abs(report.mandel_q + 1.0) <= 1e-12
+        assert abs(report.cells["Q"] + 1.0) <= 1e-12
     two = evaluate_all(build_state("fock", 2), ell_max=2)
-    assert abs(two.a3 + 1.0) <= 1e-10
+    assert abs(two.cells["A3"] + 1.0) <= 1e-10
     one = evaluate_all(build_state("fock", 1), ell_max=2)
-    assert isinstance(one.a3, DegenerateA3)
+    assert isinstance(one.cells["A3"], DegenerateA3)
     for n in range(7):
         with pytest.raises(UndefinedStateError):
             modified_moment_sequence(build_state("fock", n),
@@ -101,7 +97,8 @@ def test_fock_fixed_points():
 def test_photon_added_exactness_on_fock_inputs():
     for n in (0, 1):  # result states |1> and |2>
         dist = build_state("fock", n)
-        q = evaluate_all(dist, StateModification.add(1), ell_max=1).mandel_q
+        q = evaluate_all(dist, StateModification.add(1),
+                         ell_max=1).cells["Q"]
         assert abs(q + 1.0) <= 1e-12
         assert q_added_ref(ladder_sums_exact(dist.probs, 3), 1) == -1
     _ok("photon-added exactness on fock inputs")
@@ -176,17 +173,17 @@ def test_order_one_coincidence_and_lee_identity():
             report = evaluate_all(dist, mod, ell_max=2)
             if report.undefined or report.mean == 0.0:
                 continue
-            q = report.mandel_q
-            assert _close(report.q_ell_normal[1], q, 1e-12, floor=1e-13)
-            assert _close(report.q_ell_central[1], q, 1e-12, floor=1e-13)
-            assert _close(report.lee_dh[1], report.mean * q, 1e-12,
+            q = report.cells["Q"]
+            assert _close(report.cells["Q1_normal"], q, 1e-12, floor=1e-13)
+            assert _close(report.cells["Q1_central"], q, 1e-12, floor=1e-13)
+            assert _close(report.cells["dh1"], report.mean * q, 1e-12,
                           floor=1e-13)
             checked += 1
     assert checked > 50
     # documented divergence of the two generalized forms at l = 2 on |1>
     report = evaluate_all(build_state("fock", 1), ell_max=2)
-    assert abs(report.q_ell_central[2] - (-1.0)) <= 1e-10
-    assert abs(report.q_ell_normal[2] - (-0.75)) <= 1e-10
+    assert abs(report.cells["Q2_central"] - (-1.0)) <= 1e-10
+    assert abs(report.cells["Q2_normal"] - (-0.75)) <= 1e-10
     _ok(f"order-1 coincidence and Lee identity ({checked} states)")
 
 

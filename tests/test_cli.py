@@ -865,17 +865,15 @@ def test_sweep_byte_identical_across_processes():
 def _old_cells(report, ell_max, selection):
     ells = range(1, ell_max + 1)
     columns = {
-        "Q": {"Q": report.mandel_q},
-        "Q_ell_normal": {f"Q{ell}_normal": report.q_ell_normal.get(
-            ell, math.nan) for ell in ells},
-        "Q_ell_central": {f"Q{ell}_central": report.q_ell_central.get(
-            ell, math.nan) for ell in ells},
-        "d_h": {f"dh{h}": report.lee_dh.get(h, math.nan) for h in ells},
-        "A3": {"A3": report.a3},
+        "Q": ["Q"],
+        "Q_ell_normal": [f"Q{ell}_normal" for ell in ells],
+        "Q_ell_central": [f"Q{ell}_central" for ell in ells],
+        "d_h": [f"dh{h}" for h in ells],
+        "A3": ["A3"],
     }
-    return {name: value
+    return {name: report.cells.get(name, math.nan)
             for token in CRITERIA_TOKENS if token in selection
-            for name, value in columns[token].items()}
+            for name in columns[token]}
 
 
 def _old_json_cell(value):
@@ -910,8 +908,7 @@ def _old_sweep_document(family, grid, mod, ell_max, selection, fmt, policy,
             report = evaluate_all(build_state(family, param, policy), mod,
                                   ell_max)
         except AccuracyError:
-            report = CriteriaReport(math.nan, math.nan,
-                                    flags=("accuracy_failure",))
+            report = CriteriaReport(math.nan, {}, ("accuracy_failure",))
         rows.append(_old_row(param, report, selection, ell_max))
     if fmt == "csv":
         buf = io.StringIO()

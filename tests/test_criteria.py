@@ -31,7 +31,7 @@ from photonstat import (
     q_ell_normal,
 )
 from photonstat import criteria
-from photonstat.criteria import DET_DEGENERACY_TOL
+from photonstat.criteria import DET_DEGENERACY_TOL, column_names
 from photonstat.moments import ladder_sums_exact
 
 from helpers import limit_address_space, q_added_ref, q_subtracted_ref
@@ -147,7 +147,7 @@ def _pinned_q(dist, mod, rel=1e-12):
         exact = q_added_ref(normal, mod.count)
     else:
         exact = q_subtracted_ref(normal, mod.count)
-    got = evaluate_all(dist, mod, ell_max=1).mandel_q
+    got = evaluate_all(dist, mod, ell_max=1).cells["Q"]
     assert abs(Fraction(got) - exact) <= Fraction(rel) * max(abs(exact), 1), (
         got, float(exact))
     return got, exact
@@ -243,11 +243,19 @@ def test_a_nan_moment_is_named_not_reported_as_overflow(call, order):
     lambda: q_ell_normal([1, 10 ** 400, 1], 1),
     lambda: q_ell_central([1, 1, 10 ** 400], 1),
     lambda: agarwal_tara([1, 1, 10 ** 400, 1, 1], [1] * 5),
-], ids=["mandel", "lee-m1", "lee-m2", "q-normal-mean", "q-central", "a3"])
+    lambda: mu_from_m([1, 10 ** 400]),
+], ids=["mandel", "lee-m1", "lee-m2", "q-normal-mean", "q-central", "a3",
+        "mu"])
 def test_an_int_moment_beyond_float64_is_an_accuracy_error(call):
     # exact moments given by hand: no builtin OverflowError escapes
     with pytest.raises(AccuracyError, match="exceeds the float64 range$"):
         call()
+
+
+def test_mu_from_m_names_the_moment_beyond_float64():
+    with pytest.raises(AccuracyError, match="^factorial moment of order 2 "
+                       "exceeds the float64 range$"):
+        mu_from_m(iter([1, 2, 10 ** 400, 3]))
 
 
 @pytest.mark.parametrize("call,message", [
@@ -483,12 +491,8 @@ def _hankel_det(seq):
 def test_evaluate_all_coherent_null():
     report = evaluate_all(build_state("coherent", 1.0),
                           StateModification.subtract(1), ell_max=2)
-    assert abs(report.mandel_q) <= 1e-9
-    for value in (*report.q_ell_normal.values(),
-                  *report.q_ell_central.values(),
-                  *report.lee_dh.values()):
+    for value in report.cells.values():
         assert abs(value) <= 1e-9
-    assert abs(report.a3) <= 1e-9
     assert report.flags == ()
 
 
@@ -497,26 +501,26 @@ def test_evaluate_all_oversubtraction_flagged():
                           StateModification.subtract(3))
     assert report.undefined
     assert math.isnan(report.mean)
-    assert math.isnan(report.mandel_q)
+    assert report.cells == {}
 
 
 def test_evaluate_all_thermal_added():
     report = evaluate_all(build_state("thermal", 1.0),
                           StateModification.add(1), ell_max=1)
-    assert math.isclose(report.mandel_q, 1.0 / 3.0, rel_tol=1e-9)
+    assert math.isclose(report.cells["Q"], 1.0 / 3.0, rel_tol=1e-9)
     assert math.isclose(report.mean, 3.0, rel_tol=1e-10)
 
 
 def test_evaluate_all_vacuum_flags_undefined_mean():
     report = evaluate_all(build_state("fock", 0))
     assert "undefined_mean" in report.flags
-    assert math.isnan(report.mandel_q)
-    assert all(math.isnan(v) for v in report.q_ell_normal.values())
+    assert math.isnan(report.cells["Q"])
+    assert all(math.isnan(report.cells[f"Q{ell}_normal"]) for ell in (1, 2, 3))
 
 
 def test_evaluate_all_fock1_a3_degenerate_flag():
     report = evaluate_all(build_state("fock", 1))
-    assert isinstance(report.a3, DegenerateA3)
+    assert isinstance(report.cells["A3"], DegenerateA3)
     assert "a3_degenerate" in report.flags
 
 
@@ -524,25 +528,37 @@ def test_evaluate_all_lee_identity():
     for dist in (build_state("thermal", 1.3), build_state("coherent", 0.7),
                  build_state("squeezed", 0.5)):
         report = evaluate_all(dist)
-        assert math.isclose(report.lee_dh[1],
-                            report.mean * report.mandel_q, rel_tol=1e-12)
+        assert math.isclose(report.cells["dh1"],
+                            report.mean * report.cells["Q"], rel_tol=1e-12)
 
 
 def test_evaluate_all_order_one_coincidence():
     for dist in (build_state("thermal", 1.3), build_state("fock", 3),
                  build_state("squeezed", 0.5)):
         report = evaluate_all(dist)
-        assert math.isclose(report.q_ell_normal[1], report.mandel_q,
+        assert math.isclose(report.cells["Q1_normal"], report.cells["Q"],
                             rel_tol=1e-12)
-        assert math.isclose(report.q_ell_central[1], report.mandel_q,
+        assert math.isclose(report.cells["Q1_central"], report.cells["Q"],
                             rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("family,param", [
+    ("coherent", 1.5), ("thermal", 0.7), ("squeezed", 0.4), ("fock", 3)])
+def test_every_report_holds_the_columns_in_table_order(family, param):
+    dist = build_state(family, param)
+    for mod in (StateModification.identity(), StateModification.add(2),
+                StateModification.subtract(1), StateModification.subtract(4)):
+        for ell_max in (1, 3):
+            report = evaluate_all(dist, mod, ell_max)
+            want = [] if report.undefined else list(column_names(ell_max))
+            assert list(report.cells) == want, (mod, ell_max)
 
 
 def test_evaluate_all_report_shape():
     report = evaluate_all(build_state("thermal", 0.5), ell_max=3)
-    assert sorted(report.q_ell_normal) == [1, 2, 3]
-    assert sorted(report.q_ell_central) == [1, 2, 3]
-    assert sorted(report.lee_dh) == [1, 2, 3]
+    assert list(report.cells) == [
+        "Q", "Q1_normal", "Q2_normal", "Q3_normal", "Q1_central",
+        "Q2_central", "Q3_central", "dh1", "dh2", "dh3", "A3"]
 
 
 @pytest.mark.parametrize("ell_max,message", [
@@ -603,6 +619,24 @@ def test_stirling_rows_to_the_cap_build_without_deep_recursion():
     assert result.stdout == "True\n"
 
 
+def test_binomial_rows_to_the_cap_build_without_deep_recursion():
+    # a cold Q^(500) plan reads binomial row 1000 first, which reads no
+    # other row, so a fresh interpreter builds it at the default recursion
+    # limit; every row to the cap is exact
+    code = (
+        "import math\n"
+        "from photonstat.criteria import _binomial_row, q_ell_normal\n"
+        "print(math.isnan(q_ell_normal([1.0] + [0.0] * 1000, 500)))\n"
+        "print(_binomial_row(1000) == tuple(map(math.comb, [1000] * 1001,\n"
+        "                                       range(1001))))\n"
+        "print(all(sum(_binomial_row(n)) == 2 ** n for n in range(1001)))\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=120,
+                            preexec_fn=limit_address_space)
+    assert result.stderr == ""
+    assert result.stdout == "True\nTrue\nTrue\n"
+
+
 def test_rising_poisson_orders_build_few_tables():
     # orders 2..1000 share one table per power of two (2, 4, ..., 512,
     # then the cap); O_235(0.3) is beyond float64, and every order from it
@@ -644,21 +678,20 @@ def test_q_ell_at_one_reads_below_an_overflowing_poisson_row(lam, want):
         poisson_central_moment(lam, 4)
 
 
-def test_cells_take_any_iterable_selection():
-    report = evaluate_all(build_state("thermal", 0.5), ell_max=2)
-    want = report.cells(2, ("A3", "d_h"))
+def test_column_names_take_any_iterable_selection():
+    want = column_names(2, ("A3", "d_h"))
     assert list(want) == ["dh1", "dh2", "A3"]
     for selection in (["d_h", "A3"], {"A3", "d_h"}, iter(("A3", "d_h"))):
-        assert report.cells(2, selection) == want
+        assert column_names(2, selection) == want
 
 
 def test_fock_states_are_maximally_sub_poissonian():
     for n in range(1, 7):
         report = evaluate_all(build_state("fock", n), ell_max=3)
-        assert abs(report.mandel_q + 1.0) <= 1e-12
+        assert abs(report.cells["Q"] + 1.0) <= 1e-12
         for ell in range(2, n + 1):
-            if ell - 1 in report.lee_dh:
-                assert report.lee_dh[ell - 1] < 0.0
+            if f"dh{ell - 1}" in report.cells:
+                assert report.cells[f"dh{ell - 1}"] < 0.0
 
 
 @settings(max_examples=40, deadline=None)

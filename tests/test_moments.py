@@ -264,7 +264,7 @@ def test_zero_mean_entries_of_finite_support_are_a_zero_mean():
     report = evaluate_all(normal_ladder(dist, 6),
                           StateModification.subtract(2), ell_max=1)
     assert not report.undefined and "undefined_mean" in report.flags
-    assert math.isnan(report.mandel_q)
+    assert math.isnan(report.cells["Q"])
 
 
 def test_ladder_coverage_checked():

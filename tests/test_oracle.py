@@ -376,8 +376,8 @@ def test_deeper_envelopes_match_the_oracle(states, mods, x_max,
                         else dev <= DEFAULT_TOL), (where, x, dev)
             theirs = criteria_from_moments(
                 ref.moments, direct_power_moments(ref.dist, x_max),
-                ell_max).cells(ell_max)
-            for key, a in report.cells(ell_max).items():
+                ell_max).cells
+            for key, a in report.cells.items():
                 dev = oracle._criterion_dev(a, theirs[key])
                 assert dev <= DEFAULT_TOL, (where, key, dev)
 
@@ -548,7 +548,7 @@ def test_entry_points_return_finite_values_or_raise_package_errors(
     report = _settled(evaluate_all, dist, modification(count), ell_max)
     if report is not None:
         _assert_no_inf(report.moments)
-        _assert_no_inf(report.cells(ell_max).values())
+        _assert_no_inf(report.cells.values())
         _assert_no_inf(_settled(mu_from_m, report.moments) or ())
     oracle = (oracle_add if modification is StateModification.add
               else oracle_subtract)

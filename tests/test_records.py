@@ -128,11 +128,18 @@ def test_records_compare_as_tuples():
         "max_moment_order": 12}
 
 
+def test_criteria_report_is_its_columns():
+    assert CriteriaReport._fields == ("mean", "cells", "flags", "moments")
+    assert CriteriaReport(math.nan, {}, ()).moments == ()
+
+
 def test_criteria_report_maps_are_not_shared():
-    first = CriteriaReport(math.nan, math.nan)
-    second = CriteriaReport(math.nan, math.nan)
-    assert first.lee_dh == {} and first.lee_dh is not second.lee_dh
-    assert first.q_ell_normal is not first.q_ell_central
+    # two undefined reports do not share one cells dict
+    first, second = (evaluate_all(build_state("fock", 1),
+                                  StateModification.subtract(2))
+                     for _ in range(2))
+    assert first.undefined and second.undefined
+    assert first.cells == {} and first.cells is not second.cells
 
 
 # every public name; adding or dropping one is an API change
