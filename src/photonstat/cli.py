@@ -5,7 +5,6 @@ Exit codes: 0 ok, 1 usage error, 2 undefined state, 3 accuracy failure,
 invocations produce byte-identical bytes.
 """
 
-import argparse
 import atexit
 import gc
 import math
@@ -44,14 +43,6 @@ CONFIG_KEYS = ("ell_max", "criteria", "format", "tol",
 # them, so its memory grows with the grid; 10**5 default Fock rows peak
 # at 91 MB of the process's RSS as CSV and 348 MB as JSON
 MAX_GRID_POINTS = 10 ** 5
-
-
-class _Parser(argparse.ArgumentParser):
-    # usage problems exit 1 (not argparse's default 2) with one line, under
-    # one prefix whichever subcommand's parser found them
-    def error(self, message):
-        print(f"photonstat: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
 
 
 def _row(param, report, names):
@@ -360,78 +351,197 @@ def _request(args):
                      selection, fmt, policy, args.out)
 
 
-def build_parser():
-    parser = _Parser(prog="photonstat",
-                     description="Nonclassicality criteria for "
-                                 "photon-subtracted and photon-added states")
-    parser.add_argument("--version", action="version",
-                        version=f"photonstat {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+# ------------------------------------------------------------ command line
+# Each command's flags in help order: (flag, dest, converter, metavar,
+# help), a converter being int, float, str or the tuple of the values the
+# flag accepts.  parse_args reads argv word for word as argparse did.
 
-    def add_common(p, with_mod=True):
-        if with_mod:
-            p.add_argument("--subtract", type=int, metavar="N",
-                           help="number of photons to subtract")
-            p.add_argument("--add", type=int, metavar="M",
-                           help="number of photons to add")
-            p.add_argument("--ell-max", type=int, dest="ell_max",
-                           help="highest generalized-Mandel order (default 3)")
-            p.add_argument("--criteria", help="comma list from: "
-                           + ",".join(CRITERIA_TOKENS))
-            p.add_argument("--format", metavar="{csv,json}")
-            p.add_argument("--eps-tail", type=float, dest="eps_tail",
-                           help="tail-mass bound for the cutoff "
-                                f"(default {DEFAULT_POLICY.eps_tail})")
-            p.add_argument("--max-cutoff", type=int, dest="max_cutoff",
-                           help="hard cutoff cap "
-                                f"(default {DEFAULT_POLICY.max_cutoff})")
-        p.add_argument("--out", metavar="FILE",
-                       help="write the document to FILE instead of stdout")
-        p.add_argument("--config", metavar="FILE",
-                       help="JSON config file with flag defaults")
+_HELP = ("-h/--help", None, None, "", "show this help message and exit")
+_VERSION = ("--version", None, None, "", "show the program's version")
+_TOP = {"-h": _HELP, "--help": _HELP, "--version": _VERSION}
+_FLAGS = (  # of criteria and sweep; selfcheck reads the last two
+    ("--subtract", "subtract", int, "N", "number of photons to subtract"),
+    ("--add", "add", int, "M", "number of photons to add"),
+    ("--ell-max", "ell_max", int, "ELL_MAX",
+     "highest generalized-Mandel order (default 3)"),
+    ("--criteria", "criteria", str, "CRITERIA",
+     "comma list from: " + ",".join(CRITERIA_TOKENS)),
+    ("--format", "format", str, "{csv,json}", "document format"),
+    ("--eps-tail", "eps_tail", float, "EPS_TAIL",
+     f"tail-mass bound for the cutoff (default {DEFAULT_POLICY.eps_tail})"),
+    ("--max-cutoff", "max_cutoff", int, "MAX_CUTOFF",
+     f"hard cutoff cap (default {DEFAULT_POLICY.max_cutoff})"),
+    ("--out", "out", str, "FILE",
+     "write the document to FILE instead of stdout"),
+    ("--config", "config", str, "FILE", "JSON config file with flag defaults"),
+)
+_FAMILY = ("--family", "family", FAMILIES, "{" + ",".join(FAMILIES) + "}",
+           "base state family")
+# command: (help, flags, the flags it requires, the flag that repeats)
+_COMMANDS = {
+    "criteria": ("criteria report for a single state", (_FAMILY, (
+        "--param", "param", float, "PARAM",
+        "family parameter (|alpha|^2, nbar, N, or r)"), *_FLAGS),
+        ("--family", "--param"), None),
+    "sweep": ("criteria table over a parameter grid", (_FAMILY, (
+        "--param", "param", float, "PARAM", "grid point; repeat for several"),
+        ("--param-range", "param_range", str, "START:STOP:STEP",
+         "inclusive arithmetic grid"), *_FLAGS), ("--family",), "--param"),
+    "selfcheck": ("shortcut-vs-oracle equivalence suite", (
+        ("--tol", "tol", float, "TOL",
+         "override the relative tolerance of every cell"),
+        ("--families", "families", str, "FAMILIES",
+         "comma list of families to check (default: all suite states)"),
+        *_FLAGS[-2:]), (), None),
+}
 
-    crit = sub.add_parser("criteria",
-                          help="criteria report for a single state")
-    crit.add_argument("--family", required=True, choices=FAMILIES)
-    crit.add_argument("--param", required=True, type=float,
-                      help="family parameter (|alpha|^2, nbar, N, or r)")
-    add_common(crit)
 
-    sweep = sub.add_parser("sweep", help="criteria table over a parameter grid")
-    sweep.add_argument("--family", required=True, choices=FAMILIES)
-    sweep.add_argument("--param", type=float, action="append",
-                       help="grid point; repeat for several")
-    sweep.add_argument("--param-range", dest="param_range",
-                       metavar="START:STOP:STEP",
-                       help="inclusive arithmetic grid")
-    add_common(sweep)
+class _Args:
+    # parse_args' result: the command and each dest of its flags
+    def __init__(self, values):
+        self.__dict__.update(values)
 
-    check = sub.add_parser("selfcheck",
-                           help="shortcut-vs-oracle equivalence suite")
-    check.add_argument("--tol", type=float,
-                       help="override the relative tolerance of every cell")
-    check.add_argument("--families",
-                       help="comma list of families to check "
-                            "(default: all suite states)")
-    add_common(check, with_mod=False)
-    return parser
+
+def _option(word, flags):
+    """None for a value; else (flag, its value after "=" or None), flag
+    the one word names or alone begins, None if word looks like a flag
+    but is none.  A negative number is a value."""
+    if word[:1] != "-" or word == "-":
+        return None
+    head, eq, value = word.partition("=")
+    if head in flags:
+        return head, value if eq else None
+    if word[1] == "-":
+        found = [(f, value if eq else None) for f in flags
+                 if f.startswith(head)]
+    else:  # -hx is -h given x
+        found = [(word[:2], word[2:])] if word[:2] in flags else []
+    if len(found) > 1:
+        raise ValueError(f"ambiguous option: {word} could match "
+                         + ", ".join(f for f, _ in found))
+    if found:
+        return found[0]
+    whole, dot, frac = word[1:].partition(".")
+    if dot:  # -.5, -0.5
+        number = (not whole or whole.isdecimal()) and frac.isdecimal()
+    else:  # -1
+        number = whole.isdecimal()
+    return None if number or " " in word else (None, None)
+
+
+def _choice(name, value, choices):
+    if value not in choices:
+        raise ValueError(f"argument {name}: invalid choice: {value!r} "
+                         f"(choose from {', '.join(map(repr, choices))})")
+
+
+def _print_help(command, row, flag, value):
+    """Print the help of command (of the program for None), or for row
+    --version the version, unless the flag is given a value."""
+    if flag == "-h" and value:
+        value = value.lstrip("h") or None  # -hh reads as -h -h
+    if value is not None:
+        raise ValueError(
+            f"argument {row[0]}: ignored explicit argument {value!r}")
+    if row is not _HELP:
+        return print(f"photonstat {__version__}")
+    if command:
+        about, rows, required, _ = _COMMANDS[command]
+        usage, rows = " ".join([command, *required, "[options]"]), (
+            _HELP, *rows)
+    else:
+        about = ("Nonclassicality criteria for photon-subtracted and "
+                 "photon-added states")
+        usage = "[-h] [--version] {" + ",".join(_COMMANDS) + "} ..."
+        rows = [(name, 0, 0, "", command[0])
+                for name, command in _COMMANDS.items()] + [_HELP, _VERSION]
+    print(f"usage: photonstat {usage}\n\n{about}\n")
+    for flag, _, _, metavar, text in rows:
+        print(f"  {flag.replace('/', ', ')} {metavar}".rstrip()
+              + f"\n      {text}")
+
+
+def parse_args(argv):
+    """argv's command and each dest of its flags as attributes, None where
+    absent (a list for the flag that repeats), in one pass over argv; None
+    once --help or --version has printed.  ValueError for a usage error,
+    with argparse's message."""
+    flags, values, leftover = _TOP, None, []
+    i = 0
+    while i < len(argv):
+        word = argv[i]
+        i += 1
+        # "--" ends the flags; before the command, with a word after it,
+        # it is the command
+        if word == "--" and (values or i == len(argv)):
+            leftover += argv[i - 1:]
+            break
+        option = _option(word, flags) if word != "--" else None
+        if option is None and values is None:  # the command
+            _choice("command", word, _COMMANDS)
+            _, rows, required, repeated = _COMMANDS[word]
+            flags = {"-h": _HELP, "--help": _HELP,
+                     **{row[0]: row for row in rows}}
+            values = {"command": word, **{
+                row[1]: [] if row[0] == repeated else None for row in rows}}
+            for later in argv[i:]:  # an ambiguous flag is the error
+                if later == "--":  # wherever it stands, as argparse read
+                    break  # every word before any flag acted
+                _option(later, flags)
+            continue
+        if option is None or option[0] is None:
+            leftover.append(word)
+            continue
+        flag, value = option
+        row = flags[flag]
+        if row[1] is None:
+            return _print_help(values and values["command"], row, *option)
+        if value is None:  # the next word, which must be a value
+            if (i == len(argv) or argv[i] == "--"
+                    or _option(argv[i], flags) is not None):
+                raise ValueError(f"argument {flag}: expected one argument")
+            value = argv[i]
+            i += 1
+        if type(row[2]) is tuple:
+            _choice(flag, value, row[2])
+        else:
+            try:
+                value = row[2](value)
+            except ValueError:
+                raise ValueError(f"argument {flag}: invalid "
+                                 f"{row[2].__name__} value: {value!r}"
+                                 ) from None
+        if flag == repeated:
+            values[row[1]].append(value)
+        else:
+            values[row[1]] = value
+    missing = ["command"] if values is None else [
+        flag for flag in required if values[flags[flag][1]] is None]
+    if missing:
+        raise ValueError("the following arguments are required: "
+                         + ", ".join(missing))
+    if leftover:
+        raise ValueError("unrecognized arguments: " + " ".join(leftover))
+    return _Args(values)
 
 
 def main(argv=None):
-    parser = build_parser()
     created = None  # an --out file this run made and has not written yet
     try:
-        args = parser.parse_args(argv)
         try:
+            args = parse_args(sys.argv[1:] if argv is None else argv)
+            if args is None:  # --help or --version has printed
+                return 0
             # first, so an --out that cannot be written costs no work
             created = _claim_out(args.out)
             command, request = _request(args)
         except ValueError as exc:  # an input the program refuses
-            parser.error(str(exc))
+            print(f"photonstat: error: {exc}", file=sys.stderr)
+            return 1
         status = command(*request)
         created = None  # every command that returns has written its --out
         return status
-    except SystemExit as exc:
+    except SystemExit as exc:  # a document that cannot be written
         return int(exc.code or 0)
     except UndefinedStateError as exc:
         print(f"error: {exc}", file=sys.stderr)

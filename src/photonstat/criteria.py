@@ -35,10 +35,10 @@ DET_DEGENERACY_TOL = 1e-10
 
 
 # highest ell_max: the Stirling table below keeps every row up to
-# moment_order(ell_max), and at 500 a vacuum report peaks near 312 MB in
-# 3.2-3.4 s (200 MB of Stirling rows, 70 MB of Q^(l) plans and 25 MB of
-# binomial rows for the Poisson table); past it, 1000 runs out of 1 GiB,
-# and from l = 515 a Q^(l) coefficient C(2l, l) leaves float64
+# moment_order(ell_max), and at 500 a vacuum report peaks near 213 MB in
+# 2.1-2.2 s, nearly all of it Stirling rows (its Q^(l) values are NaN
+# before any plan or Poisson row is built); past it, 1000 runs out of
+# 1 GiB, and from l = 515 a Q^(l) coefficient C(2l, l) leaves float64
 MAX_ELL_MAX = 500
 
 
@@ -160,19 +160,24 @@ def mu_from_m(m):
         raise
 
 
-# a report reads one entry; a run of rising orders in
-# poisson_central_moment one per power of two
 @lru_cache(maxsize=16)
-def _mean_tables(lam, top):
-    """((-lam)^0..(-lam)^top, O_0..O_r(lam)) for a float mean lam: each
-    power by pow, inf past float64 so that a sum reading it raises, and
-    the Poisson row up to r = top or to its last finite order (none past
-    O_1 for a NaN lam, which only d_h reads the powers of)."""
+def _powers(lam, top):
+    """(-lam)^0..(-lam)^top for a float mean lam, each by pow, inf past
+    float64 so that a sum reading it raises."""
     powers = []
     try:
         powers.extend(map(pow, repeat(-lam), range(top + 1)))
     except OverflowError:  # this power and every higher one are inf
         powers += [math.inf] * (top + 1 - len(powers))
+    return tuple(powers)
+
+
+# a report reads one entry; a run of rising orders in
+# poisson_central_moment one per power of two
+@lru_cache(maxsize=16)
+def _mean_tables(lam, top):
+    """(_powers(lam, top), O_0..O_r(lam)) for a float mean lam >= 0: the
+    Poisson row up to r = top or to its last finite order."""
     row = [1.0, 0.0]
     for r in range(1, top):
         try:
@@ -184,7 +189,7 @@ def _mean_tables(lam, top):
         if not math.isfinite(value):
             break
         row.append(value)
-    return tuple(powers), tuple(row)
+    return _powers(lam, top), tuple(row)
 
 
 def _poisson_entry(lam, row, order):
@@ -223,10 +228,9 @@ def _picker(indices, padding=()):
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 2.0 is not served as 2
-def _plan(token, ell):
-    # token at ell: order read, denominator rule and names, coefficients as
-    # floats, a picker of powers (None if all are 0), one of each factor
-    # (1.0 for rows without it), and the indices read
+def _order(token, ell):
+    # the highest order token reads at ell; ValueError for an ell that is
+    # not an int, is below least or reads past the cap
     if type(ell) is not int:
         raise ValueError("ell must be an integer")
     c = _CRITERIA[token]
@@ -235,10 +239,19 @@ def _plan(token, ell):
                          else f"ell must be at least {c.least}")
     order = c.reads(ell)
     _refuse_past_cap(order)
+    return order
+
+
+@lru_cache(maxsize=None)
+def _plan(token, ell):
+    # token at an ell _order accepts: numerator and result names,
+    # coefficients as floats, a picker of powers (None if all are 0), one
+    # of each factor (1.0 for rows without it), and the indices read
+    c = _CRITERIA[token]
     coefs, pows, indices = zip(*c.terms(ell))
     factors = ([i[k] for i in indices if len(i) > k]
                for k in range(len(indices[0])))
-    return (order, c.over, c.numerator, c.result, tuple(map(float, coefs)),
+    return (c.numerator, c.result, tuple(map(float, coefs)),
             _picker(pows) if any(pows) else None,
             [_picker(f, (1.0,) * (len(coefs) - len(f))) for f in factors],
             sorted({1}.union(*indices)))
@@ -247,14 +260,14 @@ def _plan(token, ell):
 def _evaluate(token, seq, ell, kind="factorial"):
     """(value, numerator products) of criterion token at order ell over
     seq, moments of the given kind; (NaN, []) for a vanishing mean under a
-    denominator.  Each product forms left to right, with the powers and
-    O_2l of the mean's tables to seq's top order, which a report shares,
-    and checked_fsum sums them.  ValueError for an ell that is not an int
-    or is below least, past the cap, a short seq, a negative or NaN mean
+    denominator, settled before any table is built.  Each product forms
+    left to right, with the powers (and, under O_2l, the Poisson row) of
+    the mean's tables to seq's top order, which a report shares, and
+    checked_fsum sums them.  ValueError for an ell that is not an int or
+    is below least, past the cap, a short seq, a negative or NaN mean
     under O_2l, or a NaN moment read, sought once the sum is non-finite;
     AccuracyError when a result from finite moments leaves float64."""
-    (order, over, numerator, result, products, powers_of, factors,
-     read) = _plan(token, ell)
+    order = _order(token, ell)
     top = len(seq) - 1
     if top < order:
         raise ValueError(f"need {kind} moments up to order {order}")
@@ -262,14 +275,19 @@ def _evaluate(token, seq, ell, kind="factorial"):
         mean = float(seq[1])
     except OverflowError:  # an int beyond float64: its sums raise
         mean = math.inf
+    over = _CRITERIA[token].over
     if over:
         if mean == 0.0:
             return math.nan, []
         if over != "m_1" and not mean >= 0:  # moments given by hand
             raise ValueError("mean must be nonnegative")
+    numerator, result, products, powers_of, factors, read = _plan(token, ell)
     if powers_of:
-        powers, row = _mean_tables(mean, top if top < _TOP_ORDER
-                                   else _TOP_ORDER)
+        top = top if top < _TOP_ORDER else _TOP_ORDER
+        if over:  # an O_2l rule: the only one with powers and a denominator
+            powers, row = _mean_tables(mean, top)
+        else:
+            powers = _powers(mean, top)
         products = map(mul, products, powers_of(powers))
     for pick in factors:
         products = map(mul, products, pick(seq))

@@ -6,8 +6,9 @@ archive` into a temporary directory, and prints every argv whose stdout,
 stderr or exit code differ.  The list is every benchmark argv at seeds
 1-3, read from photonbench/workloads.build, plus extras that reach long
 Q^(l) rows, exits 3 and 4, the JSON A3 detail, selected columns,
-accuracy_failure rows and the ell_max cap.  Exits 1 if any argv
-differs.  It uses the standard library alone, and pytest does not collect
+accuracy_failure rows and the ell_max cap, and the usage contract: the
+line each kind of usage error prints, abbreviated flags, --flag=value, a
+repeated flag and --version.  Exits 1 if any argv differs.  It uses the standard library alone, and pytest does not collect
 it.
 
     python tests/same_bytes.py --base <git ref>
@@ -41,6 +42,23 @@ EXTRAS = (
     "--format csv",
     "sweep --family fock --param 1 --param 4000 --ell-max 100",  # failed rows
     "criteria --family fock --param 0 --ell-max 500",  # the ell_max cap
+    # the usage contract: each line a usage error prints, and what the
+    # command line accepts
+    "", "nonsense", "sweep", "criteria --family fock",
+    "sweep --family cat --param 1",
+    "sweep --family fock --param",
+    "sweep --family fock --param x",
+    "sweep --family fock --param 1 --bogus 3",
+    "sweep --family fock --param 1 extra",
+    "sweep --family fock --param --ell-max 2",
+    "sweep --fam fock --param 1",
+    "sweep --family fock --par 1",
+    "sweep --family fock --param -1",
+    "sweep --family fock --param=-1",
+    "sweep --family fock --param 1 --subtract 1e5",
+    "criteria --family fock --param 1 --param 2",
+    "selfcheck --tol",
+    "--version",
 )
 TIMEOUT = 600  # seconds per call
 

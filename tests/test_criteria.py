@@ -637,6 +637,39 @@ def test_binomial_rows_to_the_cap_build_without_deep_recursion():
     assert result.stdout == "True\nTrue\nTrue\n"
 
 
+def test_a_vacuum_report_at_the_cap_builds_no_table_it_never_reads():
+    # every Q^(l) value of the vacuum is NaN, settled before its plan, and
+    # d_h reads the mean's powers alone: no Q^(l) plan is built, and no
+    # Poisson entry past O_1 (1,000 plans and a row to O_1000 would cost
+    # about 100 MB at the cap)
+    code = (
+        "from photonstat import criteria\n"
+        "from photonstat.states import build_state\n"
+        "plan, tables = criteria._plan, criteria._mean_tables\n"
+        "planned, rows = set(), [()]\n"
+        "def recorded_plan(token, ell):\n"
+        "    planned.add(token)\n"
+        "    return plan(token, ell)\n"
+        "def recorded_tables(lam, top):\n"
+        "    powers, row = tables(lam, top)\n"
+        "    rows.append(row)\n"
+        "    return powers, row\n"
+        "criteria._plan, criteria._mean_tables = recorded_plan, "
+        "recorded_tables\n"
+        "report = criteria.evaluate_all(build_state('fock', 0), "
+        f"ell_max={criteria.MAX_ELL_MAX})\n"
+        "print(sorted(planned), max(map(len, rows)))\n"
+        "print(sum(v != v for v in report.cells.values()), report.flags)\n")
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                            text=True, timeout=120,
+                            preexec_fn=limit_address_space)
+    assert result.stderr == ""
+    # Q and both Q^(l) forms at l = 1..500 are NaN, the mean flagged
+    assert result.stdout.splitlines() == [
+        "['A3', 'd_h'] 0", f"{1 + 2 * criteria.MAX_ELL_MAX} "
+        "('a3_degenerate', 'undefined_mean')"]
+
+
 def test_rising_poisson_orders_build_few_tables():
     # orders 2..1000 share one table per power of two (2, 4, ..., 512,
     # then the cap); O_235(0.3) is beyond float64, and every order from it
