@@ -354,7 +354,8 @@ def _request(args):
 # ------------------------------------------------------------ command line
 # Each command's flags in help order: (flag, dest, converter, metavar,
 # help), a converter being int, float, str or the tuple of the values the
-# flag accepts.  parse_args reads argv word for word as argparse did.
+# flag accepts.  parse_args keeps argparse's reading of a command line and
+# its messages, the CLI's usage contract.
 
 _HELP = ("-h/--help", None, None, "", "show this help message and exit")
 _VERSION = ("--version", None, None, "", "show the program's version")
@@ -435,9 +436,9 @@ def _choice(name, value, choices):
                          f"(choose from {', '.join(map(repr, choices))})")
 
 
-def _print_help(command, row, flag, value):
-    """Print the help of command (of the program for None), or for row
-    --version the version, unless the flag is given a value."""
+def _print_help_or_version(command, row, flag, value):
+    """Print the help of command (of the program for None), or the
+    version for row --version; ValueError if the flag is given a value."""
     if flag == "-h" and value:
         value = value.lstrip("h") or None  # -hh reads as -h -h
     if value is not None:
@@ -495,7 +496,8 @@ def parse_args(argv):
         flag, value = option
         row = flags[flag]
         if row[1] is None:
-            return _print_help(values and values["command"], row, *option)
+            return _print_help_or_version(values and values["command"],
+                                          row, *option)
         if value is None:  # the next word, which must be a value
             if (i == len(argv) or argv[i] == "--"
                     or _option(argv[i], flags) is not None):

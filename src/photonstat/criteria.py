@@ -228,9 +228,10 @@ def _picker(indices, padding=()):
 
 
 @lru_cache(maxsize=None, typed=True)  # typed: 2.0 is not served as 2
-def _order(token, ell):
-    # the highest order token reads at ell; ValueError for an ell that is
-    # not an int, is below least or reads past the cap
+def _rule(token, ell):
+    # (the highest order token reads at ell, its denominator rule);
+    # ValueError for an ell that is not an int, is below least or reads
+    # past the cap
     if type(ell) is not int:
         raise ValueError("ell must be an integer")
     c = _CRITERIA[token]
@@ -239,12 +240,12 @@ def _order(token, ell):
                          else f"ell must be at least {c.least}")
     order = c.reads(ell)
     _refuse_past_cap(order)
-    return order
+    return order, c.over
 
 
 @lru_cache(maxsize=None)
 def _plan(token, ell):
-    # token at an ell _order accepts: numerator and result names,
+    # token at an ell _rule accepts: numerator and result names,
     # coefficients as floats, a picker of powers (None if all are 0), one
     # of each factor (1.0 for rows without it), and the indices read
     c = _CRITERIA[token]
@@ -267,7 +268,7 @@ def _evaluate(token, seq, ell, kind="factorial"):
     is below least, past the cap, a short seq, a negative or NaN mean
     under O_2l, or a NaN moment read, sought once the sum is non-finite;
     AccuracyError when a result from finite moments leaves float64."""
-    order = _order(token, ell)
+    order, over = _rule(token, ell)
     top = len(seq) - 1
     if top < order:
         raise ValueError(f"need {kind} moments up to order {order}")
@@ -275,7 +276,6 @@ def _evaluate(token, seq, ell, kind="factorial"):
         mean = float(seq[1])
     except OverflowError:  # an int beyond float64: its sums raise
         mean = math.inf
-    over = _CRITERIA[token].over
     if over:
         if mean == 0.0:
             return math.nan, []

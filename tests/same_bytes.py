@@ -8,8 +8,8 @@ stderr or exit code differ.  The list is every benchmark argv at seeds
 Q^(l) rows, exits 3 and 4, the JSON A3 detail, selected columns,
 accuracy_failure rows and the ell_max cap, and the usage contract: the
 line each kind of usage error prints, abbreviated flags, --flag=value, a
-repeated flag and --version.  Exits 1 if any argv differs.  It uses the standard library alone, and pytest does not collect
-it.
+repeated flag and --version.  Exits 1 if any argv differs.  It uses the
+standard library alone, and pytest does not collect it.
 
     python tests/same_bytes.py --base <git ref>
 """
