@@ -633,7 +633,7 @@ def test_help_lists_every_command_flag_and_metavar(capsys, argv):
     assert code == 0 and err == "" and out.startswith("usage: photonstat")
     if len(argv) == 1:
         want = [name for name in cli._COMMANDS] + [
-            help for help, *_ in cli._COMMANDS.values()] + ["--version"]
+            about for about, *_ in cli._COMMANDS.values()] + ["--version"]
     else:
         want = [part for row in cli._COMMANDS[argv[0]][1]
                 for part in (row[0], row[3], row[4])]
