@@ -11,6 +11,7 @@ import math
 import os
 import stat
 import sys
+import types
 
 from . import __version__
 from .criteria import (
@@ -98,20 +99,24 @@ def _claim_out(path):
     return created
 
 
-def _emit(document, out_path):
+def _emit(document, out_path=None):
     """Write document (text, or a dict as indented JSON) to out_path or,
-    without one, to stdout.  A file that cannot be written exits 1."""
+    without one, to stdout, the one place the CLI writes either.  Output
+    that cannot be written, a closed pipe on stdout included, exits 1."""
     if isinstance(document, dict):
         import json  # only JSON documents and config files need it
         document = json.dumps(document, indent=2) + "\n"
-    if not out_path:
-        sys.stdout.write(document)
-        return
     try:
-        with open(out_path, "w", encoding="utf-8") as handle:
-            handle.write(document)
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as handle:
+                handle.write(document)
+        else:
+            sys.stdout.write(document)
+            sys.stdout.flush()
     except OSError as exc:
-        print(f"photonstat: error: cannot write {out_path}: "
+        if not out_path:  # so the interpreter's exit flush cannot fail too
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"photonstat: error: cannot write {out_path or 'stdout'}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(1) from None
 
@@ -205,24 +210,24 @@ def cmd_selfcheck(states, tol, out_path=None):
         key = (cell.family, cell.param, cell.mod)
         group = by_combo.setdefault(key, [])
         group.append(cell)
+    lines = []
     for (family, param, mod), group in by_combo.items():
         worst = max(c.rel_dev for c in group)
         status = "ok" if all(c.passed for c in group) else "FAIL"
-        print(f"{family}({param!r}) {mod}: cells={len(group)} "
-              f"max_rel_dev={worst:.3e} {status}")
+        lines.append(f"{family}({param!r}) {mod}: cells={len(group)} "
+                     f"max_rel_dev={worst:.3e} {status}\n")
     worst = report.worst
-    print(f"selfcheck: {len(report.cells)} cells, worst rel dev "
-          f"{worst.rel_dev:.3e} at {worst.family}({worst.param!r}) "
-          f"{worst.mod} {worst.quantity}")
+    lines.append(f"selfcheck: {len(report.cells)} cells, worst rel dev "
+                 f"{worst.rel_dev:.3e} at {worst.family}({worst.param!r}) "
+                 f"{worst.mod} {worst.quantity}\n")
+    _emit("".join(lines))
     if out_path:
         _emit(report.to_text(), out_path)
-    if report.passed:
-        print("selfcheck PASS")
-        return 0
-    for cell in report.failures():
-        print(f"FAIL {cell.line()}")
-    print("selfcheck FAIL")
-    return 4
+    # the failing cells and the verdict follow the --out report
+    lines = [f"FAIL {cell.line()}\n" for cell in report.failures()]
+    verdict = "PASS" if report.passed else "FAIL"
+    _emit("".join(lines) + f"selfcheck {verdict}\n")
+    return 0 if report.passed else 4
 
 
 # ----------------------------------------------------------------- parsing
@@ -397,12 +402,6 @@ _COMMANDS = {
 }
 
 
-class _Args:
-    # parse_args' result: the command and each dest of its flags
-    def __init__(self, values):
-        self.__dict__.update(values)
-
-
 def _option(word, flags):
     """None for a value; else (flag, its value after "=" or None), flag
     the one word names or alone begins, None if word looks like a flag
@@ -445,7 +444,7 @@ def _print_help_or_version(command, row, flag, value):
         raise ValueError(
             f"argument {row[0]}: ignored explicit argument {value!r}")
     if row is not _HELP:
-        return print(f"photonstat {__version__}")
+        return _emit(f"photonstat {__version__}\n")
     if command:
         about, rows, required, _ = _COMMANDS[command]
         usage, rows = " ".join([command, *required, "[options]"]), (
@@ -456,10 +455,9 @@ def _print_help_or_version(command, row, flag, value):
         usage = "[-h] [--version] {" + ",".join(_COMMANDS) + "} ..."
         rows = [(name, 0, 0, "", command[0])
                 for name, command in _COMMANDS.items()] + [_HELP, _VERSION]
-    print(f"usage: photonstat {usage}\n\n{about}\n")
-    for flag, _, _, metavar, text in rows:
-        print(f"  {flag.replace('/', ', ')} {metavar}".rstrip()
-              + f"\n      {text}")
+    _emit(f"usage: photonstat {usage}\n\n{about}\n\n" + "".join(
+        f"  {flag.replace('/', ', ')} {metavar}".rstrip() + f"\n      {text}\n"
+        for flag, _, _, metavar, text in rows))
 
 
 def parse_args(argv):
@@ -524,7 +522,7 @@ def parse_args(argv):
                          + ", ".join(missing))
     if leftover:
         raise ValueError("unrecognized arguments: " + " ".join(leftover))
-    return _Args(values)
+    return types.SimpleNamespace(**values)
 
 
 def main(argv=None):

@@ -8,8 +8,9 @@ stderr or exit code differ.  The list is every benchmark argv at seeds
 Q^(l) rows, exits 3 and 4, the JSON A3 detail, selected columns,
 accuracy_failure rows and the ell_max cap, and the usage contract: the
 line each kind of usage error prints, abbreviated flags, --flag=value, a
-repeated flag and --version.  Exits 1 if any argv differs.  It uses the
-standard library alone, and pytest does not collect it.
+repeated flag, negative values, "--", a repeated -h and --version.
+Exits 1 if any argv differs.  It uses the standard library alone, and
+pytest does not collect it.
 
     python tests/same_bytes.py --base <git ref>
 """
@@ -59,6 +60,12 @@ EXTRAS = (
     "criteria --family fock --param 1 --param 2",
     "selfcheck --tol",
     "--version",
+    "criteria --family thermal --param=-.5",
+    "sweep --family fock --param -0.5",
+    "-hh", "sweep -h -h",
+    "sweep --family fock --param 1 -- 2",
+    "sweep --family fock --param 1 -- --par",
+    "--",
 )
 TIMEOUT = 600  # seconds per call
 

@@ -424,6 +424,31 @@ def test_out_that_fails_while_written_exits_1_with_one_line(capsys, argv):
         assert out == ""
 
 
+@pytest.mark.parametrize("unbuffered", [False, True],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ("--help",), ("--version",), ("selfcheck",),
+    ("sweep", "--family", "fock", "--param", "3"),
+], ids=["help", "version", "selfcheck", "sweep"])
+def test_closed_stdout_exits_1_with_one_line(argv, unbuffered):
+    # stdout is a pipe whose reader has gone: buffered, the flush fails,
+    # and unbuffered, the write; either way no traceback, and no exit 120
+    # from a second failure in the interpreter's exit flush
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        result = subprocess.run([sys.executable, "-m", "photonstat", *argv],
+                                stdout=write, stderr=subprocess.PIPE,
+                                env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert (result.returncode, result.stderr) == (
+        1, b"photonstat: error: cannot write stdout: Broken pipe\n")
+
+
 @pytest.mark.parametrize("argv,status", [
     (("criteria", "--family", "fock", "--param", "1", "--ell-max", "0"), 1),
     (("criteria", "--family", "fock", "--param", "0", "--subtract", "1"), 2),
@@ -608,9 +633,22 @@ def test_help_exits_0(capsys):
     (("sweep", "--family", "fock", "--param", "-1"),  # a value, refused
      "fock parameter must be a nonnegative integer"),
     (("--version=3",), "argument --version: ignored explicit argument '3'"),
+    # negative numbers are values, refused by the family's rule
+    (("criteria", "--family", "thermal", "--param=-.5"),
+     "thermal parameter must be nonnegative"),
+    (("sweep", "--family", "fock", "--param", "-0.5"),
+     "fock parameter must be a nonnegative integer"),
+    # "--" ends the flags, and the ambiguity pre-scan stops at it
+    (("sweep", "--family", "fock", "--param", "1", "--", "2"),
+     "unrecognized arguments: -- 2"),
+    (("sweep", "--family", "fock", "--param", "1", "--", "--par"),
+     "unrecognized arguments: -- --par"),
+    (("--",), "the following arguments are required: command"),
 ], ids=["no-command", "unknown-command", "required", "choice", "no-value",
         "flag-for-value", "float", "unrecognized", "required-first",
-        "ambiguous", "negative", "explicit"])
+        "ambiguous", "negative", "explicit", "negative-fraction-equals",
+        "negative-fraction", "after-dash-dash", "prescan-stops-at-dash-dash",
+        "lone-dash-dash"])
 def test_each_usage_error_prints_its_line(capsys, argv, line):
     assert run_cli(capsys, *argv) == (1, "", f"photonstat: error: {line}\n")
 
@@ -626,8 +664,9 @@ def test_flags_may_be_abbreviated_given_with_equals_and_repeated():
 
 @pytest.mark.parametrize("argv", [
     ("--help",), ("-h",), ("criteria", "--he"), ("sweep", "-h"),
-    ("selfcheck", "--help"),
-], ids=["program", "short", "criteria", "sweep", "selfcheck"])
+    ("selfcheck", "--help"), ("-hh",), ("sweep", "-h", "-h"),
+], ids=["program", "short", "criteria", "sweep", "selfcheck", "hh",
+        "sweep-h-h"])
 def test_help_lists_every_command_flag_and_metavar(capsys, argv):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == "" and out.startswith("usage: photonstat")

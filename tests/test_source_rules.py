@@ -78,3 +78,25 @@ def test_criteria_sum_only_in_the_evaluator():
         "_evaluate"]
     # and none at module level
     assert len(sums(tree)) == len(sums(functions["_evaluate"]))
+
+
+def test_cli_writes_stdout_only_through_emit():
+    # every byte the CLI prints goes through cli._emit, whose one except
+    # turns output that cannot be written, stdout included, into one line
+    # and exit 1; print is for the one-line messages on stderr
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    emit = next(node for node in tree.body
+                if isinstance(node, ast.FunctionDef) and node.name == "_emit")
+    inside = {id(node) for node in ast.walk(emit)}
+    stdout = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Attribute) and node.attr == "stdout"
+              and getattr(node.value, "id", None) == "sys"
+              and id(node) not in inside]
+    assert stdout == []
+    prints = [node.lineno for node in ast.walk(tree)
+              if isinstance(node, ast.Call)
+              and getattr(node.func, "id", None) == "print"
+              and not any(kw.arg == "file"
+                          and ast.unparse(kw.value) == "sys.stderr"
+                          for kw in node.keywords)]
+    assert prints == []
