@@ -6,6 +6,7 @@ invocations produce byte-identical bytes.
 """
 
 import atexit
+import errno
 import gc
 import math
 import os
@@ -101,8 +102,7 @@ def _claim_out(path):
 
 def _emit(document, out_path=None):
     """Write document (text, or a dict as indented JSON) to out_path or,
-    without one, to stdout, the one place the CLI writes either.  Output
-    that cannot be written, a closed pipe on stdout included, exits 1."""
+    without one, to stdout.  Output that cannot be written exits 1."""
     if isinstance(document, dict):
         import json  # only JSON documents and config files need it
         document = json.dumps(document, indent=2) + "\n"
@@ -110,11 +110,13 @@ def _emit(document, out_path=None):
         if out_path:
             with open(out_path, "w", encoding="utf-8") as handle:
                 handle.write(document)
+        elif sys.stdout is None:  # the process started with fd 1 closed
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         else:
             sys.stdout.write(document)
             sys.stdout.flush()
     except OSError as exc:
-        if not out_path:  # so the interpreter's exit flush cannot fail too
+        if sys.stdout and not out_path:  # the exit flush then cannot fail
             os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         print(f"photonstat: error: cannot write {out_path or 'stdout'}: "
               f"{exc.strerror or exc}", file=sys.stderr)

@@ -424,29 +424,34 @@ def test_out_that_fails_while_written_exits_1_with_one_line(capsys, argv):
         assert out == ""
 
 
-@pytest.mark.parametrize("unbuffered", [False, True],
-                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("mode,reason", [
+    ("buffered", "Broken pipe"), ("unbuffered", "Broken pipe"),
+    ("closed-fd", "Bad file descriptor"),
+], ids=["buffered", "unbuffered", "closed-fd"])
 @pytest.mark.parametrize("argv", [
     ("--help",), ("--version",), ("selfcheck",),
     ("sweep", "--family", "fock", "--param", "3"),
 ], ids=["help", "version", "selfcheck", "sweep"])
-def test_closed_stdout_exits_1_with_one_line(argv, unbuffered):
+def test_closed_stdout_exits_1_with_one_line(argv, mode, reason):
     # stdout is a pipe whose reader has gone: buffered, the flush fails,
     # and unbuffered, the write; either way no traceback, and no exit 120
-    # from a second failure in the interpreter's exit flush
+    # from a second failure in the interpreter's exit flush.  Started with
+    # fd 1 closed (">&-"), the process has no sys.stdout at all
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    if unbuffered:
+    if mode == "unbuffered":
         env["PYTHONUNBUFFERED"] = "1"
+    cmd = [sys.executable, "-m", "photonstat", *argv]
+    if mode == "closed-fd":
+        cmd = ["sh", "-c", 'exec "$@" >&-', "sh", *cmd]
     read, write = os.pipe()
     os.close(read)
     try:
-        result = subprocess.run([sys.executable, "-m", "photonstat", *argv],
-                                stdout=write, stderr=subprocess.PIPE,
+        result = subprocess.run(cmd, stdout=write, stderr=subprocess.PIPE,
                                 env=env, timeout=120)
     finally:
         os.close(write)
-    assert (result.returncode, result.stderr) == (
-        1, b"photonstat: error: cannot write stdout: Broken pipe\n")
+    assert (result.returncode, result.stderr.decode()) == (
+        1, f"photonstat: error: cannot write stdout: {reason}\n")
 
 
 @pytest.mark.parametrize("argv,status", [
