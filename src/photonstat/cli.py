@@ -13,6 +13,7 @@ import os
 import stat
 import sys
 import types
+from itertools import groupby
 
 from . import __version__
 from .criteria import (
@@ -207,13 +208,11 @@ def cmd_sweep(family, grid, mod, ell_max, selection, fmt, policy,
 def cmd_selfcheck(states, tol, out_path=None):
     from .oracle import equivalence_suite
     report = equivalence_suite(states=states, tol=tol)
-    by_combo = {}
-    for cell in report.cells:
-        key = (cell.family, cell.param, cell.mod)
-        group = by_combo.setdefault(key, [])
-        group.append(cell)
     lines = []
-    for (family, param, mod), group in by_combo.items():
+    # the suite writes each (family, param, modification) as one block
+    for (family, param, mod), group in groupby(
+            report.cells, lambda c: (c.family, c.param, c.mod)):
+        group = list(group)
         worst = max(c.rel_dev for c in group)
         status = "ok" if all(c.passed for c in group) else "FAIL"
         lines.append(f"{family}({param!r}) {mod}: cells={len(group)} "

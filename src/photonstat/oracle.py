@@ -160,12 +160,6 @@ def oracle_add(dist, m, x_max=4):
     return OracleResult(out, direct_moments(out, x_max), norm)
 
 
-def apply_modification(dist, mod, x_max=4):
-    if mod.kind is ModKind.ADD and mod.count > 0:
-        return oracle_add(dist, mod.count, x_max)
-    return oracle_subtract(dist, mod.count, x_max)
-
-
 class EquivalenceCell(namedtuple(
         "EquivalenceCell",
         "family param mod quantity shortcut oracle rel_dev tol")):
@@ -328,7 +322,8 @@ def equivalence_suite(states=DEFAULT_SUITE_STATES, tol=DEFAULT_TOL):
             tag = f"{mod.kind.value}{mod.count}"
             report = evaluate_all(ladder, mod, ell_max)
             try:
-                ref = apply_modification(dist, mod, x_max)
+                ref = (oracle_add if mod.kind is ModKind.ADD
+                       else oracle_subtract)(dist, mod.count, x_max)
             except UndefinedStateError:
                 ref = None
             if report.undefined or ref is None:

@@ -35,7 +35,7 @@ MUTANTS = (
     ("lee_dh index", "criteria.py", "(1, 0, (ell,))", "(1, 0, (ell - 1,))", KILLED, KILLED),
     ("A3 determinant sign", "criteria.py", "return det_m / denom", "return -det_m / denom", KILLED, KILLED),
     ("subtracted ladder shift", "moments.py", "norm = ladder.values[m]", "norm = ladder.values[m + 1]", KILLED, KILLED),
-    ("oracle ModKind swapped", "oracle.py", "if mod.kind is ModKind.ADD and", "if mod.kind is ModKind.SUBTRACT and", KILLED, KILLED),
+    ("oracle ModKind swapped", "oracle.py", "oracle_add if mod.kind is ModKind.ADD", "oracle_add if mod.kind is ModKind.SUBTRACT", KILLED, KILLED),
     ("DET_DEGENERACY_TOL x10", "criteria.py", "DET_DEGENERACY_TOL = 1e-10", "DET_DEGENERACY_TOL = 1e-9", SURVIVED, SURVIVED),
     ("Hankel term sign", "criteria.py", "(-1, 0, (0, 3, 3))", "(1, 0, (0, 3, 3))", KILLED, KILLED),
     ("Q numerator sign", "criteria.py", "(-1, 0, (1, 1)), (1, 0, (2,))", "(1, 0, (1, 1)), (1, 0, (2,))", KILLED, KILLED),

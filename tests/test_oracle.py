@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from photonstat import (
     FAMILIES,
     AccuracyError,
     CutoffPolicy,
+    ModKind,
     NumberDistribution,
     StateModification,
     UndefinedStateError,
@@ -365,7 +367,8 @@ def test_deeper_envelopes_match_the_oracle(states, mods, x_max,
             where = (family, param, mod)
             report = evaluate_all(dist, mod, ell_max)
             try:
-                ref = oracle.apply_modification(dist, mod, x_max)
+                ref = (oracle_add if mod.kind is ModKind.ADD
+                       else oracle_subtract)(dist, mod.count, x_max)
             except UndefinedStateError:
                 assert report.undefined, where
                 continue
@@ -440,6 +443,22 @@ def test_suite_report_text_has_one_record_per_cell():
     assert len(lines) == 2 + len(report.cells)
     assert "PASS" in lines[1]
     assert all("rel_dev" in line for line in lines[2:])
+
+
+@pytest.mark.parametrize("families", [FAMILIES, ("fock", "thermal")],
+                         ids=["default", "fock-thermal"])
+def test_suite_writes_one_block_per_state_and_modification(families):
+    # selfcheck summarizes the cells in one groupby pass, which is right
+    # only while each (family, param, modification) is one contiguous
+    # block, in states x modification order, and no key comes back
+    states = tuple(s for s in DEFAULT_SUITE_STATES if s[0] in families)
+    tags = [f"subtract{n}" for n in range(4)]
+    tags += [f"add{m}" for m in range(1, 5)]
+    report = equivalence_suite(states)
+    blocks = [key for key, _ in itertools.groupby(
+        report.cells, lambda c: (c.family, c.param, c.mod))]
+    assert blocks == [(family, param, tag) for family, param in states
+                      for tag in tags]
 
 
 # ----------------------------------------------------------- fixed points
