@@ -107,18 +107,29 @@ def _emit(document, out_path=None):
     if isinstance(document, dict):
         import json  # only JSON documents and config files need it
         document = json.dumps(document, indent=2) + "\n"
+    stdout = sys.stdout
     try:
         if out_path:
             with open(out_path, "w", encoding="utf-8") as handle:
                 handle.write(document)
-        elif sys.stdout is None:  # the process started with fd 1 closed
+        elif stdout is None:  # the process started with fd 1 closed
             raise OSError(errno.EBADF, os.strerror(errno.EBADF))
+        elif not hasattr(stdout, "buffer"):  # a text sink, as io.StringIO
+            stdout.write(document)
+            stdout.flush()
         else:
-            sys.stdout.write(document)
-            sys.stdout.flush()
+            # every count is checked: unbuffered, the text layer would drop
+            # the rest of a write that its reader closed midway
+            data = memoryview(document.encode(stdout.encoding, stdout.errors))
+            while data:
+                count = stdout.buffer.write(data)
+                if not count:  # None: a nonblocking stdout is full
+                    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+                data = data[count:]
+            stdout.flush()
     except OSError as exc:
-        if sys.stdout and not out_path:  # the exit flush then cannot fail
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        if stdout and not out_path:  # the exit flush then cannot fail
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stdout.fileno())
         print(f"photonstat: error: cannot write {out_path or 'stdout'}: "
               f"{exc.strerror or exc}", file=sys.stderr)
         raise SystemExit(1) from None

@@ -5,10 +5,11 @@ the working tree's src/ and once on the ref's src/, extracted with `git
 archive` into a temporary directory, and prints every argv whose stdout,
 stderr or exit code differ.  The list is every benchmark argv at seeds
 1-3, read from photonbench/workloads.build, plus extras that reach long
-Q^(l) rows, exits 3 and 4, the JSON A3 detail, selected columns,
-accuracy_failure rows and the ell_max cap, and the usage contract: the
-line each kind of usage error prints, abbreviated flags, --flag=value, a
-repeated flag, negative values, "--", a repeated -h and --version.
+Q^(l) rows, exits 3 and 4, selfcheck's lines around an --out report, the
+JSON A3 detail, selected columns, accuracy_failure rows and the ell_max
+cap, and the usage contract: the line each kind of usage error prints,
+abbreviated flags, --flag=value, a repeated flag, negative values, "--",
+a repeated -h and --version.
 Exits 1 if any argv differs.  It uses the standard library alone, and
 pytest does not collect it.
 
@@ -35,6 +36,7 @@ EXTRAS = (
     "criteria --family fock --param 200 --add 2 --ell-max 60",  # exit 3
     "criteria --family fock --param 0 --add 1",  # JSON, with A3_detail
     "selfcheck --tol 0",  # exit 4
+    "selfcheck --families fock,thermal --out /dev/null",
     "sweep --family thermal --param-range 0:3:0.05 --format json",
     # selected columns, with an undefined row
     "sweep --family fock --param 0 --param 3 --subtract 2 --criteria A3,d_h "

@@ -428,15 +428,20 @@ def test_out_that_fails_while_written_exits_1_with_one_line(capsys, argv):
     ("buffered", "Broken pipe"), ("unbuffered", "Broken pipe"),
     ("closed-fd", "Bad file descriptor"),
 ], ids=["buffered", "unbuffered", "closed-fd"])
-@pytest.mark.parametrize("argv", [
-    ("--help",), ("--version",), ("selfcheck",),
-    ("sweep", "--family", "fock", "--param", "3"),
-], ids=["help", "version", "selfcheck", "sweep"])
-def test_closed_stdout_exits_1_with_one_line(argv, mode, reason):
-    # stdout is a pipe whose reader has gone: buffered, the flush fails,
-    # and unbuffered, the write; either way no traceback, and no exit 120
-    # from a second failure in the interpreter's exit flush.  Started with
-    # fd 1 closed (">&-"), the process has no sys.stdout at all
+@pytest.mark.parametrize("argv,reader", [
+    (("--help",), None), (("--version",), None), (("selfcheck",), None),
+    (("sweep", "--family", "fock", "--param", "3"), None),
+    # 217 kB, more than the pipe holds, so head closes it midway
+    (("sweep", "--family", "thermal", "--param-range", "0:10:0.01"),
+     ("head", "-c", "10")),
+], ids=["help", "version", "selfcheck", "sweep", "head"])
+def test_closed_stdout_exits_1_with_one_line(argv, reader, mode, reason):
+    # stdout is a pipe whose reader has gone, before the run or (head)
+    # during the write: buffered, the flush fails, and unbuffered, the
+    # write; either way no traceback, no exit 0 with the document cut
+    # short, and no exit 120 from a second failure in the interpreter's
+    # exit flush.  Started with fd 1 closed (">&-"), the process has no
+    # sys.stdout at all
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     if mode == "unbuffered":
         env["PYTHONUNBUFFERED"] = "1"
@@ -444,12 +449,43 @@ def test_closed_stdout_exits_1_with_one_line(argv, mode, reason):
     if mode == "closed-fd":
         cmd = ["sh", "-c", 'exec "$@" >&-', "sh", *cmd]
     read, write = os.pipe()
-    os.close(read)
+    try:
+        if reader:
+            reader = subprocess.Popen(reader, stdin=read,
+                                      stdout=subprocess.DEVNULL)
+    finally:
+        os.close(read)
     try:
         result = subprocess.run(cmd, stdout=write, stderr=subprocess.PIPE,
                                 env=env, timeout=120)
     finally:
         os.close(write)
+        if reader:
+            reader.wait(timeout=60)
+    assert (result.returncode, result.stderr.decode()) == (
+        1, f"photonstat: error: cannot write stdout: {reason}\n")
+
+
+@pytest.mark.parametrize("mode,reason", [
+    ("buffered", "write could not complete without blocking"),
+    ("unbuffered", "Resource temporarily unavailable"),
+], ids=["buffered", "unbuffered"])
+def test_full_nonblocking_stdout_exits_1_with_one_line(mode, reason):
+    # nobody reads the nonblocking pipe: once it is full, a write takes no
+    # byte, and the run must not end 0 with the document cut short
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if mode == "unbuffered":
+        env["PYTHONUNBUFFERED"] = "1"
+    read, write = os.pipe()
+    try:
+        os.set_blocking(write, False)
+        result = subprocess.run(
+            [sys.executable, "-m", "photonstat", "sweep", "--family",
+             "thermal", "--param-range", "0:10:0.01"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+        os.close(read)
     assert (result.returncode, result.stderr.decode()) == (
         1, f"photonstat: error: cannot write stdout: {reason}\n")
 
