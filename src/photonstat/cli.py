@@ -217,17 +217,16 @@ def cmd_sweep(family, grid, mod, ell_max, selection, fmt, policy,
 # --------------------------------------------------------------- selfcheck
 
 def cmd_selfcheck(states, tol, out_path=None):
-    from .oracle import equivalence_suite
+    from .oracle import EquivalenceReport, equivalence_suite
     report = equivalence_suite(states=states, tol=tol)
     lines = []
     # the suite writes each (family, param, modification) as one block
     for (family, param, mod), group in groupby(
             report.cells, lambda c: (c.family, c.param, c.mod)):
-        group = list(group)
-        worst = max(c.rel_dev for c in group)
-        status = "ok" if all(c.passed for c in group) else "FAIL"
-        lines.append(f"{family}({param!r}) {mod}: cells={len(group)} "
-                     f"max_rel_dev={worst:.3e} {status}\n")
+        block = EquivalenceReport(list(group))
+        status = "ok" if block.passed else "FAIL"
+        lines.append(f"{family}({param!r}) {mod}: cells={len(block.cells)} "
+                     f"max_rel_dev={block.worst.rel_dev:.3e} {status}\n")
     worst = report.worst
     lines.append(f"selfcheck: {len(report.cells)} cells, worst rel dev "
                  f"{worst.rel_dev:.3e} at {worst.family}({worst.param!r}) "

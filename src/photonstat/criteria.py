@@ -100,7 +100,8 @@ _TOP_ORDER = moment_order(MAX_ELL_MAX)  # that of a report at the cap
 
 
 def _refuse_past_cap(order):
-    # no table grows past the orders a report at the cap reads
+    # no table grows past the orders a report at the cap reads: each entry
+    # point refuses its order here before it asks a table for a row
     if order > _TOP_ORDER:
         raise ValueError(f"moment order {order} exceeds that of ell_max "
                          f"{MAX_ELL_MAX}")
@@ -112,7 +113,6 @@ def _stirling_row(z):
     mu_from_m reads it, no call recurses more than one level."""
     if z == 0:
         return (1,)
-    _refuse_past_cap(z)
     prev = _stirling_row(z - 1)
     return (0, *[k * prev[k] + prev[k - 1] for k in range(1, z)], 1)
 
@@ -121,7 +121,6 @@ def _stirling_row(z):
 def _binomial_row(n):
     """C(n, j) for j = 0..n, exact, each entry from the one before by
     C(n, j + 1) = C(n, j) (n - j) / (j + 1), so no row reads another."""
-    _refuse_past_cap(n)
     return tuple(accumulate(range(n), lambda c, j: c * (n - j) // (j + 1),
                             initial=1))
 

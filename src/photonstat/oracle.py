@@ -216,14 +216,12 @@ def _moment_dev(a, b):
 
 def _criterion_dev(a, b):
     # criteria are O(1)-scaled and can be true zeros with float dust on
-    # both sides, so deviation is measured against max(|a|, |b|, 1)
-    a_nan, b_nan = isinstance(a, float) and math.isnan(a), \
-        isinstance(b, float) and math.isnan(b)
-    a_deg, b_deg = isinstance(a, DegenerateA3), isinstance(b, DegenerateA3)
-    if a_nan or b_nan:
-        return 0.0 if a_nan and b_nan else math.inf
-    if a_deg or b_deg:
-        return 0.0 if a_deg and b_deg else math.inf
+    # both sides, so deviation is measured against max(|a|, |b|, 1); a NaN
+    # or a DegenerateA3 agrees only with a value of its own kind
+    if isinstance(a, DegenerateA3) or isinstance(b, DegenerateA3):
+        return 0.0 if type(a) is type(b) else math.inf
+    if a != a or b != b:
+        return 0.0 if a != a and b != b else math.inf
     return abs(a - b) / max(abs(a), abs(b), 1.0)
 
 
