@@ -11,9 +11,11 @@ checked at: ``moments.check_ladder_order`` refuses it.
 
 ``equivalence_suite`` drives both paths over a grid of base states and
 modifications and reports every cell; it is the package's self-check.
-Since both paths call the same criterion functions, it also checks the
-shortcut's criteria against the closed forms of the paper's fixed points
-wherever the modified state has one.
+Since both paths read the same pmf, it first checks each pmf's normal
+ladder against the family's analytic N_k; since both call the same
+criterion functions, it also checks the shortcut's criteria against the
+closed forms of the paper's fixed points wherever the modified state has
+one.
 """
 
 import math
@@ -38,7 +40,7 @@ from .moments import (
     normal_ladder,
     zero_norm_error,
 )
-from .states import NumberDistribution, build_state
+from .states import NumberDistribution, analytic_ladder, build_state
 
 DEFAULT_SUITE_STATES = (
     ("coherent", 0.5), ("coherent", 1.0), ("coherent", 2.0),
@@ -163,10 +165,12 @@ def oracle_add(dist, m, x_max=4):
 class EquivalenceCell(namedtuple(
         "EquivalenceCell",
         "family param mod quantity shortcut oracle rel_dev tol")):
-    """One compared quantity.  mod is a tag such as "subtract2" or "add1";
-    quantity is "m0".."m4", "Q", "Q2_normal", "dh1", "A3" or "undefined",
-    or a criterion with "_exact" appended for an anchor cell, whose oracle
-    is the closed form of a fixed point."""
+    """One compared quantity.  mod is a tag such as "subtract2" or "add1",
+    or "ladder" for the base state's own ladder; quantity is "m0".."m4",
+    "Q", "Q2_normal", "dh1", "A3" or "undefined", a criterion with
+    "_exact" appended for an anchor cell, whose oracle is the closed form
+    of a fixed point, or "N0".."N8" for a ladder cell, whose oracle is
+    states.analytic_ladder."""
 
     __slots__ = ()
 
@@ -293,11 +297,13 @@ def checked_tol(tol):
 def equivalence_suite(states=DEFAULT_SUITE_STATES, tol=DEFAULT_TOL):
     """Compare ladder shortcuts against the brute-force path, cell by cell.
 
-    For every base state and each of subtract 0..3 and add 1..4, the
-    factorial moments m_0..m_4 and every criterion up to order l = 2 are
-    computed along both routes, and each criterion that _fixed_points
-    gives is compared with that closed form in an anchor cell.  Cells
-    record the relative deviation; a cell fails when it exceeds tol.
+    For every base state, its pmf's normal ladder N_0..N_8 is first
+    compared with the family's analytic one in a "ladder" block.  Then for
+    each of subtract 0..3 and add 1..4, the factorial moments m_0..m_4 and
+    every criterion up to order l = 2 are computed along both routes, and
+    each criterion that _fixed_points gives is compared with that closed
+    form in an anchor cell.  Cells record the relative deviation; a cell
+    fails when it exceeds tol.
     Raises ValueError, before any state is built, for a tol checked_tol
     refuses or an empty states.
     """
@@ -316,6 +322,12 @@ def equivalence_suite(states=DEFAULT_SUITE_STATES, tol=DEFAULT_TOL):
     for family, param in states:
         dist = build_state(family, param)
         ladder = normal_ladder(dist, order)
+        # the pmf's ladder against the family's: both routes below read
+        # the pmf, so only this sees a pmf built with the wrong parameter
+        analytic = analytic_ladder(family, param, order)
+        for k, (a, b) in enumerate(zip(ladder.values, analytic)):
+            cells.append(EquivalenceCell(family, param, "ladder", f"N{k}",
+                                         a, b, _moment_dev(a, b), tol))
         for mod in mods:
             tag = f"{mod.kind.value}{mod.count}"
             report = evaluate_all(ladder, mod, ell_max)

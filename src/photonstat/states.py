@@ -6,6 +6,8 @@ probability vector alone.  Probabilities are built by stable forward
 recursion (never by evaluating factorials), and the truncation point is
 chosen adaptively: the tail mass must fall below ``eps_tail`` and the
 highest requested factorial moment must be converged under cutoff doubling.
+``analytic_ladder`` gives each family's untruncated normal ladder with no
+pmf at all, the reference the self-check holds every built pmf to.
 """
 
 import math
@@ -212,6 +214,37 @@ _BUILDERS = {
     "thermal": (_thermal_probs, _thermal_tail),
     "squeezed": (_squeezed_probs, _squeezed_tail),
 }
+
+# Each family's normal ladder N_k = <a^+k a^k> of the untruncated state by
+# the paper's recurrence: step(p, k, N_k, N_{k-1}) is N_{k+1}, with p the
+# mean for coherent and thermal states, n for a Fock state (whose ladder
+# ends at N_n) and s = sinh(r)^2 for squeezed vacuum
+_NORMAL_STEPS = {
+    "coherent": lambda p, k, a, b: p * a,
+    "thermal": lambda p, k, a, b: (k + 1) * p * a,
+    "fock": lambda p, k, a, b: max(p - k, 0) * a,
+    "squeezed": lambda p, k, a, b: p * ((2 * k + 1) * a + k * k * b),
+}
+
+
+def analytic_ladder(family, param, order):
+    """N_0..N_order of the untruncated state build_state(family, param)
+    describes, as floats from N_0 = 1 by the family's recurrence, with no
+    pmf.  ValueError where checked_param raises it, AccuracyError for the
+    first N_k beyond float64."""
+    p = checked_param(family, param)
+    step = _NORMAL_STEPS[family]
+    if family == "squeezed":
+        try:
+            p = math.sinh(p) ** 2
+        except OverflowError:  # then N_1 = s is beyond float64
+            p = math.inf
+    values, previous = [1.0], 0.0
+    for k in range(order):
+        values.append(kernels.checked(step(p, k, values[-1], previous),
+                                      "analytic normal ladder N_{}", k + 1))
+        previous = values[-2]
+    return values
 
 
 def _falling_weights(probs, order):

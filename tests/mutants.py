@@ -42,6 +42,8 @@ MUTANTS = (
     ("Lee power sign", "criteria.py", "(-1) ** (ell + 1)", "(-1) ** ell", KILLED, KILLED),
     ("Q^(l) power off by one", "criteria.py", "(c, 2 * ell - j, (j,))", "(c, 2 * ell - j + 1, (j,))", KILLED, KILLED),
     ("Q^(l) value runs swapped", "criteria.py", "values += [q_ell_normal(m, ell) for ell in ells]\n    values += [q_ell_central(mu, ell) for ell in ells]", "values += [q_ell_central(mu, ell) for ell in ells]\n    values += [q_ell_normal(m, ell) for ell in ells]", KILLED, KILLED),
+    ("coherent pmf mean x1.001", "states.py", "p[n + 1] = p[n] * alpha_sq / (n + 1)", "p[n + 1] = p[n] * alpha_sq * 1.001 / (n + 1)", KILLED, KILLED),
+    ("squeezed pmf tanh(1.01 r)", "states.py", "t = math.tanh(r) ** 2\n    p[0] = 1.0 / math.cosh(r)", "t = math.tanh(r * 1.01) ** 2\n    p[0] = 1.0 / math.cosh(r)", KILLED, KILLED),
 )
 
 GATE_TIMEOUT = 600  # seconds; the acceptance gate takes a few

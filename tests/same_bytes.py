@@ -68,6 +68,9 @@ EXTRAS = (
     "sweep --family fock --param 1 -- 2",
     "sweep --family fock --param 1 -- --par",
     "--",
+    "sweep --family fock --param-range 1:2",
+    "sweep --family fock --param-range a:b:c",
+    "criteria --family fock --param 1 --criteria ,",
 )
 TIMEOUT = 600  # seconds per call
 

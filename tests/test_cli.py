@@ -685,11 +685,18 @@ def test_help_exits_0(capsys):
     (("sweep", "--family", "fock", "--param", "1", "--", "--par"),
      "unrecognized arguments: -- --par"),
     (("--",), "the following arguments are required: command"),
+    # the rules a flag's value must meet past its type
+    (("sweep", "--family", "fock", "--param-range", "1:2"),
+     "--param-range must look like start:stop:step"),
+    (("sweep", "--family", "fock", "--param-range", "a:b:c"),
+     "--param-range values must be numeric"),
+    (("criteria", "--family", "fock", "--param", "1", "--criteria", ","),
+     "--criteria must select at least one criterion"),
 ], ids=["no-command", "unknown-command", "required", "choice", "no-value",
         "flag-for-value", "float", "unrecognized", "required-first",
         "ambiguous", "negative", "explicit", "negative-fraction-equals",
         "negative-fraction", "after-dash-dash", "prescan-stops-at-dash-dash",
-        "lone-dash-dash"])
+        "lone-dash-dash", "range-shape", "range-numeric", "criteria-empty"])
 def test_each_usage_error_prints_its_line(capsys, argv, line):
     assert run_cli(capsys, *argv) == (1, "", f"photonstat: error: {line}\n")
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonstat import moments
+from photonstat import moments, states
 from photonstat import (
     AccuracyError,
     CutoffPolicy,
@@ -143,6 +143,40 @@ def test_recurrence_ladders_match_the_pmf_ladders(family, param):
             assert abs(Fraction(g) - w) <= Fraction(bound) * w, k
     if family == "fock":  # integer sums over an exact pmf
         assert anti == pairs[1][1]
+
+
+@pytest.mark.parametrize("family,param", [
+    ("coherent", 0.5), ("coherent", 40.0), ("thermal", 7.9),
+    ("squeezed", 0.3), ("squeezed", 2.0), ("fock", 3), ("fock", 200)])
+def test_analytic_ladder_is_the_exact_recurrence_rounded(family, param):
+    # each float step rounds at most four times, each time by a relative
+    # ulp/2 of a sum of positive terms, so N_k is within 4 k ulps of the
+    # exact recurrence at the same float parameter
+    order = 40
+    exact = exact_normal_ladder(
+        family, math.sinh(param) ** 2 if family == "squeezed" else param,
+        order)
+    got = states.analytic_ladder(family, param, order)
+    assert len(got) == order + 1 and got[0] == 1.0
+    for k, (g, w) in enumerate(zip(got, exact)):
+        assert abs(Fraction(g) - w) <= Fraction(4 * k * math.ulp(1.0)) * w, k
+
+
+def test_analytic_ladder_edges():
+    # a Fock ladder ends at N_n with +0.0, not -0.0
+    got = states.analytic_ladder("fock", 3.0, 6)
+    assert got == [1.0, 3.0, 6.0, 6.0, 0.0, 0.0, 0.0]
+    assert all(math.copysign(1.0, v) == 1.0 for v in got)
+    with pytest.raises(ValueError, match="^fock parameter must be a "
+                       "nonnegative integer$"):
+        states.analytic_ladder("fock", 2.5, 3)
+    # the first N_k beyond float64 is an accuracy failure, sinh(r)^2
+    # included
+    for family, param, k in (("coherent", 1e300, 2), ("squeezed", 400.0, 1),
+                             ("squeezed", 800.0, 1), ("thermal", 1e200, 2)):
+        with pytest.raises(AccuracyError, match=f"^analytic normal ladder "
+                           f"N_{k} exceeds the float64 range$"):
+            states.analytic_ladder(family, param, 3)
 
 
 def test_ladder_overflow_raises():

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from photonstat import criteria, moments, oracle
+from photonstat import criteria, moments, oracle, states
 from photonstat import (
     DEFAULT_SUITE_STATES,
     FAMILIES,
@@ -450,9 +450,10 @@ def test_suite_report_text_has_one_record_per_cell():
 def test_suite_writes_one_block_per_state_and_modification(families):
     # selfcheck summarizes the cells in one groupby pass, which is right
     # only while each (family, param, modification) is one contiguous
-    # block, in states x modification order, and no key comes back
+    # block, in states x modification order, each state's ladder block
+    # first, and no key comes back
     states = tuple(s for s in DEFAULT_SUITE_STATES if s[0] in families)
-    tags = [f"subtract{n}" for n in range(4)]
+    tags = ["ladder"] + [f"subtract{n}" for n in range(4)]
     tags += [f"add{m}" for m in range(1, 5)]
     report = equivalence_suite(states)
     blocks = [key for key, _ in itertools.groupby(
@@ -499,7 +500,10 @@ def test_default_suite_holds_the_fixed_point_anchors():
     # 30 modified Fock states |k>, k >= 1, of 7 or (k >= 2) 8 cells; 12
     # subtracted coherent states of 8 and 12 subtracted thermal ones of 1
     assert anchors == {"fock": 235, "coherent": 96, "thermal": 12}
-    assert len(report.cells) == 1623
+    # and N_0..N_8 of each of the 13 states in its ladder block
+    ladder = [c for c in report.cells if c.mod == "ladder"]
+    assert [c.quantity for c in ladder] == [f"N{k}" for k in range(9)] * 13
+    assert len(report.cells) == 1623 + 13 * 9
 
 
 def _negate_q_ell_normal(monkeypatch):
@@ -527,6 +531,23 @@ def test_anchors_catch_an_error_both_routes_share(monkeypatch, mutate):
     mutate(monkeypatch)
     failures = equivalence_suite().failures()
     assert any(c.quantity.endswith("_exact") for c in failures)
+
+
+@pytest.mark.parametrize("family,param,wrong", [
+    ("coherent", 0.5, lambda alpha_sq: alpha_sq * 1.001),
+    ("squeezed", 0.8, lambda r: r * 1.01),
+], ids=["coherent-mean-x1.001", "squeezed-r-x1.01"])
+def test_ladder_anchors_catch_a_pmf_built_with_the_wrong_parameter(
+        monkeypatch, family, param, wrong):
+    # both routes read the same pmf, and a renormalized Poisson pmf with
+    # the wrong mean is still coherent, so only the family's analytic
+    # ladder sees it
+    pmf, tail = states._BUILDERS[family]
+    monkeypatch.setitem(states._BUILDERS, family,
+                        (lambda p, cutoff: pmf(wrong(p), cutoff), tail))
+    failures = equivalence_suite(((family, param),)).failures()
+    assert [c.quantity for c in failures] == [f"N{k}" for k in range(1, 9)]
+    assert {c.mod for c in failures} == {"ladder"}
 
 
 # ------------------------------------------------------------------ fuzz
