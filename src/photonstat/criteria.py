@@ -23,7 +23,7 @@ import math
 from collections import namedtuple
 from functools import lru_cache
 from itertools import accumulate, repeat
-from operator import add, itemgetter, mul
+from operator import add
 
 from .exceptions import AccuracyError, UndefinedStateError
 from .kernels import checked, checked_fsum, exact_fsum
@@ -50,11 +50,11 @@ def _q_ell_terms(ell):  # sum_j C(2l,j) (-s_1)^(2l-j) s_j: <(s - s_1)^2l>
 # One entry per criterion, in column order.  At order l >= least an
 # entry reads s_0..s_reads(l) of one moment sequence s.  Its numerator
 # sums the term rows (c, p, (i, ...)) of terms(l), each c (-s_1)^p s_i ...
-# with integer c, rows with fewer factors last.  over is its denominator:
-# None, "m_1", or the Poisson reference O_2l of the mean ("O_2l excess":
-# less 1).  An AccuracyError names the numerator or result, formatted with
-# (l, l - 1, reads(l)); column, formatted with k = l - least + 1 from 1 up
-# to a report's ell_max, names its report columns.
+# with integer c.  over is its denominator: None, "m_1", or the Poisson
+# reference O_2l of the mean ("O_2l excess": less 1).  An AccuracyError
+# names the numerator or result, formatted with (l, l - 1, reads(l));
+# column, formatted with k = l - least + 1 from 1 up to a report's
+# ell_max, names its report columns.
 _Criterion = namedtuple("_Criterion",
                         "column least reads terms over numerator result")
 _CRITERIA = {
@@ -218,14 +218,6 @@ def poisson_central_moment(lam, order):
     return _poisson_entry(lam, _mean_tables(lam, top)[1], order)
 
 
-def _picker(indices, padding=()):
-    # seq -> (seq[i] for i in indices) then padding, as one tuple
-    if len(indices) == 1:
-        return lambda seq, i=indices[0]: (seq[i], *padding)
-    get = itemgetter(*indices)
-    return (lambda seq: get(seq) + padding) if padding else get
-
-
 @lru_cache(maxsize=None, typed=True)  # typed: 2.0 is not served as 2
 def _rule(token, ell):
     # (the highest order token reads at ell, its denominator rule);
@@ -244,17 +236,13 @@ def _rule(token, ell):
 
 @lru_cache(maxsize=None)
 def _plan(token, ell):
-    # token at an ell _rule accepts: numerator and result names,
-    # coefficients as floats, a picker of powers (None if all are 0), one
-    # of each factor (1.0 for rows without it), and the indices read
+    # token at an ell _rule accepts: numerator and result names, its rows
+    # (float(c), p, indices), whether any p is not 0, and the indices read
     c = _CRITERIA[token]
-    coefs, pows, indices = zip(*c.terms(ell))
-    factors = ([i[k] for i in indices if len(i) > k]
-               for k in range(len(indices[0])))
-    return (c.numerator, c.result, tuple(map(float, coefs)),
-            _picker(pows) if any(pows) else None,
-            [_picker(f, (1.0,) * (len(coefs) - len(f))) for f in factors],
-            sorted({1}.union(*indices)))
+    rows = tuple((float(coef), p, indices) for coef, p, indices
+                 in c.terms(ell))
+    return (c.numerator, c.result, rows, any(p for _, p, _ in rows),
+            sorted({1}.union(*(indices for _, _, indices in rows))))
 
 
 def _evaluate(token, seq, ell, kind="factorial"):
@@ -280,18 +268,21 @@ def _evaluate(token, seq, ell, kind="factorial"):
             return math.nan, []
         if over != "m_1" and not mean >= 0:  # moments given by hand
             raise ValueError("mean must be nonnegative")
-    numerator, result, products, powers_of, factors, read = _plan(token, ell)
-    if powers_of:
+    numerator, result, rows, powered, read = _plan(token, ell)
+    powers = (1.0,)  # every row of a rule without powers has p = 0
+    if powered:
         top = top if top < _TOP_ORDER else _TOP_ORDER
         if over:  # an O_2l rule: the only one with powers and a denominator
             powers, row = _mean_tables(mean, top)
         else:
             powers = _powers(mean, top)
-        products = map(mul, products, powers_of(powers))
-    for pick in factors:
-        products = map(mul, products, pick(seq))
     try:
-        products = list(products)
+        products = []
+        for c, p, indices in rows:
+            c *= powers[p]
+            for i in indices:
+                c *= seq[i]
+            products.append(c)
         total = checked_fsum(products, numerator, ell, ell - 1, order)
     except OverflowError:  # an int moment beyond float64
         total = checked(math.inf, numerator, ell, ell - 1, order)
@@ -303,8 +294,7 @@ def _evaluate(token, seq, ell, kind="factorial"):
     if over == "m_1":
         value = total / mean
     else:  # an O_2l rule, whose rows have powers
-        o2l = row[order] if order < len(row) else _poisson_entry(
-            mean, row, order)
+        o2l = _poisson_entry(mean, row, order)
         value = total / o2l if over == "O_2l" else (total - o2l) / o2l
     if math.isfinite(value):
         return value, products
