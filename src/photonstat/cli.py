@@ -560,6 +560,9 @@ def main(argv=None):
     except AccuracyError as exc:
         print(f"error: accuracy failure: {exc}", file=sys.stderr)
         return 3
+    except MemoryError:  # a pmf or table too large for this process
+        print("error: accuracy failure: out of memory", file=sys.stderr)
+        return 3
     finally:
         if created:
             try:

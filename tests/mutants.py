@@ -44,6 +44,7 @@ MUTANTS = (
     ("Q^(l) value runs swapped", "criteria.py", "values += [q_ell_normal(m, ell) for ell in ells]\n    values += [q_ell_central(mu, ell) for ell in ells]", "values += [q_ell_central(mu, ell) for ell in ells]\n    values += [q_ell_normal(m, ell) for ell in ells]", KILLED, KILLED),
     ("coherent pmf mean x1.001", "states.py", "p[n + 1] = p[n] * alpha_sq / (n + 1)", "p[n + 1] = p[n] * alpha_sq * 1.001 / (n + 1)", KILLED, KILLED),
     ("squeezed pmf tanh(1.01 r)", "states.py", "t = math.tanh(r) ** 2\n    p[0] = 1.0 / math.cosh(r)", "t = math.tanh(r * 1.01) ** 2\n    p[0] = 1.0 / math.cosh(r)", KILLED, KILLED),
+    ("evaluator drops the mean's power", "criteria.py", "c *= powers[p]", "c *= powers[0]", KILLED, KILLED),
 )
 
 GATE_TIMEOUT = 600  # seconds; the acceptance gate takes a few
@@ -91,7 +92,8 @@ def main():
             sys.exit(f"mutants: the copy is not imported: {imported}")
         if _gates(src) != (0, 0):
             sys.exit("mutants: the unmutated copy fails a gate")
-    print(f"{'mutant':<28} {'selfcheck':<15} {'acceptance':<15} verdict")
+    width = max(len(name) for name, *_ in MUTANTS)
+    print(f"{'mutant':<{width}} {'selfcheck':<15} {'acceptance':<15} verdict")
     mismatches = 0
     for name, module, old, new, *expected in MUTANTS:
         with tempfile.TemporaryDirectory() as tmp:
@@ -104,7 +106,7 @@ def main():
             f"EXPECTED {'/'.join(expected)}")
         mismatches += verdict != "as expected"
         cells = [f"{o} ({code})" for o, code in zip(outcome, codes)]
-        print(f"{name:<28} {cells[0]:<15} {cells[1]:<15} {verdict}")
+        print(f"{name:<{width}} {cells[0]:<15} {cells[1]:<15} {verdict}")
     return 1 if mismatches else 0
 
 

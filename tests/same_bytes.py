@@ -6,10 +6,11 @@ archive` into a temporary directory, and prints every argv whose stdout,
 stderr or exit code differ.  The list is every benchmark argv at seeds
 1-3, read from photonbench/workloads.build, plus extras that reach long
 Q^(l) rows, exits 3 and 4, selfcheck's lines around an --out report, the
-JSON A3 detail, selected columns, accuracy_failure rows and the ell_max
-cap, and the usage contract: the line each kind of usage error prints,
-abbreviated flags, --flag=value, a repeated flag, negative values, "--",
-a repeated -h and --version.
+JSON A3 detail, A3 either side of its degeneracy threshold, selected
+columns, accuracy_failure rows and the ell_max cap, and the usage
+contract: the line each kind of usage error prints, abbreviated flags,
+--flag=value, a repeated flag, negative values, "--", a repeated -h and
+--version.
 Exits 1 if any argv differs.  It uses the standard library alone, and
 pytest does not collect it.
 
@@ -45,6 +46,9 @@ EXTRAS = (
     "--format csv",
     "sweep --family fock --param 1 --param 4000 --ell-max 100",  # failed rows
     "criteria --family fock --param 0 --ell-max 500",  # the ell_max cap
+    # either side of the A3 degeneracy threshold, within a factor of two
+    "criteria --family coherent --param 1e-07 --add 1",
+    "criteria --family coherent --param 3e-07 --add 1",
     # the usage contract: each line a usage error prints, and what the
     # command line accepts
     "", "nonsense", "sweep", "criteria --family fock",

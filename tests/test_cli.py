@@ -242,6 +242,24 @@ def test_huge_counts_exit_at_once_with_one_line(argv, code, message):
     assert result.stderr.splitlines() == [message]
 
 
+@pytest.mark.parametrize("argv", [
+    # the search asks for about 2 top + 3 pmf entries, top near 3.4e9
+    ("criteria", "--family", "squeezed", "--param", "10"),
+    # the tail cutoff of a mean of 1e6 is too long a pmf for 1 GiB
+    ("criteria", "--family", "thermal", "--param", "1e6"),
+    ("sweep", "--family", "thermal", "--param", "1e6"),
+], ids=["squeezed", "thermal", "thermal-sweep"])
+def test_a_pmf_beyond_memory_exits_3_with_one_line(argv):
+    cmd = [sys.executable, "-m", "photonstat", *argv, "--max-cutoff",
+           str(sys.maxsize)]
+    result = subprocess.run(cmd, capture_output=True, text=True, timeout=60,
+                            preexec_fn=limit_address_space)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "error: accuracy failure: out of memory"]
+
+
 def test_huge_param_range_exits_at_once_with_one_line():
     # 10**12 + 1 points: the count is refused before any point is built
     cmd = [sys.executable, "-m", "photonstat", "sweep", "--family", "fock",

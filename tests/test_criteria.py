@@ -460,6 +460,30 @@ def test_a3_degeneracy_threshold(factor, degenerate):
         assert math.isclose(value, 0.25 / delta, rel_tol=1e-5)
 
 
+@pytest.mark.parametrize("family,param,want", [
+    # |det(mu) - det(m)| is 1.85e-10 of the cofactor scale: ten times
+    # DET_DEGENERACY_TOL would mark these degenerate
+    ("coherent", 1e-7, 3.6030084330532506e-05),
+    ("thermal", 1e-7, 7.20628029242532e-05),
+    # 6.16e-11 of the scale: a tenth of DET_DEGENERACY_TOL would give
+    # these a value
+    ("coherent", 3e-7, DegenerateA3(-2.1599980560011645e-19,
+                                    -2.220446049250313e-16)),
+    ("thermal", 3e-7, DegenerateA3(-4.3200029160000034e-19,
+                                   -2.220446049250313e-16)),
+])
+def test_a3_degeneracy_boundary_on_one_added_photon(family, param, want):
+    # a state near vacuum with one photon added sits within a factor of
+    # two of the threshold on either side, so these rows pin it on the
+    # inputs the CLI reads (criteria --family <f> --param <p> --add 1)
+    report = evaluate_all(build_state(family, param),
+                          StateModification.add(1))
+    got = report.cells["A3"]
+    assert type(got) is type(want) and got == want
+    assert report.flags == (("a3_degenerate",) if type(want) is DegenerateA3
+                            else ())
+
+
 def test_det3_matches_elimination_routine():
     rng = np.random.default_rng(7)
     for dist in (build_state("thermal", 1.5), build_state("coherent", 2.5),
@@ -484,6 +508,26 @@ def _hankel(seq):
 def _hankel_det(seq):
     # the A3 entry's numerator: the exactly rounded Hankel determinant
     return criteria._evaluate("A3", seq, 1)[0]
+
+
+@pytest.mark.parametrize("token", criteria.CRITERIA_TOKENS)
+def test_evaluator_products_form_left_to_right(token):
+    # each product the evaluator returns is c (-s_1)^p s_i ... of its term
+    # row, formed left to right in float64, bit for bit: A3's cofactor
+    # scale reads them
+    rng = random.Random(38)
+    seq = [1.0] + [rng.uniform(0.5, 3.0) for _ in range(14)]
+    entry = criteria._CRITERIA[token]
+    for ell in (1, 2, 3, 7):
+        if ell < entry.least:
+            continue
+        want = []
+        for c, p, indices in entry.terms(ell):
+            product = float(c) * (-seq[1]) ** p
+            for i in indices:
+                product *= seq[i]
+            want.append(product)
+        assert criteria._evaluate(token, seq, ell)[1] == want, ell
 
 
 # ------------------------------------------------------------ evaluate_all
