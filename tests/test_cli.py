@@ -243,7 +243,8 @@ def test_huge_counts_exit_at_once_with_one_line(argv, code, message):
 
 
 @pytest.mark.parametrize("argv", [
-    # the search asks for about 2 top + 3 pmf entries, top near 3.4e9
+    # the tail cutoff alone is about 3.4e9, and the search asks for
+    # about twice that many pmf entries
     ("criteria", "--family", "squeezed", "--param", "10"),
     # the tail cutoff of a mean of 1e6 is too long a pmf for 1 GiB
     ("criteria", "--family", "thermal", "--param", "1e6"),
