@@ -6,11 +6,11 @@ archive` into a temporary directory, and prints every argv whose stdout,
 stderr or exit code differ.  The list is every benchmark argv at seeds
 1-3, read from photonbench/workloads.build, plus extras that reach long
 Q^(l) rows, exits 3 and 4, selfcheck's lines around an --out report, the
-JSON A3 detail, A3 either side of its degeneracy threshold, selected
-columns, accuracy_failure rows and the ell_max cap, and the usage
-contract: the line each kind of usage error prints, abbreviated flags,
---flag=value, a repeated flag, negative values, "--", a repeated -h and
---version.
+JSON A3 detail, A3 either side of its degeneracy threshold, the vacuum of
+each family, selected columns, accuracy_failure rows and the ell_max cap,
+and the usage contract: the line each kind of usage error prints,
+abbreviated flags, --flag=value, a repeated flag, negative values, "--",
+a repeated -h and --version.
 Exits 1 if any argv differs.  It uses the standard library alone, and
 pytest does not collect it.
 
@@ -49,6 +49,12 @@ EXTRAS = (
     # either side of the A3 degeneracy threshold, within a factor of two
     "criteria --family coherent --param 1e-07 --add 1",
     "criteria --family coherent --param 3e-07 --add 1",
+    # the vacuum of each searched family, and one beside a searched row
+    "criteria --family coherent --param 0",
+    "criteria --family coherent --param -0.0 --add 3",
+    "criteria --family thermal --param 0 --add 2 --format csv",
+    "criteria --family squeezed --param 0 --subtract 1",  # exit 2
+    "sweep --family squeezed --param 0 --param 0.5 --format json",
     # the usage contract: each line a usage error prints, and what the
     # command line accepts
     "", "nonsense", "sweep", "criteria --family fock",
