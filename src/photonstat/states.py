@@ -146,8 +146,6 @@ def _coherent_probs(alpha_sq, cutoff):
 
 
 def _coherent_tail(alpha_sq, cutoff):
-    if alpha_sq == 0.0:
-        return 0.0
     ratio = alpha_sq / (cutoff + 1)
     if ratio >= 1.0:
         return 1.0
@@ -169,8 +167,6 @@ def _thermal_probs(nbar, cutoff):
 
 
 def _thermal_tail(nbar, cutoff):
-    if nbar == 0.0:
-        return 0.0
     # exact geometric tail: q^(D+1)
     log_tail = (cutoff + 1) * math.log(nbar / (1.0 + nbar))
     return math.exp(max(log_tail, _LOG_TINY))
@@ -190,8 +186,6 @@ def _squeezed_probs(r, cutoff):
 
 
 def _squeezed_tail(r, cutoff):
-    if r == 0.0:
-        return 0.0
     t = math.tanh(r) ** 2
     if t == 0.0:
         # tanh^2 underflowed: the true tail is below r^2 < ulp(0)
@@ -284,7 +278,7 @@ def _tail_cutoff(family, param, policy):
 
 
 def _search(family, param, policy):
-    """The cutoff choose_cutoff describes, for a nonnegative parameter.
+    """The cutoff choose_cutoff describes, for a positive parameter.
 
     Each round builds the pmf up to 2 * top + 2 and one row of falling
     weights at the check order, one product per occupied entry.  Every
@@ -305,8 +299,6 @@ def _search(family, param, policy):
     bounded by top, however large K is.
     """
     pmf, _ = _BUILDERS[family]
-    if param == 0.0:
-        return 0
     first = _tail_cutoff(family, param, policy)
     top = min(2 * first + policy.max_moment_order, policy.max_cutoff)
     while True:
@@ -360,18 +352,19 @@ def choose_cutoff(family, param, policy=DEFAULT_POLICY):
     min(K, n_last), with K = policy.max_moment_order and n_last the last
     n the float64 pmf occupies; higher orders vanish at every cutoff.  A
     zero or non-finite moment at 2D never passes.  The search runs over
-    1..max_cutoff; parameter 0 (the vacuum) gives 0.
+    1..max_cutoff; a Fock index is its own cutoff, and parameter 0 (the
+    vacuum |0>) gives 0 with no search.
 
     Raises AccuracyError when no cutoff up to policy.max_cutoff works, or
     when the check-order moment at 2D exceeds the float64 range before
     any cutoff passes, and ValueError where checked_param does.
     """
     param = checked_param(family, param)
-    if family == "fock":
+    if family == "fock" or param == 0.0:  # a number state
         if param > policy.max_cutoff:
             raise AccuracyError(
                 f"fock index {param} exceeds max_cutoff {policy.max_cutoff}")
-        return param
+        return int(param)
     return _search(family, param, policy)
 
 
@@ -401,13 +394,14 @@ def build_state(family, param, policy=DEFAULT_POLICY):
     param is |alpha|^2 (coherent, Poissonian), nbar (thermal, geometric),
     n (fock) or the squeezing r (squeezed vacuum, even photon numbers
     only).  The cutoff is choose_cutoff's under policy, so a Fock index
-    above max_cutoff raises AccuracyError too.  A Fock state is p_n = 1
-    with zero tail; the other pmfs are normalized to their exactly rounded
-    total, with the closed-form tail bound at the cutoff and
-    policy.max_moment_order as checked_order where that bound is not 0.
+    above max_cutoff raises AccuracyError too.  A number state (a Fock
+    state, or the vacuum of any family) is p_n = 1 with zero tail; the
+    other pmfs are normalized to their exactly rounded total, with the
+    closed-form tail bound at the cutoff and policy.max_moment_order as
+    checked_order.
     """
     cutoff = choose_cutoff(family, param, policy)
-    if family == "fock":
+    if family == "fock" or cutoff == 0:
         probs = [0.0] * (cutoff + 1)
         probs[cutoff] = 1.0
         return NumberDistribution(probs, 0.0)
@@ -415,7 +409,5 @@ def build_state(family, param, policy=DEFAULT_POLICY):
     probs = pmf(param, cutoff)
     # positive: no cutoff passes the search with a zero check-order sum
     total = kernels.checked_fsum(probs, "total probability")
-    tail_bound = tail(param, cutoff)
-    # the vacuum (param 0) has finite support, and no search checked it
-    return NumberDistribution([p / total for p in probs], tail_bound,
-                              policy.max_moment_order if tail_bound else None)
+    return NumberDistribution([p / total for p in probs], tail(param, cutoff),
+                              policy.max_moment_order)
