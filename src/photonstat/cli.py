@@ -47,6 +47,11 @@ CONFIG_KEYS = ("ell_max", "criteria", "format", "tol",
 # at 91 MB of the process's RSS as CSV and 348 MB as JSON
 MAX_GRID_POINTS = 10 ** 5
 
+# a state or a moment beyond reach: past float64, or a pmf or table too
+# large for this process; a sweep flags its row accuracy_failure, and any
+# other command exits 3
+_BEYOND_REACH = (AccuracyError, MemoryError)
+
 
 def _row(param, report, names):
     """One output row, its cells encoded: param, mean, the named columns
@@ -184,7 +189,7 @@ def cmd_sweep(family, grid, mod, ell_max, selection, fmt, policy,
         try:
             report = evaluate_all(build_state(family, param, policy), mod,
                                   ell_max)
-        except AccuracyError:
+        except _BEYOND_REACH:
             report = CriteriaReport(math.nan, {}, ("accuracy_failure",))
             inaccurate = True
         else:
@@ -557,11 +562,9 @@ def main(argv=None):
     except UndefinedStateError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AccuracyError as exc:
-        print(f"error: accuracy failure: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError:  # a pmf or table too large for this process
-        print("error: accuracy failure: out of memory", file=sys.stderr)
+    except _BEYOND_REACH as exc:
+        reason = exc if isinstance(exc, AccuracyError) else "out of memory"
+        print(f"error: accuracy failure: {reason}", file=sys.stderr)
         return 3
     finally:
         if created:

@@ -30,6 +30,7 @@ from photonstat.criteria import (
     MAX_ELL_MAX,
     CriteriaReport,
     DegenerateA3,
+    column_names,
     evaluate_all,
     moment_order,
 )
@@ -242,23 +243,44 @@ def test_huge_counts_exit_at_once_with_one_line(argv, code, message):
     assert result.stderr.splitlines() == [message]
 
 
-@pytest.mark.parametrize("argv", [
-    # the tail cutoff alone is about 3.4e9, and the search asks for
-    # about twice that many pmf entries
-    ("criteria", "--family", "squeezed", "--param", "10"),
-    # the tail cutoff of a mean of 1e6 is too long a pmf for 1 GiB
-    ("criteria", "--family", "thermal", "--param", "1e6"),
-    ("sweep", "--family", "thermal", "--param", "1e6"),
-], ids=["squeezed", "thermal", "thermal-sweep"])
-def test_a_pmf_beyond_memory_exits_3_with_one_line(argv):
+def _beyond_memory(*argv):
+    # argv with no cap on the cutoff, in a child limited to 1 GiB
     cmd = [sys.executable, "-m", "photonstat", *argv, "--max-cutoff",
            str(sys.maxsize)]
-    result = subprocess.run(cmd, capture_output=True, text=True, timeout=60,
-                            preexec_fn=limit_address_space)
+    return subprocess.run(cmd, capture_output=True, text=True, timeout=60,
+                          preexec_fn=limit_address_space)
+
+
+_FAILED_THERMAL_ROW = ("1000000.0" + ",UNDEF" * 12 + ",accuracy_failure")
+
+
+@pytest.mark.parametrize("argv,out,err", [
+    # the tail cutoff alone is about 3.4e9, and the search asks for
+    # about twice that many pmf entries
+    (("criteria", "--family", "squeezed", "--param", "10"), [],
+     ["error: accuracy failure: out of memory"]),
+    # the tail cutoff of a mean of 1e6 is too long a pmf for 1 GiB
+    (("criteria", "--family", "thermal", "--param", "1e6"), [],
+     ["error: accuracy failure: out of memory"]),
+    # a sweep flags the row, and exits 3 as every row failed
+    (("sweep", "--family", "thermal", "--param", "1e6"),
+     [",".join(["param", "mean", *column_names(3), "flags"]),
+      _FAILED_THERMAL_ROW], []),
+], ids=["squeezed", "thermal", "thermal-sweep"])
+def test_a_pmf_beyond_memory_exits_3_with_one_line(argv, out, err):
+    result = _beyond_memory(*argv)
     assert result.returncode == 3
-    assert result.stdout == ""
-    assert result.stderr.splitlines() == [
-        "error: accuracy failure: out of memory"]
+    assert result.stdout.splitlines() == out
+    assert result.stderr.splitlines() == err
+
+
+def test_a_sweep_keeps_its_rows_beside_one_beyond_memory(capsys):
+    result = _beyond_memory("sweep", "--family", "thermal", "--param", "1",
+                            "--param", "1e6")
+    assert result.returncode == 0 and result.stderr == ""
+    _, alone, _ = run_cli(capsys, "sweep", "--family", "thermal", "--param",
+                          "1", "--max-cutoff", str(sys.maxsize))
+    assert result.stdout == alone + _FAILED_THERMAL_ROW + "\n"
 
 
 def test_huge_param_range_exits_at_once_with_one_line():
