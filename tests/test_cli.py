@@ -731,13 +731,16 @@ def test_help_exits_0(capsys):
      "--param-range must look like start:stop:step"),
     (("sweep", "--family", "fock", "--param-range", "a:b:c"),
      "--param-range values must be numeric"),
+    (("sweep", "--family", "squeezed", "--param-range", "0:inf:0.5"),
+     "--param-range values must be finite"),
     (("criteria", "--family", "fock", "--param", "1", "--criteria", ","),
      "--criteria must select at least one criterion"),
 ], ids=["no-command", "unknown-command", "required", "choice", "no-value",
         "flag-for-value", "float", "unrecognized", "required-first",
         "ambiguous", "negative", "explicit", "negative-fraction-equals",
         "negative-fraction", "after-dash-dash", "prescan-stops-at-dash-dash",
-        "lone-dash-dash", "range-shape", "range-numeric", "criteria-empty"])
+        "lone-dash-dash", "range-shape", "range-numeric", "range-finite",
+        "criteria-empty"])
 def test_each_usage_error_prints_its_line(capsys, argv, line):
     assert run_cli(capsys, *argv) == (1, "", f"photonstat: error: {line}\n")
 
