@@ -26,7 +26,7 @@ from itertools import accumulate, repeat
 from operator import add
 
 from .exceptions import AccuracyError, UndefinedStateError
-from .kernels import checked, checked_fsum, exact_fsum
+from .kernels import checked, checked_floats, checked_fsum, exact_fsum
 from .moments import StateModification, modified_moment_sequence
 
 # |det(mu) - det(m)| at most this fraction of the largest first-row
@@ -140,13 +140,7 @@ def mu_from_m(m):
     moment_order(MAX_ELL_MAX), AccuracyError for a moment or sum beyond
     float64.
     """
-    floats = []
-    try:
-        floats.extend(map(float, m))
-    except OverflowError:  # an int beyond float64, of order len(floats)
-        raise AccuracyError(f"factorial moment of order {len(floats)} "
-                            "exceeds the float64 range") from None
-    m = floats
+    m = checked_floats(m, "factorial moment of order {}")
     if not m:
         return []
     _refuse_past_cap(len(m) - 1)  # before any row is built
@@ -212,7 +206,10 @@ def poisson_central_moment(lam, order):
     if not lam >= 0:  # also NaN
         raise ValueError("lam must be nonnegative")
     _refuse_past_cap(order)
-    lam = float(lam) + 0.0  # 3, 3.0, -0.0 and 0.0 share one table
+    try:
+        lam = float(lam) + 0.0  # 3, 3.0, -0.0 and 0.0 share one table
+    except OverflowError:  # an int beyond float64, as inf
+        lam = math.inf
     # rising orders share the table of the next power of two
     top = min(1 << (order - 1).bit_length(), _TOP_ORDER)
     return _poisson_entry(lam, _mean_tables(lam, top)[1], order)
@@ -408,8 +405,8 @@ def criteria_from_moments(m, mu, ell_max):
     a3_degenerate when they apply.
     """
     flags = set()
-    m = list(map(float, m))
-    mu = list(map(float, mu))
+    m = checked_floats(m, "factorial moment of order {}")
+    mu = checked_floats(mu, "raw moment of order {}")
     mean = m[1]
     if mean == 0.0:
         flags.add("undefined_mean")

@@ -1,5 +1,5 @@
 """Float64 sums: the ladder kernel, the two guarded sums every other
-module adds through, the finiteness check they share, and the overflow
+module adds through, the finiteness checks they share, and the overflow
 proof that settles a sum before it is formed.  No sum returns inf or NaN:
 one that leaves float64 raises AccuracyError."""
 
@@ -20,8 +20,13 @@ def proves_overflow(k, total):
     one of some weights summing to total (for example <(n+k)_k> >= k! N_0,
     as (n+k)...(n+1) >= k!) then overflows too, so a caller can fail
     before forming it.  False proves nothing."""
-    return total > 0.0 and (math.lgamma(k + 1) + math.log(total)
-                            > _LOG_FLOAT64_LIMIT)
+    if not total > 0.0:
+        return False
+    try:
+        log_factorial = math.lgamma(k + 1)
+    except OverflowError:  # k!, or k itself, is beyond float64
+        return True
+    return log_factorial + math.log(total) > _LOG_FLOAT64_LIMIT
 
 
 def checked_fsum(terms, quantity, *args):
@@ -43,6 +48,18 @@ def checked(value, quantity, *args):
     if math.isfinite(value):
         return value
     raise AccuracyError(quantity.format(*args) + " exceeds the float64 range")
+
+
+def checked_floats(values, quantity):
+    """values as a list of floats; AccuracyError naming quantity.format(k)
+    for the first entry k, an int, beyond float64."""
+    floats = []
+    try:
+        floats.extend(map(float, values))
+    except OverflowError:  # an int beyond float64
+        raise AccuracyError(quantity.format(len(floats))
+                            + " exceeds the float64 range") from None
+    return floats
 
 
 def exact_fsum(coeffs, values, quantity, *args):

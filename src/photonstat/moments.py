@@ -80,7 +80,8 @@ class MomentLadder(namedtuple("MomentLadder", "values base")):
     ordering = "normal"  # read by photonbench's tracer alone
 
     def __new__(cls, values, base):
-        return super().__new__(cls, tuple(map(float, values)), base)
+        values = kernels.checked_floats(values, "normal ladder entry N_{}")
+        return super().__new__(cls, tuple(values), base)
 
     _make = classmethod(checked_make)
 

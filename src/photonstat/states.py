@@ -109,6 +109,9 @@ class NumberDistribution(namedtuple(
             probs = _frozen(probs)
         except TypeError:
             raise ValueError("probs must be a 1-d sequence of numbers") from None
+        except OverflowError:  # an int beyond float64
+            raise ValueError(
+                "probabilities must be finite and nonnegative") from None
         if not probs:
             raise ValueError("probs must be nonempty")
         if min(probs) < 0.0 or not all(map(math.isfinite, probs)):
@@ -235,8 +238,12 @@ def analytic_ladder(family, param, order):
             p = math.inf
     values, previous = [1.0], 0.0
     for k in range(order):
-        values.append(kernels.checked(step(p, k, values[-1], previous),
-                                      "analytic normal ladder N_{}", k + 1))
+        try:
+            value = step(p, k, values[-1], previous)
+        except OverflowError:  # an int Fock index beyond float64
+            value = math.inf
+        values.append(kernels.checked(value, "analytic normal ladder N_{}",
+                                      k + 1))
         previous = values[-2]
     return values
 
@@ -372,11 +379,17 @@ def checked_param(family, param):
     """param as build_state takes it for family: a Fock index as an int.
 
     Raises ValueError for a family not in FAMILIES, a non-finite or
-    negative parameter, or a Fock index that is not an integer.
+    negative parameter, or a Fock index that is not an integer.  An int
+    beyond float64 is not finite, unless it is a Fock index, which is
+    exact.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown state family {family!r}")
-    if not math.isfinite(param):
+    try:
+        finite = math.isfinite(param)
+    except OverflowError:  # an int beyond float64
+        finite = family == "fock"
+    if not finite:
         raise ValueError(f"{family} parameter must be finite")
     if family == "fock":
         n = int(param)

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 import subprocess
 import sys
 import threading
@@ -20,6 +21,7 @@ from photonstat import (
     StateModification,
     agarwal_tara,
     build_state,
+    criteria_from_moments,
     evaluate_all,
     lee_dh,
     mandel_q,
@@ -236,19 +238,34 @@ def test_a_nan_moment_is_named_not_reported_as_overflow(call, order):
         call()
 
 
-@pytest.mark.parametrize("call", [
-    lambda: mandel_q(10 ** 400, 1),
-    lambda: lee_dh([1, 10 ** 400, 1], 2),
-    lambda: lee_dh([1, 1, 10 ** 400], 2),
-    lambda: q_ell_normal([1, 10 ** 400, 1], 1),
-    lambda: q_ell_central([1, 1, 10 ** 400], 1),
-    lambda: agarwal_tara([1, 1, 10 ** 400, 1, 1], [1] * 5),
-    lambda: mu_from_m([1, 10 ** 400]),
+@pytest.mark.parametrize("call,quantity", [
+    (lambda: mandel_q(10 ** 400, 1), "Mandel Q"),
+    (lambda: lee_dh([1, 10 ** 400, 1], 2), "Lee function dh1"),
+    (lambda: lee_dh([1, 1, 10 ** 400], 2), "Lee function dh1"),
+    (lambda: q_ell_normal([1, 10 ** 400, 1], 1),
+     "normally ordered central moment of order 2"),
+    (lambda: q_ell_central([1, 1, 10 ** 400], 1),
+     "central moment of order 2"),
+    (lambda: agarwal_tara([1, 1, 10 ** 400, 1, 1], [1] * 5),
+     "A3 moment determinant"),
+    (lambda: mu_from_m([1, 10 ** 400]), "factorial moment of order 1"),
+    (lambda: criteria_from_moments([1, 10 ** 400, 1, 1, 1], [1.0] * 5, 1),
+     "factorial moment of order 1"),
+    (lambda: criteria_from_moments([1.0] * 5, [1, 1, 10 ** 400, 1, 1], 1),
+     "raw moment of order 2"),
+    # an int mean beyond float64 is an infinite one
+    (lambda: poisson_central_moment(10 ** 400, 2),
+     "Poisson reference moment O_2(inf)"),
+    # a count beyond float64 proves its added norm overflows
+    (lambda: evaluate_all(build_state("fock", 1),
+                          StateModification.add(10 ** 400), 1),
+     f"<(n+{10 ** 400})_{10 ** 400}> of the base state"),
 ], ids=["mandel", "lee-m1", "lee-m2", "q-normal-mean", "q-central", "a3",
-        "mu"])
-def test_an_int_moment_beyond_float64_is_an_accuracy_error(call):
+        "mu", "moments-m", "moments-mu", "poisson", "evaluate-add"])
+def test_an_int_moment_beyond_float64_is_an_accuracy_error(call, quantity):
     # exact moments given by hand: no builtin OverflowError escapes
-    with pytest.raises(AccuracyError, match="exceeds the float64 range$"):
+    with pytest.raises(AccuracyError, match=f"^{re.escape(quantity)} "
+                       "exceeds the float64 range$"):
         call()
 
 

@@ -14,6 +14,7 @@ from photonstat import (
     modified_moment_sequence,
 )
 from photonstat.moments import (
+    MomentLadder,
     antinormal_ladder,
     ladder_sums_exact,
     normal_ladder,
@@ -90,6 +91,10 @@ def test_overflow_raises_at_the_first_entry():
         with pytest.raises(AccuracyError, match="^normal ladder entry N_138 "
                                                 "exceeds the float64 range$"):
             ladder(probs, 138)
+    # an int entry given by hand is named the same way
+    with pytest.raises(AccuracyError, match="^normal ladder entry N_1 "
+                                            "exceeds the float64 range$"):
+        MomentLadder([1, 10 ** 400], build_state("fock", 2))
 
 
 @settings(max_examples=30, deadline=None)

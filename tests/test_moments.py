@@ -173,7 +173,8 @@ def test_analytic_ladder_edges():
     # the first N_k beyond float64 is an accuracy failure, sinh(r)^2
     # included
     for family, param, k in (("coherent", 1e300, 2), ("squeezed", 400.0, 1),
-                             ("squeezed", 800.0, 1), ("thermal", 1e200, 2)):
+                             ("squeezed", 800.0, 1), ("thermal", 1e200, 2),
+                             ("fock", 10 ** 400, 1)):
         with pytest.raises(AccuracyError, match=f"^analytic normal ladder "
                            f"N_{k} exceeds the float64 range$"):
             states.analytic_ladder(family, param, 3)
@@ -200,6 +201,14 @@ def test_provable_added_norm_overflow_raises_before_any_sum(monkeypatch):
     with pytest.raises(AccuracyError, match=r"^<\(n\+200000\)_200000> of the "
                        "base state exceeds the float64 range$"):
         modified_moment_sequence(dist, StateModification.add(200000), 1)
+    # a count beyond float64, whose factorial is too, with any weight
+    huge = 10 ** 400
+    assert moments.kernels.proves_overflow(huge, 5e-324)
+    assert not moments.kernels.proves_overflow(huge, 0.0)
+    with pytest.raises(AccuracyError, match=rf"^<\(n\+{huge}\)_{huge}> of "
+                       "the base state exceeds the float64 range$"):
+        modified_moment_sequence(build_state("fock", 1),
+                                 StateModification.add(huge), 2)
 
 
 def test_added_norm_overflow_bound_is_not_premature():

@@ -95,6 +95,11 @@ def test_huge_counts_settle_before_any_weight_row(monkeypatch):
     with pytest.raises(AccuracyError, match="^anti-normally ordered norm "
                        f"constant N_{huge} exceeds the float64 range$"):
         oracle_add(coherent, huge)
+    # a count beyond float64, whose factorial is too
+    huge = 10 ** 400
+    with pytest.raises(AccuracyError, match="^anti-normally ordered norm "
+                       f"constant N_{huge} exceeds the float64 range$"):
+        oracle_add(build_state("fock", 1), huge)
 
 
 def test_subtract_result_is_normalized():

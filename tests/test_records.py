@@ -84,6 +84,8 @@ BAD_VALUES = [
     (StateModification.subtract(1), "kind", None, "kind must be a ModKind"),
     (StateModification.add(1), "count", True,
      "count must be a nonnegative integer"),
+    (build_state("fock", 1), "probs", [0.5, 10 ** 400],
+     "probabilities must be finite and nonnegative"),
 ]
 
 

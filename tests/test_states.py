@@ -418,6 +418,9 @@ def test_fock_index_honours_max_cutoff():
     assert build_state("fock", 100, policy).cutoff == 100
     with pytest.raises(AccuracyError, match="exceeds max_cutoff 100"):
         build_state("fock", 200, policy)
+    with pytest.raises(AccuracyError, match=f"^fock index {10 ** 400} "
+                       "exceeds max_cutoff 4096$"):
+        build_state("fock", 10 ** 400)
 
 
 def test_cutoff_cap_raises_accuracy_error():
@@ -492,20 +495,27 @@ def test_invalid_inputs():
     ("thermal", -0.1, "thermal parameter must be nonnegative"),
     ("fock", -1.0, "fock parameter must be a nonnegative integer"),
     ("fock", 2.5, "fock parameter must be a nonnegative integer"),
+    # an int beyond float64 is not finite, as inf is not
+    *(pytest.param(family, 10 ** 400, f"{family} parameter must be finite",
+                   id=f"{family}-int-beyond-float64")
+      for family in ("coherent", "thermal", "squeezed")),
 ])
 def test_checked_param_is_the_rule_build_state_applies(family, param,
                                                       message):
     pattern = f"^{message}$"
-    with pytest.raises(ValueError, match=pattern):
-        checked_param(family, param)
-    with pytest.raises(ValueError, match=pattern):
-        build_state(family, param)
+    for call in (checked_param, build_state, choose_cutoff,
+                 lambda family, param: states.analytic_ladder(family, param,
+                                                              3)):
+        with pytest.raises(ValueError, match=pattern):
+            call(family, param)
 
 
 def test_checked_param_returns_a_fock_index_as_an_int():
     assert type(checked_param("fock", 3.0)) is int
     assert checked_param("fock", 3.0) == 3
     assert checked_param("thermal", 0.5) == 0.5
+    # an int index is exact, however large
+    assert checked_param("fock", 10 ** 400) == 10 ** 400
 
 
 def test_distribution_is_immutable():
