@@ -52,7 +52,8 @@ def checked(value, quantity, *args):
 
 def checked_floats(values, quantity):
     """values as a list of floats; AccuracyError naming quantity.format(k)
-    for the first entry k, an int, beyond float64."""
+    where entry k, the first that does not convert, is an int beyond
+    float64."""
     floats = []
     try:
         floats.extend(map(float, values))
